@@ -342,13 +342,22 @@ def _write_report(path: Path, lines: list[str], kv_path: Path, kv: dict[str, str
     print(text, end="")
 
 
+def _load_model(cfg: RunConfig, which: str):
+    """Load `<which>_model.npz`, refusing a checkpoint of the other kind."""
+    path = _require(cfg, f"{which}_model.npz")
+    spec, params, extra, arrays = load_checkpoint(path)
+    if extra.get("kind") != which:
+        raise ValueError(f"{path}: checkpoint kind is {extra.get('kind')!r}, expected {which!r}")
+    return spec, params, extra, arrays
+
+
 def cmd_eval(cfg: RunConfig, which: str) -> int:
     ft = _load_prepared(cfg)
     _, test_idx = _load_split_indices(cfg)
     test_ft = dt.take_rows(ft, test_idx)
 
     if which == "base":
-        spec, params, extra, _ = load_checkpoint(_require(cfg, "base_model.npz"))
+        spec, params, extra, _ = _load_model(cfg, "base")
         report = evaluate_classifier((spec, params), test_ft)
         lines = [
             "evaluation: base network (held-out samples)",
@@ -361,7 +370,7 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
             _artifact(cfg, "eval_base.txt"), lines, _artifact(cfg, "eval_base.kv"), kv
         )
     else:
-        spec, params, extra, arrays = load_checkpoint(_require(cfg, "siamese_model.npz"))
+        spec, params, extra, arrays = _load_model(cfg, "siamese")
         model = SiameseModel(
             spec,
             params,

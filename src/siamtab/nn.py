@@ -14,6 +14,7 @@ Shape conventions: inputs are row batches (n, in_size); a weight matrix is
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,40 +69,67 @@ class NetworkSpec:
         return self.layers[-1].out_size
 
 
-@dataclass
 class ParamSet:
-    """Per-layer weight matrices and bias vectors.
+    """Per-layer weight matrices and bias vectors over one flat buffer.
 
-    The same container holds gradients and optimizer moment buffers, which
-    share these shapes by construction.
+    The constructor copies its arrays into `flat`, a contiguous float64
+    buffer laid out weights first then biases, in layer order; `weights` and
+    `biases` are views into it. Whole-store operations (copy, zeros, add and
+    the optimizer updates) therefore act on one array. The same container
+    holds gradients and optimizer moment buffers, which share these shapes
+    by construction.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, weights, biases):
+        arrays = [np.asarray(a, dtype=np.float64) for a in (*weights, *biases)]
+        self._bind(
+            np.empty(sum(a.size for a in arrays)), [a.shape for a in arrays], len(weights)
+        )
+        for view, a in zip(self.arrays(), arrays):
+            view[...] = a
+
+    def _bind(self, flat: np.ndarray, shapes, n_weights: int):
+        self.flat = flat
+        self.shapes = tuple(tuple(shape) for shape in shapes)
+        views, offset = [], 0
+        for shape in self.shapes:
+            size = math.prod(shape)
+            views.append(flat[offset : offset + size].reshape(shape))
+            offset += size
+        self.weights = views[:n_weights]
+        self.biases = views[n_weights:]
+
+    @classmethod
+    def _over(cls, flat: np.ndarray, like: "ParamSet") -> "ParamSet":
+        """A ParamSet with `like`'s shapes whose views alias `flat`."""
+        out = cls.__new__(cls)
+        out._bind(flat, like.shapes, len(like.weights))
+        return out
 
     def __len__(self) -> int:
         return len(self.weights)
 
     def copy(self) -> "ParamSet":
-        return ParamSet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return ParamSet._over(self.flat.copy(), self)
 
     @classmethod
     def zeros_like(cls, other: "ParamSet") -> "ParamSet":
-        return cls(
-            [np.zeros_like(w) for w in other.weights],
-            [np.zeros_like(b) for b in other.biases],
-        )
+        return cls._over(np.zeros_like(other.flat), other)
+
+    @classmethod
+    def empty_like(cls, other: "ParamSet") -> "ParamSet":
+        """Same shapes, uninitialised: for stores the caller fills entirely."""
+        return cls._over(np.empty_like(other.flat), other)
 
     def add_(self, other: "ParamSet") -> "ParamSet":
-        for w, ow in zip(self.weights, other.weights):
-            w += ow
-        for b, ob in zip(self.biases, other.biases):
-            b += ob
+        if other.shapes != self.shapes:
+            raise ValueError(f"shapes {other.shapes} != {self.shapes}")
+        self.flat += other.flat
         return self
 
     def arrays(self):
         """All arrays, weights first then biases, in layer order."""
-        return list(self.weights) + list(self.biases)
+        return self.weights + self.biases
 
 
 def init_params(spec: NetworkSpec, seed: int) -> ParamSet:
@@ -215,7 +243,7 @@ def backward(
         raise ValueError(
             f"grad_out shape {g.shape} != output shape {trace.outputs[-1].shape}"
         )
-    grads = ParamSet.zeros_like(params)
+    grads = ParamSet.empty_like(params)  # every view is written below
     for k in reversed(range(len(spec.layers))):
         layer = spec.layers[k]
         a = trace.outputs[k]
@@ -229,8 +257,8 @@ def backward(
             gz = g
         if trace.masks[k] is not None:
             gz = gz * trace.masks[k]
-        grads.weights[k] = gz.T @ trace.inputs[k]
-        grads.biases[k] = gz.sum(axis=0)
+        np.matmul(gz.T, trace.inputs[k], out=grads.weights[k])
+        np.sum(gz, axis=0, out=grads.biases[k])
         g = gz @ params.weights[k]
     return grads, g
 
@@ -292,20 +320,22 @@ def euclidean_distance(e1: np.ndarray, e2: np.ndarray):
 
 @dataclass
 class OptimizerState:
-    """Per-parameter moment buffers for Adam or RMSProp."""
+    """Moment buffers for Adam or RMSProp, plus two scratch buffers the size
+    of the parameter store that hold an update's intermediates."""
 
     kind: str
     step_count: int = 0
     m: ParamSet | None = None  # first moment (adam only)
     v: ParamSet | None = None  # second moment / running square cache
+    scratch: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def init_optimizer(kind: str, params: ParamSet) -> OptimizerState:
-    if kind == "adam":
-        return OptimizerState("adam", 0, ParamSet.zeros_like(params), ParamSet.zeros_like(params))
-    if kind == "rmsprop":
-        return OptimizerState("rmsprop", 0, None, ParamSet.zeros_like(params))
-    raise ValueError(f"unknown optimizer kind {kind!r}")
+    if kind not in ("adam", "rmsprop"):
+        raise ValueError(f"unknown optimizer kind {kind!r}")
+    m = ParamSet.zeros_like(params) if kind == "adam" else None
+    scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
+    return OptimizerState(kind, 0, m, ParamSet.zeros_like(params), scratch)
 
 
 ADAM_BETA1 = 0.9
@@ -314,42 +344,66 @@ RMSPROP_RHO = 0.9
 OPT_EPS = 1e-8
 
 
+def _check_step(params: ParamSet, grads: ParamSet, state: OptimizerState, kind: str):
+    if state.kind != kind:
+        raise ValueError(f"optimizer state is {state.kind!r}, expected {kind}")
+    if grads.shapes != params.shapes:
+        raise ValueError(f"gradient shapes {grads.shapes} != parameter shapes {params.shapes}")
+
+
 def adam_step(
     params: ParamSet, grads: ParamSet, state: OptimizerState, lr: float
 ) -> tuple[ParamSet, OptimizerState]:
-    """One Adam update with bias correction. Mutates params/state in place."""
-    if state.kind != "adam":
-        raise ValueError(f"optimizer state is {state.kind!r}, expected adam")
+    """One Adam update with bias correction. Mutates params/state in place.
+
+    The in-place sequence performs the same float operations, in the same
+    order, as m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+    p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), so results are bitwise those of
+    the plain expressions.
+    """
+    _check_step(params, grads, state, "adam")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    for p, g, m, v in zip(
-        params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()
-    ):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + OPT_EPS)
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    s1, s2 = state.scratch
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
+    m += s1
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=s1)
+    s1 *= g
+    v += s1
+    np.divide(m, c1, out=s1)
+    s1 *= lr
+    np.divide(v, c2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += OPT_EPS
+    s1 /= s2
+    p -= s1
     return params, state
 
 
 def rmsprop_step(
     params: ParamSet, grads: ParamSet, state: OptimizerState, lr: float
 ) -> tuple[ParamSet, OptimizerState]:
-    """One RMSProp update: cache = rho*cache + (1-rho)*g^2. In place."""
-    if state.kind != "rmsprop":
-        raise ValueError(f"optimizer state is {state.kind!r}, expected rmsprop")
+    """One RMSProp update: cache = rho*cache + ((1-rho)*g)*g, then
+    p -= (lr*g) / (sqrt(cache) + eps). In place, bitwise equal to those
+    expressions."""
+    _check_step(params, grads, state, "rmsprop")
     state.step_count += 1
-    for p, g, v in zip(params.arrays(), grads.arrays(), state.v.arrays()):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        v *= RMSPROP_RHO
-        v += (1.0 - RMSPROP_RHO) * g * g
-        p -= lr * g / (np.sqrt(v) + OPT_EPS)
+    p, g, v = params.flat, grads.flat, state.v.flat
+    s1, s2 = state.scratch
+    v *= RMSPROP_RHO
+    np.multiply(g, 1.0 - RMSPROP_RHO, out=s1)
+    s1 *= g
+    v += s1
+    np.multiply(g, lr, out=s1)
+    np.sqrt(v, out=s2)
+    s2 += OPT_EPS
+    s1 /= s2
+    p -= s1
     return params, state
 
 
@@ -405,12 +459,21 @@ def load_checkpoint(path: str | Path):
             for l in meta["layers"]
         )
         spec = NetworkSpec(layers)
-        weights = [np.asarray(data[f"w{k}"], dtype=np.float64) for k in range(len(layers))]
-        biases = [np.asarray(data[f"b{k}"], dtype=np.float64) for k in range(len(layers))]
-        known = {"meta"} | {f"w{k}" for k in range(len(layers))} | {f"b{k}" for k in range(len(layers))}
-        arrays = {name: data[name] for name in data.files if name not in known}
-    params = ParamSet(weights, biases)
-    for arr in params.arrays():
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: checkpoint contains non-finite parameters")
+        expected = {f"w{k}": (l.out_size, l.in_size) for k, l in enumerate(layers)}
+        expected.update({f"b{k}": (l.out_size,) for k, l in enumerate(layers)})
+        stored = {}
+        for name, shape in expected.items():
+            if name not in data.files:
+                raise ValueError(f"{path}: checkpoint has no array {name}")
+            stored[name] = data[name]
+            if stored[name].shape != shape:
+                raise ValueError(
+                    f"{path}: array {name} has shape {stored[name].shape}, "
+                    f"layer spec needs {shape}"
+                )
+        arrays = {name: data[name] for name in data.files if name not in expected and name != "meta"}
+    n = len(layers)
+    params = ParamSet([stored[f"w{k}"] for k in range(n)], [stored[f"b{k}"] for k in range(n)])
+    if not np.isfinite(params.flat).all():
+        raise ValueError(f"{path}: checkpoint contains non-finite parameters")
     return spec, params, meta["extra"], arrays

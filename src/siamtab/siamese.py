@@ -2,8 +2,10 @@
 classification of single samples.
 
 Both branches read the one ParamSet held by the model; weight sharing is
-structural, never copied. Gradients from a pair accumulate branch A + branch B
-into a single GradSet over that shared store.
+structural, never copied. A twin with tied weights is one network applied to
+one batch, so a pair step stacks both members into a (2B, d) batch and makes
+one forward and one backward pass. The weight GEMM of that backward pass sums
+the two branches' gradients into the shared store.
 """
 
 from __future__ import annotations
@@ -51,6 +53,16 @@ class SiameseModel:
         return out
 
 
+@dataclass
+class PairTrace:
+    """One stacked twin forward, kept for the backward pass: the trace over
+    the (2B, d) batch and d distance / d embedding for each pair member."""
+
+    trace: ForwardTrace
+    grad_a: np.ndarray
+    grad_b: np.ndarray
+
+
 def pair_forward(
     model: SiameseModel,
     a: np.ndarray,
@@ -58,32 +70,31 @@ def pair_forward(
     mode: str = "infer",
     rng: np.random.Generator | None = None,
 ):
-    """Embed both pair members with the shared weights and return their
-    distance plus both branch traces. Dropout masks are drawn independently
-    per branch in train mode."""
-    ea, trace_a = forward(model.params, model.spec, a, mode=mode, rng=rng)
-    eb, trace_b = forward(model.params, model.spec, b, mode=mode, rng=rng)
-    d, _, _ = euclidean_distance(ea, eb)
-    return d, (trace_a, trace_b)
+    """Embed both pair members with one pass over the stacked batch [a; b]
+    and return their distance plus a PairTrace. In train mode every row of
+    the stack draws its own dropout mask, so the branches' masks are
+    independent."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"pair member shapes differ: {a.shape} vs {b.shape}")
+    emb, trace = forward(model.params, model.spec, np.vstack((a, b)), mode=mode, rng=rng)
+    half = emb.shape[0] // 2
+    ea, eb = (emb[0], emb[1]) if a.ndim == 1 else (emb[:half], emb[half:])
+    d, grad_a, grad_b = euclidean_distance(ea, eb)
+    return d, PairTrace(trace, grad_a, grad_b)
 
 
-def pair_backward(
-    model: SiameseModel,
-    traces: tuple[ForwardTrace, ForwardTrace],
-    dloss_dd,
-) -> ParamSet:
-    """Accumulate both branch gradients into one GradSet over the shared
-    ParamSet. dloss_dd is d loss / d distance, scalar or per-pair vector."""
-    trace_a, trace_b = traces
-    ea = trace_a.outputs[-1]
-    eb = trace_b.outputs[-1]
-    d, ga, gb = euclidean_distance(ea, eb)
+def pair_backward(model: SiameseModel, pair_trace: PairTrace, dloss_dd) -> ParamSet:
+    """Gradients over the shared ParamSet for both pair members, from one
+    backward pass. dloss_dd is d loss / d distance, scalar or per-pair
+    vector."""
     scale = np.asarray(dloss_dd, dtype=np.float64)
-    if ea.ndim > 1:
+    if pair_trace.grad_a.ndim > 1:
         scale = scale.reshape(-1, 1)
-    grads_a, _ = backward(trace_a, model.params, model.spec, scale * ga)
-    grads_b, _ = backward(trace_b, model.params, model.spec, scale * gb)
-    return grads_a.add_(grads_b)
+    grad_out = np.vstack((scale * pair_trace.grad_a, scale * pair_trace.grad_b))
+    grads, _ = backward(pair_trace.trace, model.params, model.spec, grad_out)
+    return grads
 
 
 def pair_verdict(model: SiameseModel, a: np.ndarray, b: np.ndarray):

@@ -14,6 +14,7 @@ activation exactly as the layer listings imply.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -29,6 +30,7 @@ from .nn import (
     backward,
     bce_loss,
     contrastive_loss,
+    euclidean_distance,
     forward,
     init_optimizer,
     init_params,
@@ -91,8 +93,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.optimizer not in ("adam", "rmsprop"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.loss not in ("bce", "contrastive"):
@@ -219,6 +221,17 @@ def _seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
+def _check_loss(batch_loss: float, epoch: int, start: int, batch_size: int) -> float:
+    """Stop at the first non-finite batch loss: past it every update, and
+    any checkpoint written from the result, is garbage."""
+    if not math.isfinite(batch_loss):
+        raise ValueError(
+            f"training diverged: non-finite loss {batch_loss} at epoch {epoch + 1}, "
+            f"batch {start // batch_size + 1}"
+        )
+    return batch_loss
+
+
 Progress = Callable[[str], None]
 
 
@@ -256,7 +269,9 @@ def train_base(
             out, trace = forward(params, spec, x, mode="train", rng=rng)
             p = out[:, 0]
             losses, dldp = bce_loss(p, y, weights)
-            loss_sum += float(losses.sum()) + trace.penalty
+            loss_sum += _check_loss(
+                float(losses.sum()) + trace.penalty, epoch, start, cfg.batch_size
+            )
             correct += int(((p >= 0.5).astype(np.int64) == y).sum())
             grads, _ = backward(trace, params, spec, (dldp / sel.size)[:, None])
             if cfg.optimizer == "adam":
@@ -323,11 +338,11 @@ def train_siamese(
             a = ft.features[train_ps.left[sel]]
             b = ft.features[train_ps.right[sel]]
             sim = train_ps.similar[sel]
-            d, traces = pair_forward(model, a, b, mode="train", rng=rng)
+            d, pair_trace = pair_forward(model, a, b, mode="train", rng=rng)
             losses, dldd = contrastive_loss(d, sim, cfg.margin)
-            loss_sum += float(losses.sum())
+            loss_sum += _check_loss(float(losses.sum()), epoch, start, cfg.batch_size)
             correct += int(((d < pair_threshold) == sim).sum())
-            grads = pair_backward(model, traces, dldd / sel.size)
+            grads = pair_backward(model, pair_trace, dldd / sel.size)
             if cfg.optimizer == "adam":
                 adam_step(params, grads, state, cfg.learning_rate)
             else:
@@ -350,13 +365,23 @@ def train_siamese(
 
 
 def _pair_distances(model: SiameseModel, ps: PairSet) -> np.ndarray:
-    """Inference-mode distances for every pair, chunked to bound memory."""
-    ft = ps.source
-    out = np.empty(len(ps))
-    for start in range(0, len(ps), _EVAL_CHUNK):
-        sel = slice(start, min(start + _EVAL_CHUNK, len(ps)))
-        d, _ = pair_forward(model, ft.features[ps.left[sel]], ft.features[ps.right[sel]])
-        out[sel] = d
+    """Inference-mode distances for every pair.
+
+    Each distinct row the pairs touch is embedded once, in chunks of
+    _EVAL_CHUNK rows; the distances are then taken over gathered embedding
+    pairs, also chunk by chunk, to bound memory.
+    """
+    rows, inverse = np.unique(np.concatenate((ps.left, ps.right)), return_inverse=True)
+    emb = np.empty((rows.size, model.embedding_size))
+    for start in range(0, rows.size, _EVAL_CHUNK):
+        sel = slice(start, start + _EVAL_CHUNK)
+        emb[sel] = model.embed(ps.source.features[rows[sel]])
+    n = len(ps)
+    left, right = inverse[:n], inverse[n:]
+    out = np.empty(n)
+    for start in range(0, n, _EVAL_CHUNK):
+        sel = slice(start, start + _EVAL_CHUNK)
+        out[sel], _, _ = euclidean_distance(emb[left[sel]], emb[right[sel]])
     return out
 
 

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,17 @@ class TestTrainCmd:
         assert run("train", "base", "--out", out, "--epochs", 0) == 1
         assert "epochs" in capsys.readouterr().err
 
+    def test_nan_learning_rate_fails_before_any_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 7)
+        run("pairs", "--out", out, "--seed", 7, "--pairs-diff", 40, "--pairs-same0", 20, "--pairs-same1", 20)
+        capsys.readouterr()
+        assert run("train", "siamese", "--out", out, "--seed", 7, "--lr", "nan") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "learning_rate" in err[0]
+        assert not (out / "siamese_model.npz").exists()
+        assert not (out / "siamese_history.csv").exists()
+
     def test_siamese_needs_pairs(self, tmp_path):
         out = tmp_path / "run"
         run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 7)
@@ -135,6 +148,33 @@ class TestEvalCmd:
         first = (out / "eval_siamese.txt").read_bytes()
         assert run("eval", "siamese", "--out", out, "--seed", 13) == 0
         assert (out / "eval_siamese.txt").read_bytes() == first
+
+    def test_checkpoint_of_the_wrong_kind_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 16)
+        run("pairs", "--out", out, "--seed", 16, "--pairs-diff", 40, "--pairs-same0", 20, "--pairs-same1", 20)
+        run("train", "base", "--out", out, "--seed", 16, "--epochs", 1)
+        shutil.copy(out / "base_model.npz", out / "siamese_model.npz")
+        capsys.readouterr()
+        assert run("eval", "siamese", "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "kind is 'base', expected 'siamese'" in err[0]
+        assert not (out / "eval_siamese.txt").exists()
+
+    def test_checkpoint_shape_mismatch_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        pipeline(out, seed=17)
+        path = out / "siamese_model.npz"
+        with np.load(path) as data:
+            stored = dict(data)
+        stored["w1"] = stored["w1"][:-1]
+        np.savez(path, **stored)
+        capsys.readouterr()
+        assert run("eval", "siamese", "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "w1 has shape (255, 256)" in err[0]
 
     def test_base_report_schema(self, tmp_path):
         out = tmp_path / "run"

@@ -52,6 +52,55 @@ class TestSpecs:
             LayerSpec(1, 1, activity_l2=-0.1)
 
 
+THREE_LAYERS = NetworkSpec(
+    (LayerSpec(5, 8, "relu"), LayerSpec(8, 6, "relu"), LayerSpec(6, 3, "linear"))
+)
+
+
+class TestParamSet:
+    def test_views_alias_the_flat_buffer(self):
+        params = init_params(THREE_LAYERS, seed=40)
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert params.flat.size == sum(a.size for a in params.arrays())
+        for arr in params.arrays():
+            assert np.shares_memory(arr, params.flat)
+        params.flat[:] = np.arange(params.flat.size)
+        assert params.weights[0][0, 1] == 1.0  # weights first, row-major
+        assert params.biases[0][0] == sum(w.size for w in params.weights)
+        params.biases[2][...] = -7.0
+        assert np.all(params.flat[-3:] == -7.0)
+
+    def test_constructor_copies_its_inputs(self):
+        w, b = np.ones((2, 3)), np.zeros(2)
+        params = ParamSet([w], [b])
+        params.weights[0][0, 0] = 5.0
+        assert w[0, 0] == 1.0
+        assert params.shapes == ((2, 3), (2,))
+
+    def test_copy_and_zeros_like_are_independent(self):
+        params = init_params(THREE_LAYERS, seed=41)
+        before = params.flat.copy()
+        for other in (params.copy(), ParamSet.zeros_like(params), ParamSet.empty_like(params)):
+            assert other.shapes == params.shapes
+            assert not np.shares_memory(other.flat, params.flat)
+            for arr in other.arrays():
+                assert np.shares_memory(arr, other.flat)
+            other.flat[:] = 3.0
+            assert np.array_equal(params.flat, before)
+        assert np.array_equal(params.copy().flat, before)
+        assert np.all(ParamSet.zeros_like(params).flat == 0.0)
+
+    def test_add_sums_every_array(self):
+        a = init_params(THREE_LAYERS, seed=42)
+        b = init_params(THREE_LAYERS, seed=43)
+        expected = [x + y for x, y in zip(a.arrays(), b.arrays())]
+        assert a.add_(b) is a
+        for got, want in zip(a.arrays(), expected):
+            assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="shapes"):
+            a.add_(scalar_params(0.0, 0.0))
+
+
 class TestInitParams:
     def test_glorot_bound(self):
         spec = NetworkSpec((LayerSpec(15, 256, "relu"),))
@@ -355,6 +404,53 @@ class TestAdam:
             adam_step(params, bad, state, lr=0.001)
 
 
+def random_grads(params, rng):
+    return ParamSet(
+        [rng.normal(size=w.shape) for w in params.weights],
+        [rng.normal(size=b.shape) for b in params.biases],
+    )
+
+
+class TestFlatOptimizersMatchPerArrayReference:
+    """The in-place flat updates must be bitwise the per-array expressions
+    below, the form the optimizers had before the flat store: that is what
+    keeps fixed-seed base-model training byte-identical."""
+
+    def run(self, kind, step, reference, lr=0.003, steps=6):
+        params = init_params(THREE_LAYERS, seed=50)
+        ref_p = [a.copy() for a in params.arrays()]
+        ref_m = [np.zeros_like(a) for a in ref_p]
+        ref_v = [np.zeros_like(a) for a in ref_p]
+        state = init_optimizer(kind, params)
+        rng = np.random.default_rng(51)
+        for t in range(1, steps + 1):
+            grads = random_grads(params, rng)
+            step(params, grads, state, lr)
+            for i, g in enumerate(grads.arrays()):
+                ref_p[i], ref_m[i], ref_v[i] = reference(ref_p[i], g, ref_m[i], ref_v[i], t, lr)
+            for got, want in zip(params.arrays(), ref_p):
+                assert np.array_equal(got, want)
+            for got, want in zip(state.v.arrays(), ref_v):
+                assert np.array_equal(got, want)
+        assert state.step_count == steps
+
+    def test_adam(self):
+        def reference(p, g, m, v, t, lr):
+            m = m * 0.9 + (1.0 - 0.9) * g
+            v = v * 0.999 + (1.0 - 0.999) * g * g
+            c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            return p - lr * (m / c1) / (np.sqrt(v / c2) + 1e-8), m, v
+
+        self.run("adam", adam_step, reference)
+
+    def test_rmsprop(self):
+        def reference(p, g, m, v, t, lr):
+            v = v * 0.9 + (1.0 - 0.9) * g * g
+            return p - lr * g / (np.sqrt(v) + 1e-8), m, v
+
+        self.run("rmsprop", rmsprop_step, reference)
+
+
 class TestRmsprop:
     def test_first_step_hand_case(self):
         params = scalar_params(0.0, 0.0)
@@ -412,6 +508,22 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         assert extra2 == extra
         assert np.array_equal(arrays2["refs0"], arrays["refs0"])
+
+    def test_array_shapes_checked_against_spec(self, tmp_path):
+        spec = NetworkSpec((LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "linear")))
+        params = init_params(spec, seed=20)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, spec, params)
+        with np.load(path) as data:
+            stored = dict(data)
+        stored["w1"] = stored["w1"][:, :3]
+        np.savez(path, **stored)
+        with pytest.raises(ValueError, match=r"w1 has shape \(2, 3\).*\(2, 4\)"):
+            load_checkpoint(path)
+        del stored["w1"]
+        np.savez(path, **stored)
+        with pytest.raises(ValueError, match="no array w1"):
+            load_checkpoint(path)
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "bad.npz"

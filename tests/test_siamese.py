@@ -7,8 +7,10 @@ from siamtab.nn import (
     LayerSpec,
     NetworkSpec,
     ParamSet,
+    backward,
     contrastive_loss,
     euclidean_distance,
+    forward,
     init_params,
 )
 from siamtab.siamese import (
@@ -64,6 +66,23 @@ class TestPairForward:
         model = SiameseModel(spec, params)
         assert model.params is params  # one store serves both branches
 
+    def test_member_shape_mismatch_rejected(self):
+        model = random_model(38)
+        with pytest.raises(ValueError, match="pair member shapes"):
+            pair_forward(model, np.zeros((3, 6)), np.zeros((2, 6)))
+        with pytest.raises(ValueError, match="pair member shapes"):
+            pair_forward(model, np.zeros(6), np.zeros((1, 6)))
+
+    def test_stacked_pass_matches_separate_branches(self):
+        model = random_model(39)
+        rng = np.random.default_rng(40)
+        a, b = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+        d, traces = pair_forward(model, a, b)
+        ea, _ = forward(model.params, model.spec, a)
+        eb, _ = forward(model.params, model.spec, b)
+        assert np.allclose(d, euclidean_distance(ea, eb)[0], rtol=1e-12, atol=0.0)
+        assert traces.trace.outputs[-1].shape == (8, 5)
+
     def test_branches_get_independent_dropout(self):
         spec = NetworkSpec((LayerSpec(4, 64, "relu", dropout_rate=0.5),))
         model = SiameseModel(spec, init_params(spec, 7))
@@ -93,6 +112,24 @@ class TestPairBackward:
         analytic = pair_backward(model, traces, dldd)
         numeric = numeric_gradient(loss, params)
         assert max_rel_error(analytic, numeric) < 1e-4
+
+    def test_matches_two_trace_reference(self):
+        # reference: each branch forwarded and backpropagated on its own,
+        # gradients summed afterwards
+        model = random_model(41)
+        rng = np.random.default_rng(42)
+        a, b = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+        dldd = rng.normal(size=5)
+        _, traces = pair_forward(model, a, b)
+        stacked = pair_backward(model, traces, dldd)
+        ea, ta = forward(model.params, model.spec, a)
+        eb, tb = forward(model.params, model.spec, b)
+        _, ga, gb = euclidean_distance(ea, eb)
+        grads_a, _ = backward(ta, model.params, model.spec, dldd[:, None] * ga)
+        grads_b, _ = backward(tb, model.params, model.spec, dldd[:, None] * gb)
+        reference = grads_a.add_(grads_b)
+        for x, y in zip(stacked.arrays(), reference.arrays()):
+            assert np.allclose(x, y, rtol=1e-12, atol=1e-14)
 
     def test_zero_upstream_gives_zero_grads(self):
         model = random_model(12)

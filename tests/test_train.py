@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from oracles import count_confusion
+from siamtab import train as train_mod
 from siamtab.data import FeatureTable, apply_norm, fit_norm, synth_generate
-from siamtab.pairs import generate_pairs
-from siamtab.siamese import pair_verdict
+from siamtab.nn import LayerSpec, NetworkSpec, ParamSet
+from siamtab.pairs import PairSet, generate_pairs
+from siamtab.siamese import SiameseModel, pair_forward, pair_verdict
 from siamtab.train import (
     EvalReport,
     History,
@@ -54,6 +56,11 @@ class TestConfigs:
             siamese_config(val_fraction=1.0)
         with pytest.raises(ValueError):
             TrainConfig(1, 1, 0.1, "sgd", "bce")
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1])
+    def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            siamese_config(learning_rate=lr)
 
     def test_network_shapes(self):
         base = base_network_spec(15)
@@ -161,6 +168,14 @@ class TestTrainBase:
         report = evaluate_classifier(params, data)
         assert abs(report.recall[0] - report.recall[1]) < 0.1
 
+    def test_non_finite_loss_stops_training(self):
+        # a finite but absurd step size overflows the weights after the first
+        # update; the loop must stop at the next batch, not run on in NaN
+        data = normed_synth(120, 4, 0.3, seed=30)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=r"non-finite loss .* at epoch 1, batch 2$"):
+                train_base(base_config(seed=31, epochs=3, learning_rate=1e300), data)
+
     def test_progress_stream(self, capsys):
         data = normed_synth(60, 3, 0.4, seed=9)
         train_base(base_config(seed=10, epochs=2), data, progress=print)
@@ -194,6 +209,13 @@ class TestTrainSiamese:
         assert hist_a.val_loss == hist_b.val_loss
         for a, b in zip(model_a.params.arrays(), model_b.params.arrays()):
             assert np.array_equal(a, b)
+
+    def test_non_finite_loss_stops_training(self):
+        data = normed_synth(100, 4, 0.4, seed=32)
+        ps = generate_pairs(data, 400, 200, 200, seed=33)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=r"non-finite loss .* at epoch 1, batch 2$"):
+                train_siamese(siamese_config(seed=34, epochs=2, learning_rate=1e300), ps)
 
     def test_empty_pairs_rejected(self):
         data = normed_synth(20, 3, 0.5, seed=17)
@@ -232,6 +254,55 @@ class TestEvaluatePairs:
         empty = pairs_mod.PairSet(ft, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), (0, 0, 0))
         with pytest.raises(ValueError, match="empty"):
             evaluate_pairs(synth_trained.model, empty)
+
+
+class TestPairDistances:
+    @staticmethod
+    def integer_model_and_table(rng, n=40, d=4):
+        """Small-integer weights and features keep every product and sum
+        exact in float64, so distances cannot depend on how BLAS blocks a
+        batch (it rounds batches of a few rows differently from large ones)
+        and array_equal checks the gathering alone."""
+        spec = NetworkSpec((LayerSpec(d, 6, "relu"), LayerSpec(6, 3, "linear")))
+        params = ParamSet(
+            [rng.integers(-2, 3, (6, d)).astype(float), rng.integers(-2, 3, (3, 6)).astype(float)],
+            [rng.integers(-2, 3, 6).astype(float), rng.integers(-2, 3, 3).astype(float)],
+        )
+        ft = FeatureTable(rng.integers(-3, 4, (n, d)).astype(float), rng.integers(0, 2, n))
+        return SiameseModel(spec, params), ft
+
+    def test_embed_once_matches_per_pair_forward(self, monkeypatch):
+        # more distinct rows than one chunk, every row used by several pairs,
+        # including self-pairs and both orders of the same pair
+        rng = np.random.default_rng(35)
+        model, ft = self.integer_model_and_table(rng)
+        left = rng.integers(0, 30, 200)
+        right = rng.integers(0, 30, 200)
+        left[:3], right[:3] = [4, 9, 9], [4, 4, 9]
+        ps = PairSet(ft, left, right, np.zeros(200, dtype=bool), (200, 0, 0))
+        monkeypatch.setattr(train_mod, "_EVAL_CHUNK", 7)
+        assert len(np.unique(np.concatenate((left, right)))) > 7
+        got = train_mod._pair_distances(model, ps)
+        expected = [
+            pair_forward(model, ft.features[i], ft.features[j])[0]
+            for i, j in zip(left, right)
+        ]
+        assert np.array_equal(got, expected)
+
+    def test_each_distinct_row_is_embedded_once(self, monkeypatch):
+        model, ft = self.integer_model_and_table(np.random.default_rng(36))
+        left, right = np.array([0, 0, 1, 2, 2]), np.array([1, 2, 3, 3, 0])
+        ps = PairSet(ft, left, right, np.zeros(5, dtype=bool), (5, 0, 0))
+        embedded = []
+        original = SiameseModel.embed
+
+        def counting_embed(self, x, **kwargs):
+            embedded.append(len(x))
+            return original(self, x, **kwargs)
+
+        monkeypatch.setattr(SiameseModel, "embed", counting_embed)
+        train_mod._pair_distances(model, ps)
+        assert embedded == [4]
 
 
 class TestEvaluateClassifier:
