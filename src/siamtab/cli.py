@@ -104,25 +104,11 @@ class RunConfig:
     explicit: frozenset[str] = frozenset()  # keys set by config file or flags
 
     def echo(self):
-        items = {
-            "data": self.data,
-            "out": self.out,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "batch-size": self.batch_size,
-            "lr": self.lr,
-            "margin": self.margin,
-            "threshold": self.threshold,
-            "k-refs": self.k_refs,
-            "pairs-diff": self.pairs_diff,
-            "pairs-same0": self.pairs_same0,
-            "pairs-same1": self.pairs_same1,
-            "synthetic": (
-                ",".join(str(v) for v in self.synthetic) if self.synthetic else None
-            ),
-        }
         print("effective config:")
-        for key, value in items.items():
+        for key in _DEFAULTS:
+            value = getattr(self, key.replace("-", "_"))
+            if key == "synthetic" and value is not None:
+                value = ",".join(str(v) for v in value)
             print(f"  {key}={'default' if value is None else value}")
 
 
@@ -161,25 +147,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if cli_value is not None:
             values[key] = cli_value
             explicit.add(key)
-    synthetic = values["synthetic"]
-    if isinstance(synthetic, str):
-        synthetic = _parse_synthetic(synthetic)
-    return RunConfig(
-        data=Path(values["data"]) if values["data"] else None,
-        out=Path(values["out"]),
-        seed=values["seed"],
-        epochs=values["epochs"],
-        batch_size=values["batch-size"],
-        lr=values["lr"],
-        margin=values["margin"],
-        threshold=values["threshold"],
-        k_refs=values["k-refs"],
-        pairs_diff=values["pairs-diff"],
-        pairs_same0=values["pairs-same0"],
-        pairs_same1=values["pairs-same1"],
-        synthetic=synthetic,
-        explicit=frozenset(explicit),
-    )
+    values["data"] = Path(values["data"]) if values["data"] else None
+    values["out"] = Path(values["out"])
+    if isinstance(values["synthetic"], str):
+        values["synthetic"] = _parse_synthetic(values["synthetic"])
+    fields = {key.replace("-", "_"): value for key, value in values.items()}
+    return RunConfig(**fields, explicit=frozenset(explicit))
 
 
 def _artifact(cfg: RunConfig, name: str) -> Path:
@@ -313,10 +286,13 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
             margin=cfg.margin,
             **overrides,
         )
+        # The bank draws from its own stage stream, so building it first
+        # changes no model; a k the training split cannot fill fails before
+        # any epoch runs.
+        bank = build_reference_bank(train_ft, cfg.k_refs, stage_seed(cfg.seed, _STAGE_BANK))
         model, history = train_siamese(
             tc, pairs_train, pair_threshold=cfg.threshold, progress=print
         )
-        bank = build_reference_bank(train_ft, cfg.k_refs, stage_seed(cfg.seed, _STAGE_BANK))
         save_checkpoint(
             _artifact(cfg, "siamese_model.npz"),
             model.spec,

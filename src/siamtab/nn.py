@@ -298,6 +298,12 @@ def contrastive_loss(d, similar, margin: float = 1.0):
     return loss, grad
 
 
+def floored_norm(diff: np.ndarray) -> np.ndarray:
+    """sqrt(max(sum(diff^2), DIST_FLOOR)) over the last axis: the distance
+    every pair verdict, loss and reference comparison uses."""
+    return np.sqrt(np.maximum(np.sum(diff * diff, axis=-1), DIST_FLOOR))
+
+
 def euclidean_distance(e1: np.ndarray, e2: np.ndarray):
     """Floored euclidean distance and its gradients w.r.t. both embeddings.
 
@@ -310,8 +316,7 @@ def euclidean_distance(e1: np.ndarray, e2: np.ndarray):
     if e1.shape != e2.shape:
         raise ValueError(f"embedding shapes differ: {e1.shape} vs {e2.shape}")
     diff = e1 - e2
-    sq = np.sum(diff * diff, axis=-1)
-    d = np.sqrt(np.maximum(sq, DIST_FLOOR))
+    d = floored_norm(diff)
     g1 = diff / (d[..., None] if diff.ndim > 1 else d)
     if diff.ndim == 1:
         return float(d), g1, -g1

@@ -16,12 +16,12 @@ import numpy as np
 
 from .data import FeatureTable
 from .nn import (
-    DIST_FLOOR,
     ForwardTrace,
     NetworkSpec,
     ParamSet,
     backward,
     euclidean_distance,
+    floored_norm,
     forward,
 )
 
@@ -146,12 +146,9 @@ def _mean_ref_distances(model: SiameseModel, bank: ReferenceBank, x: np.ndarray)
     e_x = model.embed(x)  # (n, emb)
     e0 = model.embed(bank.refs0)  # (k, emb)
     e1 = model.embed(bank.refs1)
-    out = []
-    for e_ref in (e0, e1):
-        diff = e_x[:, None, :] - e_ref[None, :, :]
-        sq = np.sum(diff * diff, axis=-1)
-        out.append(np.sqrt(np.maximum(sq, DIST_FLOOR)).mean(axis=1))
-    return out[0], out[1]
+    d0 = floored_norm(e_x[:, None, :] - e0[None, :, :]).mean(axis=1)
+    d1 = floored_norm(e_x[:, None, :] - e1[None, :, :]).mean(axis=1)
+    return d0, d1
 
 
 def classify(model: SiameseModel, bank: ReferenceBank, x: np.ndarray):

@@ -3,8 +3,11 @@
 The baseline classifier is a dense sigmoid network trained with class-weighted
 binary cross-entropy (Adam, batch 16, 250 epochs by default). The pair model
 is the shared-weight twin trained with contrastive loss (RMSProp, batch 64,
-10 epochs by default). Both loops reshuffle per epoch from a seeded stream and
-are bitwise deterministic for a fixed (data, config, seed).
+10 epochs by default). The two differ only in network and objective: each
+trainer hands one epoch loop a per-batch step, and that loop owns the
+shuffle, the batching, the optimizer update, the history and the progress
+line. It reshuffles per epoch from a seeded stream, so training is bitwise
+deterministic for a fixed (data, config, seed).
 
 Reported losses are per-sample averages of data loss + activity penalty;
 gradients keep the raw 2*l2*a penalty injection, so the regularizer acts per
@@ -16,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -30,7 +34,7 @@ from .nn import (
     backward,
     bce_loss,
     contrastive_loss,
-    euclidean_distance,
+    floored_norm,
     forward,
     init_optimizer,
     init_params,
@@ -82,7 +86,6 @@ class TrainConfig:
     batch_size: int
     learning_rate: float
     optimizer: str  # "adam" | "rmsprop"
-    loss: str  # "bce" | "contrastive"
     class_weights: tuple[float, float] | None = None
     val_fraction: float = 0.25
     margin: float = DEFAULT_MARGIN
@@ -97,8 +100,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.optimizer not in ("adam", "rmsprop"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss not in ("bce", "contrastive"):
-            raise ValueError(f"unknown loss {self.loss!r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
         if self.margin <= 0.0:
@@ -113,7 +114,6 @@ def base_config(seed: int = 0, **overrides) -> TrainConfig:
         batch_size=16,
         learning_rate=0.001,
         optimizer="adam",
-        loss="bce",
         class_weights=(1.0, 5.0),
         val_fraction=0.25,
         seed=seed,
@@ -129,7 +129,6 @@ def siamese_config(seed: int = 0, **overrides) -> TrainConfig:
         batch_size=64,
         learning_rate=0.001,
         optimizer="rmsprop",
-        loss="contrastive",
         class_weights=None,
         val_fraction=0.25,
         seed=seed,
@@ -235,54 +234,42 @@ def _check_loss(batch_loss: float, epoch: int, start: int, batch_size: int) -> f
 Progress = Callable[[str], None]
 
 
-def train_base(
-    cfg: TrainConfig, data: FeatureTable, progress: Progress | None = None
-) -> tuple[ParamSet, History]:
-    """Train the baseline classifier; returns its parameters and history."""
-    if data.n == 0:
-        raise ValueError("empty data")
-    if len(np.unique(data.labels)) < 2:
-        raise ValueError("training data contains a single class")
-    s_init, s_split, s_loop = _seeds(cfg.seed, 3)
-    if cfg.val_fraction > 0.0:
-        train_ft, val_ft = stratified_split(data, cfg.val_fraction, s_split)
-        if val_ft.n == 0:
-            val_ft = None
-    else:
-        train_ft, val_ft = data, None
+def _fit(
+    cfg: TrainConfig,
+    params: ParamSet,
+    n: int,
+    batch_step: Callable[[np.ndarray, np.random.Generator], tuple[float, int, ParamSet]],
+    validate: Callable[[], tuple[float, float]] | None,
+    loop_seed: int,
+    progress: Progress | None,
+) -> History:
+    """The epoch loop both trainers share; updates `params` in place.
 
-    spec = base_network_spec(data.d)
-    params = init_params(spec, s_init)
+    Each epoch draws a permutation of the n training items from the loop
+    stream, then calls batch_step(indices, rng) on each batch for its summed
+    loss, correct count and gradients. The same stream feeds the dropout
+    masks, so a run is fixed by (data, config, seed).
+    """
     state = init_optimizer(cfg.optimizer, params)
-    weights = cfg.class_weights if cfg.class_weights is not None else (1.0, 1.0)
-    rng = np.random.default_rng(s_loop)
+    step = adam_step if cfg.optimizer == "adam" else rmsprop_step
+    rng = np.random.default_rng(loop_seed)
     history = History()
-
     for epoch in range(cfg.epochs):
-        order = rng.permutation(train_ft.n)
+        order = rng.permutation(n)
         loss_sum = 0.0
         correct = 0
-        for start in range(0, train_ft.n, cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            x = train_ft.features[sel]
-            y = train_ft.labels[sel]
-            out, trace = forward(params, spec, x, mode="train", rng=rng)
-            p = out[:, 0]
-            losses, dldp = bce_loss(p, y, weights)
-            loss_sum += _check_loss(
-                float(losses.sum()) + trace.penalty, epoch, start, cfg.batch_size
+        for start in range(0, n, cfg.batch_size):
+            batch_loss, batch_correct, grads = batch_step(
+                order[start : start + cfg.batch_size], rng
             )
-            correct += int(((p >= 0.5).astype(np.int64) == y).sum())
-            grads, _ = backward(trace, params, spec, (dldp / sel.size)[:, None])
-            if cfg.optimizer == "adam":
-                adam_step(params, grads, state, cfg.learning_rate)
-            else:
-                rmsprop_step(params, grads, state, cfg.learning_rate)
-        train_loss = loss_sum / train_ft.n
-        train_acc = correct / train_ft.n
+            loss_sum += _check_loss(batch_loss, epoch, start, cfg.batch_size)
+            correct += batch_correct
+            step(params, grads, state, cfg.learning_rate)
+        train_loss = loss_sum / n
+        train_acc = correct / n
 
-        if val_ft is not None:
-            val_loss, val_acc = _eval_base(params, spec, val_ft, weights)
+        if validate is not None:
+            val_loss, val_acc = validate()
         else:
             val_loss, val_acc = float("nan"), float("nan")
         history.append(train_loss, train_acc, val_loss, val_acc)
@@ -292,7 +279,39 @@ def train_base(
                 f"train_loss={train_loss:.4f} train_acc={train_acc:.4f} "
                 f"val_loss={val_loss:.4f} val_acc={val_acc:.4f}"
             )
-    return params, history
+    return history
+
+
+def train_base(
+    cfg: TrainConfig, data: FeatureTable, progress: Progress | None = None
+) -> tuple[ParamSet, History]:
+    """Train the baseline classifier; returns its parameters and history."""
+    if data.n == 0:
+        raise ValueError("empty data")
+    if len(np.unique(data.labels)) < 2:
+        raise ValueError("training data contains a single class")
+    s_init, s_split, s_loop = _seeds(cfg.seed, 3)
+    train_ft, val_ft = data, None
+    if cfg.val_fraction > 0.0:
+        train_ft, val_ft = stratified_split(data, cfg.val_fraction, s_split)
+
+    spec = base_network_spec(data.d)
+    params = init_params(spec, s_init)
+    weights = cfg.class_weights if cfg.class_weights is not None else (1.0, 1.0)
+
+    def batch_step(sel, rng):
+        y = train_ft.labels[sel]
+        out, trace = forward(params, spec, train_ft.features[sel], mode="train", rng=rng)
+        p = out[:, 0]
+        losses, dldp = bce_loss(p, y, weights)
+        grads, _ = backward(trace, params, spec, (dldp / sel.size)[:, None])
+        correct = int(((p >= 0.5).astype(np.int64) == y).sum())
+        return float(losses.sum()) + trace.penalty, correct, grads
+
+    validate = None
+    if val_ft is not None and val_ft.n > 0:
+        validate = partial(_eval_base, params, spec, val_ft, weights)
+    return params, _fit(cfg, params, train_ft.n, batch_step, validate, s_loop, progress)
 
 
 def _eval_base(params, spec, ft: FeatureTable, weights) -> tuple[float, float]:
@@ -314,54 +333,28 @@ def train_siamese(
     if len(pairs) == 0:
         raise ValueError("empty pair set")
     s_init, s_split, s_loop = _seeds(cfg.seed, 3)
+    train_ps, val_ps = pairs, None
     if cfg.val_fraction > 0.0:
         train_ps, val_ps = split_pairs(pairs, 1.0 - cfg.val_fraction, s_split)
-        if len(val_ps) == 0:
-            val_ps = None
-    else:
-        train_ps, val_ps = pairs, None
 
-    ft = pairs.source
-    spec = siamese_network_spec(ft.d)
+    features = pairs.source.features
+    spec = siamese_network_spec(pairs.source.d)
     params = init_params(spec, s_init)
     model = SiameseModel(spec, params, margin=cfg.margin, pair_threshold=pair_threshold)
-    state = init_optimizer(cfg.optimizer, params)
-    rng = np.random.default_rng(s_loop)
-    history = History()
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_ps))
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, len(train_ps), cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            a = ft.features[train_ps.left[sel]]
-            b = ft.features[train_ps.right[sel]]
-            sim = train_ps.similar[sel]
-            d, pair_trace = pair_forward(model, a, b, mode="train", rng=rng)
-            losses, dldd = contrastive_loss(d, sim, cfg.margin)
-            loss_sum += _check_loss(float(losses.sum()), epoch, start, cfg.batch_size)
-            correct += int(((d < pair_threshold) == sim).sum())
-            grads = pair_backward(model, pair_trace, dldd / sel.size)
-            if cfg.optimizer == "adam":
-                adam_step(params, grads, state, cfg.learning_rate)
-            else:
-                rmsprop_step(params, grads, state, cfg.learning_rate)
-        train_loss = loss_sum / len(train_ps)
-        train_acc = correct / len(train_ps)
+    def batch_step(sel, rng):
+        sim = train_ps.similar[sel]
+        a = features[train_ps.left[sel]]
+        b = features[train_ps.right[sel]]
+        d, pair_trace = pair_forward(model, a, b, mode="train", rng=rng)
+        losses, dldd = contrastive_loss(d, sim, cfg.margin)
+        grads = pair_backward(model, pair_trace, dldd / sel.size)
+        return float(losses.sum()), int(((d < pair_threshold) == sim).sum()), grads
 
-        if val_ps is not None:
-            val_loss, val_acc = _eval_pairs_loss(model, val_ps)
-        else:
-            val_loss, val_acc = float("nan"), float("nan")
-        history.append(train_loss, train_acc, val_loss, val_acc)
-        if progress is not None:
-            progress(
-                f"epoch {epoch + 1}/{cfg.epochs} "
-                f"train_loss={train_loss:.4f} train_acc={train_acc:.4f} "
-                f"val_loss={val_loss:.4f} val_acc={val_acc:.4f}"
-            )
-    return model, history
+    validate = None
+    if val_ps is not None and len(val_ps) > 0:
+        validate = partial(_eval_pairs_loss, model, val_ps)
+    return model, _fit(cfg, params, len(train_ps), batch_step, validate, s_loop, progress)
 
 
 def _pair_distances(model: SiameseModel, ps: PairSet) -> np.ndarray:
@@ -381,7 +374,7 @@ def _pair_distances(model: SiameseModel, ps: PairSet) -> np.ndarray:
     out = np.empty(n)
     for start in range(0, n, _EVAL_CHUNK):
         sel = slice(start, start + _EVAL_CHUNK)
-        out[sel], _, _ = euclidean_distance(emb[left[sel]], emb[right[sel]])
+        out[sel] = floored_norm(emb[left[sel]] - emb[right[sel]])
     return out
 
 
@@ -406,9 +399,9 @@ def evaluate_classifier(
 ) -> EvalReport:
     """Sample-level confusion matrix and metrics.
 
-    `model` is either a SiameseModel (classified through its reference bank),
-    a (NetworkSpec, ParamSet) pair, or a bare ParamSet for the baseline
-    topology (input width inferred from the data).
+    `model` is either a SiameseModel, classified through its reference bank,
+    or a (NetworkSpec, ParamSet) pair for a sigmoid-output classifier such
+    as the baseline.
     """
     if data.n == 0:
         raise ValueError("empty data")
@@ -417,10 +410,7 @@ def evaluate_classifier(
             raise ValueError("siamese evaluation needs a reference bank")
         preds, _, _ = classify_table(model, bank, data)
     else:
-        if isinstance(model, tuple):
-            spec, params = model
-        else:
-            spec, params = base_network_spec(data.d), model
+        spec, params = model
         out, _ = forward(params, spec, data.features, mode="infer")
         preds = (out[:, 0] >= 0.5).astype(np.int64)
     return EvalReport.from_predictions(data.labels, preds)

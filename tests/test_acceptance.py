@@ -42,6 +42,7 @@ from siamtab.pairs import generate_pairs, split_pairs
 from siamtab.siamese import build_reference_bank, classify_table
 from siamtab.train import (
     base_config,
+    base_network_spec,
     evaluate_classifier,
     evaluate_pairs,
     siamese_config,
@@ -104,7 +105,7 @@ def test_criterion_2_base_network_reproduction():
         _, normed = load_framingham_features()
         trainval, test = stratified_split(normed, 0.2, seed=101)
         params, _ = train_base(base_config(seed=102), trainval)
-        report = evaluate_classifier(params, test)
+        report = evaluate_classifier((base_network_spec(test.d), params), test)
         print(
             f"[acceptance] criterion 2 detail: acc={report.accuracy:.4f} "
             f"prec0={report.precision[0]:.4f} prec1={report.precision[1]:.4f}"
@@ -268,7 +269,7 @@ def test_criterion_8_synthetic_separation():
         params, _ = train_base(
             base_config(seed=86, class_weights=(1.0, 1.0)), train_ft
         )
-        base_report = evaluate_classifier(params, test_ft)
+        base_report = evaluate_classifier((base_network_spec(test_ft.d), params), test_ft)
         print(
             f"[acceptance] criterion 8 detail: siam_acc={siam_acc:.4f} "
             f"siam_recall1={siam_recall1:.4f} base_recall1={base_report.recall[1]:.4f}"

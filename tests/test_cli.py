@@ -118,6 +118,19 @@ class TestTrainCmd:
         assert not (out / "siamese_model.npz").exists()
         assert not (out / "siamese_history.csv").exists()
 
+    @pytest.mark.parametrize("k", [50, 0])
+    def test_bad_k_refs_fails_before_training(self, tmp_path, capsys, k):
+        out = tmp_path / "run"
+        run("prepare", "--synthetic", "400,15,0.05", "--out", out, "--seed", 7)
+        run("pairs", "--out", out, "--seed", 7, "--pairs-diff", 40, "--pairs-same0", 20, "--pairs-same1", 20)
+        capsys.readouterr()
+        assert run("train", "siamese", "--out", out, "--seed", 7, "--epochs", 3, "--k-refs", k) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not [line for line in captured.out.splitlines() if line.startswith("epoch ")]
+        assert not (out / "siamese_model.npz").exists()
+
     def test_siamese_needs_pairs(self, tmp_path):
         out = tmp_path / "run"
         run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 7)

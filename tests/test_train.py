@@ -44,7 +44,6 @@ class TestConfigs:
         assert cfg.epochs == 10
         assert cfg.batch_size == 64
         assert cfg.optimizer == "rmsprop"
-        assert cfg.loss == "contrastive"
         assert cfg.margin == 1.0
 
     def test_invariants_enforced(self):
@@ -55,7 +54,7 @@ class TestConfigs:
         with pytest.raises(ValueError):
             siamese_config(val_fraction=1.0)
         with pytest.raises(ValueError):
-            TrainConfig(1, 1, 0.1, "sgd", "bce")
+            TrainConfig(1, 1, 0.1, "sgd")
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1])
     def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
@@ -165,7 +164,7 @@ class TestTrainBase:
         data = normed_synth(400, 6, 0.5, seed=7)
         cfg = base_config(seed=8, epochs=40, class_weights=(1.0, 1.0))
         params, _ = train_base(cfg, data)
-        report = evaluate_classifier(params, data)
+        report = evaluate_classifier((base_network_spec(6), params), data)
         assert abs(report.recall[0] - report.recall[1]) < 0.1
 
     def test_non_finite_loss_stops_training(self):
@@ -181,6 +180,44 @@ class TestTrainBase:
         train_base(base_config(seed=10, epochs=2), data, progress=print)
         out = capsys.readouterr().out
         assert "epoch 1/2" in out and "epoch 2/2" in out
+
+
+def fit_base(progress=None, **overrides):
+    data = normed_synth(60, 3, 0.4, seed=37)
+    _, hist = train_base(base_config(seed=38, **overrides), data, progress=progress)
+    return hist, data.n
+
+
+def fit_siamese(progress=None, **overrides):
+    ps = generate_pairs(normed_synth(60, 3, 0.4, seed=39), 80, 40, 40, seed=40)
+    _, hist = train_siamese(siamese_config(seed=41, **overrides), ps, progress=progress)
+    return hist, len(ps)
+
+
+@pytest.mark.parametrize("fit", [fit_base, fit_siamese], ids=["base", "siamese"])
+class TestSharedLoop:
+    def test_no_validation_trains_on_every_item(self, fit, monkeypatch):
+        # at batch 1 the loop checks one loss per training item
+        batches = []
+        check = train_mod._check_loss
+
+        def counting_check(batch_loss, epoch, start, batch_size):
+            batches.append(epoch)
+            return check(batch_loss, epoch, start, batch_size)
+
+        monkeypatch.setattr(train_mod, "_check_loss", counting_check)
+        hist, n = fit(epochs=2, val_fraction=0.0, batch_size=1)
+        assert batches == [0] * n + [1] * n
+        assert len(hist) == 2
+        assert all(np.isnan(v) for v in hist.val_loss + hist.val_acc)
+
+    def test_one_progress_line_per_epoch(self, fit, capsys):
+        fit(progress=print, epochs=3)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ")[:2] for line in lines] == [
+            ["epoch", f"{i}/3"] for i in (1, 2, 3)
+        ]
+        assert all(" val_loss=" in line and " val_acc=" in line for line in lines)
 
 
 class TestTrainSiamese:
@@ -314,13 +351,6 @@ class TestEvaluateClassifier:
         report = evaluate_classifier(synth_trained.model, synth_trained.test, synth_trained.bank)
         assert int(report.confusion.sum()) == synth_trained.test.n
         assert report.accuracy > 0.9
-
-    def test_base_paths_agree(self):
-        data = normed_synth(80, 5, 0.4, seed=20)
-        params, _ = train_base(base_config(seed=21, epochs=2), data)
-        by_params = evaluate_classifier(params, data)
-        by_tuple = evaluate_classifier((base_network_spec(5), params), data)
-        assert by_params.confusion.tolist() == by_tuple.confusion.tolist()
 
     def test_empty_rejected(self, synth_trained):
         empty = FeatureTable(np.empty((0, 10)), np.empty(0, dtype=np.int64))
