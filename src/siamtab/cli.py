@@ -173,12 +173,25 @@ def _load_prepared(cfg: RunConfig) -> dt.FeatureTable:
     return dt.load_table_csv(_require(cfg, "normalized.csv"), ordered)
 
 
-def _load_split_indices(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    train_idx, test_idx = [], []
-    for line in _require(cfg, "splits.csv").read_text().splitlines()[1:]:
-        idx, part = line.split(",")
-        (train_idx if part == "train" else test_idx).append(int(idx))
-    return np.array(train_idx, dtype=np.int64), np.array(test_idx, dtype=np.int64)
+def _split_row(row: list[str]) -> tuple[int, bool]:
+    if row[1] not in ("train", "test"):
+        raise ValueError(f"part must be 'train' or 'test', got {row[1]!r}")
+    return int(row[0]), row[1] == "train"
+
+
+def _load_split_indices(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train, test) row indices from splits.csv, for a table of n rows."""
+    path = _require(cfg, "splits.csv")
+    rows = dt.read_rows_csv(path, ["index", "part"], "splits", _split_row)
+    idx = np.array([i for i, _ in rows], dtype=np.int64)
+    bad = np.flatnonzero((idx < 0) | (idx >= n))
+    if bad.size:
+        raise ValueError(
+            f"{path}: line {bad[0] + 2}: index {idx[bad[0]]} out of range for a table "
+            f"of {n} rows"
+        )
+    in_train = np.array([t for _, t in rows], dtype=bool)
+    return idx[in_train], idx[~in_train]
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
@@ -259,7 +272,7 @@ def cmd_pairs(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig, which: str) -> int:
     ft = _load_prepared(cfg)
-    train_idx, _ = _load_split_indices(cfg)
+    train_idx, _ = _load_split_indices(cfg, ft.n)
     train_ft = dt.take_rows(ft, train_idx)
     overrides = {}
     if cfg.epochs is not None:
@@ -329,7 +342,7 @@ def _load_model(cfg: RunConfig, which: str):
 
 def cmd_eval(cfg: RunConfig, which: str) -> int:
     ft = _load_prepared(cfg)
-    _, test_idx = _load_split_indices(cfg)
+    _, test_idx = _load_split_indices(cfg, ft.n)
     test_ft = dt.take_rows(ft, test_idx)
 
     if which == "base":

@@ -8,8 +8,11 @@ integer seed and are deterministic for a fixed seed.
 from __future__ import annotations
 
 import csv
+import math
+from itertools import islice
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -20,6 +23,9 @@ _KINDS = (NOMINAL, CONTINUOUS, DISCRETE)
 
 # Tokens that mark a missing cell in the CSV dialect we read and write.
 _MISSING_TOKENS = ("", "NA")
+_CHUNK_ROWS = 256  # table rows parsed or formatted at a time; bounds the memory held
+
+_Row = TypeVar("_Row")
 
 
 @dataclass(frozen=True)
@@ -144,12 +150,70 @@ class NormStats:
 STD_FLOOR = 1e-8
 
 
+def _parse_cell(tok: str) -> float | None:
+    """A cell as a float: NaN for a missing token, None for a non-numeric one."""
+    try:
+        return float(tok)
+    except ValueError:
+        return math.nan if tok.strip() in _MISSING_TOKENS else None
+
+
+def _parse_rows(
+    rows: list[list[str]], first_line: int, path: Path, schema: list[ColumnSpec], label_j: int
+) -> np.ndarray:
+    """Parse a block of CSV rows into a float64 grid in one pass, then check
+    the whole grid; the error names the first faulty line of the block."""
+    width = len(schema)
+    # Rows up to the first ragged one are parsed; a fault before it wins.
+    n_ok = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+    flat = [_parse_cell(tok) for row in rows[:n_ok] for tok in row]
+    cells = np.array(flat, dtype=np.float64).reshape(n_ok, width)  # None -> NaN
+
+    # Each fault is keyed (row, position in the row's checks): cells are
+    # checked in column order, the label's value after every cell.
+    faults = []
+    if None in flat:
+        faults.append(divmod(flat.index(None), width))
+    labels = cells[:, label_j]
+    missing = [
+        i
+        for i in np.flatnonzero(np.isnan(labels))
+        if rows[i][label_j].strip() in _MISSING_TOKENS
+    ]
+    if missing:
+        faults.append((int(missing[0]), label_j))
+    not_binary = np.flatnonzero((labels != 0.0) & (labels != 1.0))
+    if not_binary.size:
+        faults.append((int(not_binary[0]), width))
+    if not faults:
+        if n_ok < len(rows):
+            raise ValueError(
+                f"{path}: line {first_line + n_ok}: expected {width} cells, "
+                f"got {len(rows[n_ok])}"
+            )
+        return cells
+
+    i, j = min(faults)
+    line = first_line + i
+    if j == width:
+        raise ValueError(f"{path}: line {line}: label must be 0 or 1, got {labels[i]}")
+    if flat[i * width + j] is None:
+        raise ValueError(
+            f"{path}: line {line}: non-numeric value {rows[i][j].strip()!r} in column "
+            f"{schema[j].name!r}"
+        )
+    raise ValueError(
+        f"{path}: line {line}: missing value in label column {schema[j].name!r}"
+    )
+
+
 def load_csv(path: str | Path, schema: list[ColumnSpec]) -> RawTable:
     """Read a comma-separated file into a RawTable.
 
     The header row must match the schema names in order. Empty strings and
     "NA" parse as missing; any other non-numeric token is an error, as is a
-    missing value in the label column.
+    missing value in the label column. Rows are parsed a block at a time,
+    each block in one pass; the error names the first faulty line.
     """
     path = Path(path)
     label_j = _label_index(schema)
@@ -164,38 +228,14 @@ def load_csv(path: str | Path, schema: list[ColumnSpec]) -> RawTable:
             raise ValueError(
                 f"{path}: header mismatch: expected {expected}, got {names}"
             )
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(schema):
-                raise ValueError(
-                    f"{path}: line {i}: expected {len(schema)} cells, got {len(row)}"
-                )
-            vals = np.empty(len(schema), dtype=np.float64)
-            for j, tok in enumerate(row):
-                tok = tok.strip()
-                if tok in _MISSING_TOKENS:
-                    if j == label_j:
-                        raise ValueError(
-                            f"{path}: line {i}: missing value in label column "
-                            f"{schema[j].name!r}"
-                        )
-                    vals[j] = np.nan
-                    continue
-                try:
-                    vals[j] = float(tok)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {i}: non-numeric value {tok!r} in column "
-                        f"{schema[j].name!r}"
-                    ) from None
-            if vals[label_j] not in (0.0, 1.0):
-                raise ValueError(
-                    f"{path}: line {i}: label must be 0 or 1, got {vals[label_j]}"
-                )
-            rows.append(vals)
-    if not rows:
+        blocks = []
+        line = 2
+        while rows := list(islice(reader, _CHUNK_ROWS)):
+            blocks.append(_parse_rows(rows, line, path, schema, label_j))
+            line += len(rows)
+    if not blocks:
         raise ValueError(f"{path}: empty table (header only)")
-    return RawTable(schema, np.vstack(rows))
+    return RawTable(schema, np.concatenate(blocks))
 
 
 def impute(table: RawTable) -> RawTable:
@@ -324,15 +364,16 @@ def synth_generate(n: int, d: int, imbalance: float, seed: int) -> FeatureTable:
 def save_table_csv(ft: FeatureTable, path: str | Path, label_name: str = "label"):
     """Persist a FeatureTable in the same CSV dialect we read (label last).
 
-    Floats are written with repr so a round trip reproduces values exactly.
+    Floats are written with repr so a round trip reproduces values exactly;
+    rows go out one formatted write per chunk.
     """
     names = [c.name for c in ft.schema] if ft.schema else [f"f{i:02d}" for i in range(ft.d)]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names + [label_name]) + "\n")
-        for i in range(ft.n):
-            row = [repr(float(v)) for v in ft.features[i]]
-            row.append(str(int(ft.labels[i])))
-            fh.write(",".join(row) + "\n")
+        for start in range(0, ft.n, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            rows = zip(ft.features[start:stop].tolist(), ft.labels[start:stop].tolist())
+            fh.write("".join(",".join(map(repr, [*row, label])) + "\n" for row, label in rows))
 
 
 def load_table_csv(path: str | Path, schema: list[ColumnSpec]) -> FeatureTable:
@@ -348,16 +389,39 @@ def save_schema_csv(schema: list[ColumnSpec], path: str | Path):
             fh.write(f"{c.name},{c.kind},{int(c.is_label)}\n")
 
 
-def load_schema_csv(path: str | Path) -> list[ColumnSpec]:
-    schema = []
+def read_rows_csv(
+    path: str | Path, header: list[str], kind: str, convert: Callable[[list[str]], _Row]
+) -> list[_Row]:
+    """Rows of a small artifact CSV, each passed through `convert`.
+
+    The header must equal `header`, or the file is "not a <kind> file". A row
+    of the wrong width, or one that `convert` rejects with a ValueError, is an
+    error naming the file and line.
+    """
+    out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["name", "kind", "is_label"]:
-            raise ValueError(f"{path}: not a schema file")
-        for row in reader:
-            schema.append(ColumnSpec(row[0], row[1], bool(int(row[2]))))
-    return schema
+        if next(reader, None) != header:
+            raise ValueError(f"{path}: not a {kind} file")
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {line}: expected {len(header)} cells, got {len(row)}"
+                )
+            try:
+                out.append(convert(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line}: {exc}") from None
+    return out
+
+
+def load_schema_csv(path: str | Path) -> list[ColumnSpec]:
+    return read_rows_csv(
+        path,
+        ["name", "kind", "is_label"],
+        "schema",
+        lambda row: ColumnSpec(row[0], row[1], bool(int(row[2]))),
+    )
 
 
 def save_norm_stats_csv(stats: NormStats, schema: list[ColumnSpec], path: str | Path):
@@ -368,13 +432,10 @@ def save_norm_stats_csv(stats: NormStats, schema: list[ColumnSpec], path: str | 
 
 
 def load_norm_stats_csv(path: str | Path) -> NormStats:
-    means, stds = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["column", "mean", "stddev"]:
-            raise ValueError(f"{path}: not a norm-stats file")
-        for row in reader:
-            means.append(float(row[1]))
-            stds.append(float(row[2]))
-    return NormStats(np.array(means), np.array(stds))
+    rows = read_rows_csv(
+        path,
+        ["column", "mean", "stddev"],
+        "norm-stats",
+        lambda row: (float(row[1]), float(row[2])),
+    )
+    return NormStats(np.array([m for m, _ in rows]), np.array([s for _, s in rows]))

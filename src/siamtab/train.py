@@ -16,7 +16,6 @@ activation exactly as the layer listings imply.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -25,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import FeatureTable, stratified_split
+from .data import FeatureTable, read_rows_csv, stratified_split
 from .nn import (
     LayerSpec,
     NetworkSpec,
@@ -430,11 +429,11 @@ def export_history(history: History, path: str | Path):
 
 def load_history(path: str | Path) -> History:
     history = History()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]:
-            raise ValueError(f"{path}: not a history file")
-        for row in reader:
-            history.append(float(row[1]), float(row[2]), float(row[3]), float(row[4]))
+    for values in read_rows_csv(
+        path,
+        ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"],
+        "history",
+        lambda row: [float(v) for v in row[1:]],
+    ):
+        history.append(*values)
     return history

@@ -1,11 +1,14 @@
 """Independent oracles used across the test suite.
 
 Everything here recomputes expected values by brute force (central finite
-differences, plain-Python counting loops) without touching the gradient or
-metric code paths under test.
+differences, plain-Python counting loops, per-row CSV writers and a per-cell
+CSV reader) without touching the gradient, metric or I/O code paths under
+test.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -124,3 +127,87 @@ def count_confusion(y_true, y_pred) -> tuple[int, int, int, int]:
         else:
             tp += 1
     return tn, fp, fn, tp
+
+
+def save_pairs_csv_rows(ps, path):
+    """Pair CSV written one f-string per pair."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("left_index,right_index,similar\n")
+        for i in range(len(ps)):
+            fh.write(f"{ps.left[i]},{ps.right[i]},{int(ps.similar[i])}\n")
+
+
+def load_pairs_csv_rows(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, similar) of a pair CSV read one row at a time."""
+    left, right, similar = [], [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            left.append(int(row[0]))
+            right.append(int(row[1]))
+            similar.append(bool(int(row[2])))
+    return (
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(similar, dtype=bool),
+    )
+
+
+def save_table_csv_rows(ft, path, label_name="label"):
+    """Table CSV written one repr per numpy scalar and one write per row."""
+    names = [c.name for c in ft.schema] if ft.schema else [f"f{i:02d}" for i in range(ft.d)]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names + [label_name]) + "\n")
+        for i in range(ft.n):
+            row = [repr(float(v)) for v in ft.features[i]]
+            row.append(str(int(ft.labels[i])))
+            fh.write(",".join(row) + "\n")
+
+
+def load_csv_cells(path, schema) -> np.ndarray:
+    """Cell grid of a table CSV parsed one cell at a time, checking each line
+    fully before the next; raises the same errors as `data.load_csv`."""
+    missing_tokens = ("", "NA")
+    label_j = [c.is_label for c in schema].index(True)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        names = [h.strip() for h in header]
+        expected = [c.name for c in schema]
+        if names != expected:
+            raise ValueError(f"{path}: header mismatch: expected {expected}, got {names}")
+        rows = []
+        for i, row in enumerate(reader, start=2):
+            if len(row) != len(schema):
+                raise ValueError(
+                    f"{path}: line {i}: expected {len(schema)} cells, got {len(row)}"
+                )
+            vals = np.empty(len(schema), dtype=np.float64)
+            for j, tok in enumerate(row):
+                tok = tok.strip()
+                if tok in missing_tokens:
+                    if j == label_j:
+                        raise ValueError(
+                            f"{path}: line {i}: missing value in label column "
+                            f"{schema[j].name!r}"
+                        )
+                    vals[j] = np.nan
+                    continue
+                try:
+                    vals[j] = float(tok)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {i}: non-numeric value {tok!r} in column "
+                        f"{schema[j].name!r}"
+                    ) from None
+            if vals[label_j] not in (0.0, 1.0):
+                raise ValueError(
+                    f"{path}: line {i}: label must be 0 or 1, got {vals[label_j]}"
+                )
+            rows.append(vals)
+    if not rows:
+        raise ValueError(f"{path}: empty table (header only)")
+    return np.vstack(rows)

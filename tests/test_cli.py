@@ -131,6 +131,27 @@ class TestTrainCmd:
         assert not [line for line in captured.out.splitlines() if line.startswith("epoch ")]
         assert not (out / "siamese_model.npz").exists()
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda i, part: (i, "tset"), "part must be 'train' or 'test', got 'tset'"),
+            (lambda i, part: ("150", part), "index 150 out of range for a table of 150 rows"),
+            (lambda i, part: ("-1", part), "index -1 out of range for a table of 150 rows"),
+        ],
+    )
+    def test_malformed_split_row_rejected(self, tmp_path, capsys, edit, message):
+        out = tmp_path / "run"
+        run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 7)
+        lines = (out / "splits.csv").read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.endswith(",train"))
+        lines[k] = ",".join(edit(*lines[k].split(",")))
+        (out / "splits.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("train", "base", "--out", out, "--epochs", 1) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {out / 'splits.csv'}: line {k + 1}: {message}"]
+        assert not (out / "base_model.npz").exists()
+
     def test_siamese_needs_pairs(self, tmp_path):
         out = tmp_path / "run"
         run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 7)
@@ -188,6 +209,25 @@ class TestEvalCmd:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "w1 has shape (255, 256)" in err[0]
+
+    @pytest.mark.parametrize(
+        "row,match",
+        [
+            ("1,2", "malformed pair row"),
+            ("1,99999,0", "index out of range"),
+            ("-1,2,0", "index out of range"),
+        ],
+    )
+    def test_malformed_pair_row_fails_with_one_error_line(self, tmp_path, capsys, row, match):
+        out = tmp_path / "run"
+        pipeline(out, seed=18)
+        with open(out / "pairs_test.csv", "a") as fh:
+            fh.write(row + "\n")
+        capsys.readouterr()
+        assert run("eval", "siamese", "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {out / 'pairs_test.csv'}: ")
+        assert match in err[0]
 
     def test_base_report_schema(self, tmp_path):
         out = tmp_path / "run"

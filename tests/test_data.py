@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import load_csv_cells, save_table_csv_rows
+from siamtab import data
 from siamtab.data import (
     CONTINUOUS,
     NOMINAL,
@@ -14,8 +16,10 @@ from siamtab.data import (
     impute,
     load_csv,
     load_norm_stats_csv,
+    load_schema_csv,
     load_table_csv,
     save_norm_stats_csv,
+    save_schema_csv,
     save_table_csv,
     stratified_split,
     stratified_split_indices,
@@ -78,6 +82,46 @@ class TestLoadCsv:
     def test_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", SCHEMA3)
+
+    @pytest.mark.parametrize("chunk", [2, 256])
+    def test_grid_matches_per_cell_reference_bitwise(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(data, "_CHUNK_ROWS", chunk)
+        text = (
+            'a,b,y\r\n-0.0,5e-324,1\r\n1e308,NA,0\r\n 0.30000000000000004 ,,1\r\n'
+            '"-1.5",nan,0\r\n-inf, NA ,1.0\r\n'
+        )
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        got = load_csv(path, SCHEMA3).cells
+        want = load_csv_cells(path, SCHEMA3)
+        assert got.shape == want.shape == (5, 3)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "body,line",
+        [
+            ("1,0,1\noops,0,1\n2,0,1\n1,0\n", 3),  # non-numeric line 3, ragged line 5
+            ("1,0,1\n1,0\n2,0,1\noops,0,1\n", 3),  # ragged line 3, non-numeric line 5
+            ("1,0,1\n1,0,7\n2,0,1\n,0,NA\n", 3),  # label value line 3, missing label line 5
+            ("1,0,1\nx,0,NA\n", 3),  # non-numeric before the missing label on one line
+            ("1,0,1\n1,y,NA\n", 3),
+            ("1,0,1\n1,0,x\n", 3),  # a non-numeric label is reported as such
+            ("1,0,1\n1,0,nan\n", 3),
+            ("1,0,1\n\n2,0,1\n", 3),  # a blank line is a ragged row
+            ("1,0,1\n1,0,1,9\n", 3),  # so is a long one
+            ("1,0,1\n2,0,1\n3,0,1\n4,0,NA\n5,0\n6,0,x\n", 5),  # faults in later blocks
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [2, 256])
+    def test_first_faulty_line_named_as_reference(self, tmp_path, monkeypatch, body, line, chunk):
+        monkeypatch.setattr(data, "_CHUNK_ROWS", chunk)
+        path = write(tmp_path, "a,b,y\n" + body)
+        with pytest.raises(ValueError) as want:
+            load_csv_cells(path, SCHEMA3)
+        with pytest.raises(ValueError) as got:
+            load_csv(path, SCHEMA3)
+        assert str(got.value) == str(want.value)
+        assert f"line {line}:" in str(got.value)
 
 
 class TestSchemas:
@@ -297,6 +341,28 @@ class TestCsvRoundTrips:
         assert np.array_equal(back.features, ft.features)
         assert np.array_equal(back.labels, ft.labels)
 
+    @pytest.mark.parametrize("chunk", [7, 256])
+    def test_table_bytes_match_per_row_reference(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(data, "_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(23, 4))
+        features[0] = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+        features[1] = [1 / 3, -1e-300, 2.0**52 + 1, 123456789.12345678]
+        ft = FeatureTable(features, rng.integers(0, 2, 23), synthetic_schema(4)[:-1])
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_table_csv(ft, got, label_name="y")
+        save_table_csv_rows(ft, want, label_name="y")
+        assert got.read_bytes() == want.read_bytes()
+        back = load_table_csv(got, synthetic_schema(4)[:-1] + [ColumnSpec("y", NOMINAL, True)])
+        assert np.array_equal(back.features.view(np.int64), features.view(np.int64))
+
+    def test_header_only_table_bytes_match(self, tmp_path):
+        ft = FeatureTable(np.empty((0, 2)), np.empty(0, dtype=np.int64))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_table_csv(ft, got)
+        save_table_csv_rows(ft, want)
+        assert got.read_bytes() == want.read_bytes() == b"f00,f01,label\n"
+
     def test_norm_stats_round_trip(self, tmp_path):
         ft = synth_generate(50, 4, 0.3, seed=8)
         stats = fit_norm(ft)
@@ -305,3 +371,25 @@ class TestCsvRoundTrips:
         back = load_norm_stats_csv(path)
         assert np.array_equal(back.mean, stats.mean)
         assert np.array_equal(back.std, stats.std)
+
+
+class TestArtifactRows:
+    def test_schema_round_trip(self, tmp_path):
+        path = tmp_path / "schema.csv"
+        save_schema_csv(SCHEMA3, path)
+        assert load_schema_csv(path) == SCHEMA3
+
+    def test_short_schema_row_names_file_and_line(self, tmp_path):
+        path = write(tmp_path, "name,kind,is_label\na,continuous,0\nb\n", "schema.csv")
+        with pytest.raises(ValueError, match=r"schema\.csv: line 3: expected 3 cells, got 1"):
+            load_schema_csv(path)
+
+    def test_bad_schema_cell_names_file_and_line(self, tmp_path):
+        path = write(tmp_path, "name,kind,is_label\na,ordinal,0\n", "schema.csv")
+        with pytest.raises(ValueError, match=r"schema\.csv: line 2: unknown column kind"):
+            load_schema_csv(path)
+
+    def test_not_a_schema_file(self, tmp_path):
+        path = write(tmp_path, "a,b,y\n1,0,1\n")
+        with pytest.raises(ValueError, match="not a schema file"):
+            load_schema_csv(path)

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from oracles import load_pairs_csv_rows, save_pairs_csv_rows
+from siamtab import pairs
 from siamtab.data import FeatureTable, synth_generate
 from siamtab.pairs import (
     PairSet,
@@ -181,3 +185,61 @@ class TestPairCsv:
         other = FeatureTable(ft.features, shuffled, ft.schema)
         with pytest.raises(ValueError, match="do not match"):
             load_pairs_csv(path, other)
+
+    @pytest.mark.parametrize("chunk", [7, 8192])
+    @pytest.mark.parametrize("counts", [(0, 0, 0), (3, 2, 2), (100, 30, 30)])
+    def test_bytes_match_per_row_reference(self, tmp_path, monkeypatch, chunk, counts):
+        monkeypatch.setattr(pairs, "_WRITE_CHUNK", chunk)
+        ft = synth_generate(40, 3, 0.4, seed=21)
+        ps = generate_pairs(ft, *counts, seed=22)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_pairs_csv(ps, got)
+        save_pairs_csv_rows(ps, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_load_matches_per_row_reference(self, tmp_path, newline):
+        ft = synth_generate(40, 3, 0.4, seed=23)
+        ps = generate_pairs(ft, 100, 30, 30, seed=24)
+        path = tmp_path / "pairs.csv"
+        save_pairs_csv(ps, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        back = load_pairs_csv(path, ft)
+        for got, want in zip((back.left, back.right, back.similar), load_pairs_csv_rows(path)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("trailer", ["", "\n\n"])
+    def test_header_only_file_is_an_empty_set_without_warning(self, tmp_path, trailer):
+        ft = synth_generate(40, 3, 0.4, seed=25)
+        path = tmp_path / "pairs.csv"
+        save_pairs_csv(generate_pairs(ft, 0, 0, 0, seed=26), path)
+        with open(path, "a") as fh:
+            fh.write(trailer)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_pairs_csv(path, ft)
+        assert len(back) == 0 and back.counts == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "rows,match",
+        [
+            ("0,1,0\n1,2\n", "malformed pair row"),  # one short row
+            ("1,2\n0,2\n", "expected 3 cells per row, got 2"),  # every row short
+            ("0,1,0\n1,2,x\n", "malformed pair row"),
+            ("0,1,0\n1,99999,0\n", "pair row 2: index out of range"),
+            ("0,1,0\n0,1,0\n-1,2,0\n", "pair row 3: index out of range"),
+        ],
+    )
+    def test_malformed_rows_rejected_before_the_label_audit(self, tmp_path, rows, match):
+        ft = small_table([0, 1, 0])
+        path = tmp_path / "pairs.csv"
+        path.write_text("left_index,right_index,similar\n" + rows)
+        with pytest.raises(ValueError, match=match) as err:
+            load_pairs_csv(path, ft)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_not_a_pair_file(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("a,b,c\n0,1,0\n")
+        with pytest.raises(ValueError, match="not a pair file"):
+            load_pairs_csv(path, small_table([0, 1]))

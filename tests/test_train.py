@@ -128,6 +128,17 @@ class TestHistoryExport:
         export_history(History(), path)
         assert path.read_text() == "epoch,train_loss,train_acc,val_loss,val_acc\n"
 
+    @pytest.mark.parametrize(
+        "row,match",
+        [("1,0.5", "line 3: expected 5 cells, got 2"), ("1,0.5,x,nan,nan", "line 3: could not")],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, match):
+        path = tmp_path / "siamese_history.csv"
+        path.write_text(f"epoch,train_loss,train_acc,val_loss,val_acc\n1,1,1,1,1\n{row}\n")
+        with pytest.raises(ValueError, match=match) as err:
+            load_history(path)
+        assert str(err.value).startswith(f"{path}: ")
+
 
 class TestTrainBase:
     def test_zero_lr_params_never_move(self):
