@@ -35,7 +35,7 @@ from .siamese import (
     ReferenceBank,
     SiameseModel,
     build_reference_bank,
-    classify,
+    classify_table,
     pair_backward,
     pair_forward,
     pair_verdict,

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import islice
+import re
+from itertools import chain, islice
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -151,7 +152,8 @@ STD_FLOOR = 1e-8
 
 
 def _parse_cell(tok: str) -> float | None:
-    """A cell as a float: NaN for a missing token, None for a non-numeric one."""
+    """A cell as a float: NaN for a missing token, None for one float()
+    refuses. _parse_rows then refuses what float() reads too generously."""
     try:
         return float(tok)
     except ValueError:
@@ -168,6 +170,18 @@ def _parse_rows(
     n_ok = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
     flat = [_parse_cell(tok) for row in rows[:n_ok] for tok in row]
     cells = np.array(flat, dtype=np.float64).reshape(n_ok, width)  # None -> NaN
+    # Only a missing token may be non-finite, and no number is written with
+    # digit separators, though float() reads "nan", "inf" and "1_5". Both
+    # are rare, so the block is searched as a whole before any single cell.
+    suspects = np.flatnonzero(~np.isfinite(cells))
+    if "_" in "".join(chain.from_iterable(rows[:n_ok])):
+        suspects = range(len(flat))
+    for k in suspects:
+        tok = rows[k // width][k % width]
+        if flat[k] is not None and tok.strip() not in _MISSING_TOKENS:
+            if "_" in tok or not math.isfinite(flat[k]):
+                flat[k] = None
+                cells.flat[k] = math.nan
 
     # Each fault is keyed (row, position in the row's checks): cells are
     # checked in column order, the label's value after every cell.
@@ -211,9 +225,11 @@ def load_csv(path: str | Path, schema: list[ColumnSpec]) -> RawTable:
     """Read a comma-separated file into a RawTable.
 
     The header row must match the schema names in order. Empty strings and
-    "NA" parse as missing; any other non-numeric token is an error, as is a
-    missing value in the label column. Rows are parsed a block at a time,
-    each block in one pass; the error names the first faulty line.
+    "NA" parse as missing; any other token that is not a finite number
+    ("nan", "inf" and "1_5" included) is an error, as is a missing value in
+    the label column. Rows are parsed a block at a time, each block in one
+    pass; the error names the first faulty line. This is the reader for raw
+    input; the program's own tables go through load_table_csv.
     """
     path = Path(path)
     label_j = _label_index(schema)
@@ -377,9 +393,107 @@ def save_table_csv(ft: FeatureTable, path: str | Path, label_name: str = "label"
 
 
 def load_table_csv(path: str | Path, schema: list[ColumnSpec]) -> FeatureTable:
-    """Read back a table written by save_table_csv (no missing cells allowed)."""
-    raw = load_csv(path, schema)
-    return to_features(raw)
+    """Read back a table written by save_table_csv.
+
+    The body is parsed by one np.loadtxt call. Every cell must be a finite
+    number and every label 0 or 1; a fault is an error naming the file and
+    line.
+    """
+    grid = read_grid_csv(path, [c.name for c in schema], np.float64, "table")
+    if grid.shape[0] == 0:
+        raise ValueError(f"{path}: empty table (header only)")
+    labels = grid[:, _label_index(schema)]
+    finite = np.isfinite(grid)
+    bad = ~finite.all(axis=1) | ((labels != 0.0) & (labels != 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        line = body_line(path, i)
+        if finite[i].all():
+            raise ValueError(f"{path}: line {line}: label must be 0 or 1, got {labels[i]}")
+        j = int(np.argmin(finite[i]))
+        raise ValueError(
+            f"{path}: line {line}: non-finite value {grid[i, j]} in column {schema[j].name!r}"
+        )
+    return to_features(RawTable(schema, grid))
+
+
+def _body_rows(path: str | Path):
+    """(line number, cells) for each row np.loadtxt reads after the header:
+    the header is line 1, and empty lines are not rows."""
+    with open(path) as fh:
+        next(fh, None)
+        for line_no, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if line:
+                yield line_no, line.split(",")
+
+
+def body_line(path: str | Path, row: int) -> int:
+    """The file line of body row `row` (0-based) of a grid read by
+    read_grid_csv."""
+    return next(islice(_body_rows(path), row, None))[0]
+
+
+def _is_int_token(tok: str) -> bool:
+    return re.fullmatch(r"[+-]?[0-9]+", tok.strip()) is not None
+
+
+def _is_float_token(tok: str) -> bool:
+    if not tok.isascii() or "_" in tok:
+        return False
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+def _row_fault(cells: list[str], names: list[str], integer: bool) -> str | None:
+    """Why np.loadtxt refuses a row of cells, or None if it would not."""
+    if len(cells) != len(names):
+        return f"expected {len(names)} cells per row, got {len(cells)}"
+    is_number = _is_int_token if integer else _is_float_token
+    for tok, name in zip(cells, names):
+        if not is_number(tok):
+            what = "integer" if integer else "numeric"
+            return f"non-{what} value {tok.strip()!r} in column {name!r}"
+    return None
+
+
+def read_grid_csv(path: str | Path, names: list[str], dtype, kind: str) -> np.ndarray:
+    """The body of a numeric artifact CSV as an (n, len(names)) grid of dtype.
+
+    The header cells must equal `names`, or the file is "not a <kind> file".
+    The body is parsed by one np.loadtxt call; a body with no rows is an
+    empty grid. A row of the wrong width or a cell that is not a number of
+    dtype is an error naming the file and its line, counted from the header
+    as line 1; the file is rescanned for that line only after loadtxt has
+    refused it.
+    """
+    with open(path, newline="") as fh:
+        header = [h.strip() for h in fh.readline().rstrip("\r\n").split(",")]
+        if header != names:
+            raise ValueError(f"{path}: not a {kind} file: expected header {names}, got {header}")
+        # loadtxt skips empty lines, and warns when it finds no row at all
+        no_rows = not any(line.strip() for line in fh)
+    if no_rows:
+        return np.empty((0, len(names)), dtype=dtype)
+    fault = "rows of unequal width"
+    try:
+        # Given a path, loadtxt reads the file in blocks; given an open file
+        # it iterates line by line, which takes about 1.7x as long.
+        grid = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2, comments=None, skiprows=1)
+        if grid.shape[1] == len(names):
+            return grid
+    except ValueError as exc:
+        fault = str(exc)
+    integer = np.issubdtype(dtype, np.integer)
+    for line_no, cells in _body_rows(path):
+        row_fault = _row_fault(cells, names, integer)
+        if row_fault is not None:
+            raise ValueError(f"{path}: line {line_no}: malformed {kind} row: {row_fault}")
+    # the rescan disagrees with numpy: pass numpy's own words on
+    raise ValueError(f"{path}: malformed {kind} row: {fault}")
 
 
 def save_schema_csv(schema: list[ColumnSpec], path: str | Path):

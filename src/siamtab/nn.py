@@ -298,10 +298,17 @@ def contrastive_loss(d, similar, margin: float = 1.0):
     return loss, grad
 
 
+def floored_sqrt(sq_norms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(max(sq_norms, DIST_FLOOR)): distances from squared norms, written
+    into `out` when given. Every distance in the package ends here."""
+    floored = np.maximum(sq_norms, DIST_FLOOR, out=out)
+    return np.sqrt(floored, out=out)
+
+
 def floored_norm(diff: np.ndarray) -> np.ndarray:
-    """sqrt(max(sum(diff^2), DIST_FLOOR)) over the last axis: the distance
-    every pair verdict, loss and reference comparison uses."""
-    return np.sqrt(np.maximum(np.sum(diff * diff, axis=-1), DIST_FLOOR))
+    """floored_sqrt(sum(diff^2)) over the last axis: the distance every pair
+    verdict, loss and reference comparison uses."""
+    return floored_sqrt(np.sum(diff * diff, axis=-1))
 
 
 def euclidean_distance(e1: np.ndarray, e2: np.ndarray):

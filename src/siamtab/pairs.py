@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .data import FeatureTable
+from .data import FeatureTable, body_line, read_grid_csv
 
 
 class SamplePair(NamedTuple):
@@ -158,34 +158,18 @@ def load_pairs_csv(path: str | Path, ft: FeatureTable) -> PairSet:
     """Read a pair CSV back and re-attach it to its source table.
 
     The body is parsed in one pass. A row of the wrong width, a non-integer
-    cell or an index outside the table is an error naming the file; the
-    stored similarity flags are then audited against the table labels so a
-    mismatched table is caught immediately.
+    cell or an index outside the table is an error naming the file and line;
+    the stored similarity flags are then audited against the table labels so
+    a mismatched table is caught immediately.
     """
-    with open(path, newline="") as fh:
-        if fh.readline().rstrip("\r\n") != _PAIR_HEADER:
-            raise ValueError(f"{path}: not a pair file")
-        # loadtxt skips blank lines, and warns when it finds no row at all
-        no_rows = not any(line.strip() for line in fh)
-    if no_rows:
-        body = np.empty((0, 3), dtype=np.int64)
-    else:
-        # Given a path, loadtxt reads the file in blocks; given an open file
-        # it iterates line by line, which takes about 1.7x as long.
-        try:
-            body = np.loadtxt(
-                path, delimiter=",", dtype=np.int64, ndmin=2, comments=None, skiprows=1
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed pair row: {exc}") from None
-    if body.shape[1] != 3:
-        raise ValueError(f"{path}: expected 3 cells per row, got {body.shape[1]}")
+    body = read_grid_csv(path, _PAIR_HEADER.split(","), np.int64, "pair")
     left, right, flags = body.T
     bad = (left < 0) | (left >= ft.n) | (right < 0) | (right >= ft.n)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(
-            f"{path}: pair row {i + 1}: index out of range for a table of {ft.n} rows "
+            f"{path}: line {body_line(path, i)}: pair row {i + 1}: index out of range "
+            f"for a table of {ft.n} rows "
             f"({left[i]},{right[i]})"
         )
     similar = flags != 0

@@ -1,11 +1,15 @@
 """Shared-weight twin network: pair distances, verdicts, and reference-bank
-classification of single samples.
+classification of samples.
 
 Both branches read the one ParamSet held by the model; weight sharing is
 structural, never copied. A twin with tied weights is one network applied to
 one batch, so a pair step stacks both members into a (2B, d) batch and makes
 one forward and one backward pass. The weight GEMM of that backward pass sums
 the two branches' gradients into the shared store.
+
+Inference embeds a large batch in blocks of at most EMBED_BLOCK rows, so each
+layer's temporaries stay cache-sized, and reference distances are built one
+reference column at a time through one reused buffer.
 """
 
 from __future__ import annotations
@@ -21,12 +25,15 @@ from .nn import (
     ParamSet,
     backward,
     euclidean_distance,
-    floored_norm,
+    floored_sqrt,
     forward,
 )
 
 DEFAULT_MARGIN = 1.0
 DEFAULT_PAIR_THRESHOLD = 0.5  # margin / 2
+# Rows per inference forward: a 256-row block keeps each (rows, 256) float64
+# layer temporary at 512 KB.
+EMBED_BLOCK = 256
 
 
 @dataclass
@@ -46,10 +53,22 @@ class SiameseModel:
     def embedding_size(self) -> int:
         return self.spec.out_size
 
-    def embed(
-        self, x: np.ndarray, mode: str = "infer", rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        out, _ = forward(self.params, self.spec, x, mode=mode, rng=rng)
+    def embed(self, x: np.ndarray) -> np.ndarray:
+        """Inference-mode embedding of a vector or a row batch.
+
+        A batch of n > EMBED_BLOCK rows runs as ceil(n / EMBED_BLOCK)
+        near-equal blocks (np.array_split boundaries) into one output array.
+        Every block then holds at least EMBED_BLOCK / 2 rows, which keeps
+        each GEMM off the BLAS path for tiny batches that rounds differently,
+        so the rows come out bitwise as from one forward over the batch.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        n_blocks = -(-len(x) // EMBED_BLOCK) if x.ndim == 2 else 1
+        if n_blocks <= 1:
+            return forward(self.params, self.spec, x)[0]
+        out = np.empty((len(x), self.embedding_size))
+        for block, dest in zip(np.array_split(x, n_blocks), np.array_split(out, n_blocks)):
+            dest[...] = forward(self.params, self.spec, block)[0]
         return out
 
 
@@ -142,31 +161,31 @@ def build_reference_bank(train: FeatureTable, k: int, seed: int) -> ReferenceBan
 
 
 def _mean_ref_distances(model: SiameseModel, bank: ReferenceBank, x: np.ndarray):
-    """Mean embedding distance from each row of x to each class's references."""
-    e_x = model.embed(x)  # (n, emb)
-    e0 = model.embed(bank.refs0)  # (k, emb)
-    e1 = model.embed(bank.refs1)
-    d0 = floored_norm(e_x[:, None, :] - e0[None, :, :]).mean(axis=1)
-    d1 = floored_norm(e_x[:, None, :] - e1[None, :, :]).mean(axis=1)
-    return d0, d1
+    """Mean embedding distance from each row of x to each class's references.
 
-
-def classify(model: SiameseModel, bank: ReferenceBank, x: np.ndarray):
-    """Label a single sample by the class with smaller mean reference distance.
-
-    Returns (label, mean_d0, mean_d1). An exact tie goes to class 1, the
-    costlier class to miss.
+    Each bank is embedded on its own. Its (n, k) distance matrix is filled one
+    reference column at a time through one reused (n, emb) buffer.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("classify takes a single feature vector")
-    d0, d1 = _mean_ref_distances(model, bank, x[None, :])
-    label = int(d1[0] <= d0[0])
-    return label, float(d0[0]), float(d1[0])
+    e_x = model.embed(x)  # (n, emb)
+    buf = np.empty_like(e_x)
+    means = []
+    for refs in (bank.refs0, bank.refs1):
+        e_r = model.embed(refs)  # (k, emb)
+        dist = np.empty((len(e_x), len(e_r)))
+        for j, e in enumerate(e_r):
+            np.subtract(e_x, e, out=buf)
+            buf *= buf
+            np.sum(buf, axis=-1, out=dist[:, j])
+        means.append(floored_sqrt(dist, out=dist).mean(axis=1))
+    return means[0], means[1]
 
 
 def classify_table(model: SiameseModel, bank: ReferenceBank, ft: FeatureTable):
-    """Vectorized classify() over a table; returns (labels, d0, d1) arrays."""
+    """Label each row by the class with the smaller mean reference distance.
+
+    Returns (labels, mean_d0, mean_d1) arrays. An exact tie goes to class 1,
+    the costlier class to miss.
+    """
     if ft.n == 0:
         raise ValueError("empty table")
     d0, d1 = _mean_ref_distances(model, bank, ft.features)

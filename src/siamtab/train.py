@@ -33,7 +33,7 @@ from .nn import (
     backward,
     bce_loss,
     contrastive_loss,
-    floored_norm,
+    floored_sqrt,
     forward,
     init_optimizer,
     init_params,
@@ -50,7 +50,7 @@ from .siamese import (
     pair_forward,
 )
 
-_EVAL_CHUNK = 8192
+_EVAL_CHUNK = 128  # pairs per distance block: two (128, 256) float64 buffers
 
 
 def base_network_spec(in_size: int = 15) -> NetworkSpec:
@@ -359,22 +359,30 @@ def train_siamese(
 def _pair_distances(model: SiameseModel, ps: PairSet) -> np.ndarray:
     """Inference-mode distances for every pair.
 
-    Each distinct row the pairs touch is embedded once, in chunks of
-    _EVAL_CHUNK rows; the distances are then taken over gathered embedding
-    pairs, also chunk by chunk, to bound memory.
+    Each distinct row the pairs touch is embedded once, by one embed call.
+    The distances are then taken _EVAL_CHUNK pairs at a time: both members'
+    embeddings are gathered into two reused buffers, differenced and squared
+    in place and summed into the result, which is floored and rooted at the
+    end.
     """
     rows, inverse = np.unique(np.concatenate((ps.left, ps.right)), return_inverse=True)
-    emb = np.empty((rows.size, model.embedding_size))
-    for start in range(0, rows.size, _EVAL_CHUNK):
-        sel = slice(start, start + _EVAL_CHUNK)
-        emb[sel] = model.embed(ps.source.features[rows[sel]])
+    emb = model.embed(ps.source.features[rows])
     n = len(ps)
     left, right = inverse[:n], inverse[n:]
     out = np.empty(n)
+    buf_a = np.empty((min(n, _EVAL_CHUNK), emb.shape[1]))
+    buf_b = np.empty_like(buf_a)
     for start in range(0, n, _EVAL_CHUNK):
-        sel = slice(start, start + _EVAL_CHUNK)
-        out[sel] = floored_norm(emb[left[sel]] - emb[right[sel]])
-    return out
+        stop = min(start + _EVAL_CHUNK, n)
+        a, b = buf_a[: stop - start], buf_b[: stop - start]
+        # every index comes from np.unique, so no bounds check is needed;
+        # mode="raise" would also gather through a temporary copy
+        np.take(emb, left[start:stop], axis=0, out=a, mode="clip")
+        np.take(emb, right[start:stop], axis=0, out=b, mode="clip")
+        a -= b
+        a *= a
+        np.sum(a, axis=-1, out=out[start:stop])
+    return floored_sqrt(out, out=out)
 
 
 def _eval_pairs_loss(model: SiameseModel, ps: PairSet) -> tuple[float, float]:

@@ -167,7 +167,9 @@ def save_table_csv_rows(ft, path, label_name="label"):
 
 def load_csv_cells(path, schema) -> np.ndarray:
     """Cell grid of a table CSV parsed one cell at a time, checking each line
-    fully before the next; raises the same errors as `data.load_csv`."""
+    fully before the next; raises the same errors as `data.load_csv`. Only
+    "" and "NA" are missing; a non-finite or underscored number is not
+    numeric."""
     missing_tokens = ("", "NA")
     label_j = [c.is_label for c in schema].index(True)
     with open(path, newline="") as fh:
@@ -198,6 +200,8 @@ def load_csv_cells(path, schema) -> np.ndarray:
                     continue
                 try:
                     vals[j] = float(tok)
+                    if "_" in tok or not np.isfinite(vals[j]):
+                        raise ValueError(tok)
                 except ValueError:
                     raise ValueError(
                         f"{path}: line {i}: non-numeric value {tok!r} in column "
@@ -211,3 +215,42 @@ def load_csv_cells(path, schema) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: empty table (header only)")
     return np.vstack(rows)
+
+
+def _floored_norm(diff) -> np.ndarray:
+    return np.sqrt(np.maximum(np.sum(diff * diff, axis=-1), 1e-12))
+
+
+def _embed_whole(model, x) -> np.ndarray:
+    """One inference forward over the whole batch, as embed used to run."""
+    from siamtab.nn import forward
+
+    return forward(model.params, model.spec, x)[0]
+
+
+def pair_distances_row_chunks(model, ps, chunk: int = 8192) -> np.ndarray:
+    """Pair distances the 8192-chunk way: each distinct row embedded by one
+    forward per chunk of rows, then each chunk of pairs gathered, differenced
+    and normed as whole (chunk, emb) arrays."""
+    rows, inverse = np.unique(np.concatenate((ps.left, ps.right)), return_inverse=True)
+    emb = np.empty((rows.size, model.embedding_size))
+    for start in range(0, rows.size, chunk):
+        sel = slice(start, start + chunk)
+        emb[sel] = _embed_whole(model, ps.source.features[rows[sel]])
+    n = len(ps)
+    left, right = inverse[:n], inverse[n:]
+    out = np.empty(n)
+    for start in range(0, n, chunk):
+        sel = slice(start, start + chunk)
+        out[sel] = _floored_norm(emb[left[sel]] - emb[right[sel]])
+    return out
+
+
+def mean_ref_distances_broadcast(model, bank, x) -> tuple[np.ndarray, np.ndarray]:
+    """Mean reference distances through (n, k, emb) broadcasts, each of x and
+    the two banks embedded by one forward."""
+    e_x = _embed_whole(model, x)
+    return tuple(
+        _floored_norm(e_x[:, None, :] - _embed_whole(model, refs)[None, :, :]).mean(axis=1)
+        for refs in (bank.refs0, bank.refs1)
+    )

@@ -229,6 +229,25 @@ class TestEvalCmd:
         assert len(err) == 1 and err[0].startswith(f"error: {out / 'pairs_test.csv'}: ")
         assert match in err[0]
 
+    @pytest.mark.parametrize(
+        "row,match",
+        [
+            ("1.0,2.0", "malformed table row: expected 7 cells per row, got 2"),
+            ("0,0,0,0,0,x,1", "malformed table row: non-numeric value 'x' in column 'f05'"),
+            ("0,0,0,inf,0,0,1", "non-finite value inf in column 'f03'"),
+            ("0,0,0,0,0,0,3", "label must be 0 or 1, got 3.0"),
+        ],
+    )
+    def test_malformed_table_row_fails_with_one_error_line(self, tmp_path, capsys, row, match):
+        out = tmp_path / "run"
+        assert run("prepare", "--synthetic", "120,6,0.3", "--out", out, "--seed", 8) == 0
+        with open(out / "normalized.csv", "a") as fh:
+            fh.write(row + "\n")
+        capsys.readouterr()
+        assert run("train", "base", "--out", out, "--epochs", 1) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {out / 'normalized.csv'}: line 122: {match}"]
+
     def test_base_report_schema(self, tmp_path):
         out = tmp_path / "run"
         run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 14)

@@ -88,7 +88,7 @@ class TestLoadCsv:
         monkeypatch.setattr(data, "_CHUNK_ROWS", chunk)
         text = (
             'a,b,y\r\n-0.0,5e-324,1\r\n1e308,NA,0\r\n 0.30000000000000004 ,,1\r\n'
-            '"-1.5",nan,0\r\n-inf, NA ,1.0\r\n'
+            '"-1.5",+2.5e-3,0\r\n-1E+2, NA ,1.0\r\n'
         )
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode())
@@ -96,6 +96,16 @@ class TestLoadCsv:
         want = load_csv_cells(path, SCHEMA3)
         assert got.shape == want.shape == (5, 3)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity", "1_5"])
+    def test_non_finite_and_underscored_tokens_are_non_numeric(self, tmp_path, token):
+        path = write(tmp_path, f"a,b,y\n1,0,1\n{token},0,1\n")
+        with pytest.raises(ValueError) as want:
+            load_csv_cells(path, SCHEMA3)
+        with pytest.raises(ValueError) as got:
+            load_csv(path, SCHEMA3)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"line 3: non-numeric value {token!r} in column 'a'")
 
     @pytest.mark.parametrize(
         "body,line",
@@ -355,6 +365,51 @@ class TestCsvRoundTrips:
         assert got.read_bytes() == want.read_bytes()
         back = load_table_csv(got, synthetic_schema(4)[:-1] + [ColumnSpec("y", NOMINAL, True)])
         assert np.array_equal(back.features.view(np.int64), features.view(np.int64))
+
+    def test_table_read_matches_the_raw_reader_bitwise(self, tmp_path):
+        rng = np.random.default_rng(4)
+        features = rng.normal(size=(300, 4))
+        features[0] = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+        features[1] = [1 / 3, -1e-300, 2.0**52 + 1, 123456789.12345678]
+        ft = FeatureTable(features, rng.integers(0, 2, 300), synthetic_schema(4)[:-1])
+        path = tmp_path / "t.csv"
+        save_table_csv(ft, path)
+        # hand-written rows too: spaces, exponents, signs and CRLF
+        with open(path, "a", newline="") as fh:
+            fh.write(" 1e5 ,-0.0,+2.5,0.30000000000000004,1\r\n7,-1E-3,0,1e-320,0.0\n")
+        got = load_table_csv(path, synthetic_schema(4))
+        want = to_features(load_csv(path, synthetic_schema(4)))
+        assert got.features.shape == (302, 4)
+        assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
+        assert np.array_equal(got.labels, want.labels)
+        assert [c.name for c in got.schema] == [c.name for c in want.schema]
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("1,0,1\n2,x,0\n", "line 3: malformed table row: non-numeric value 'x' in column 'b'"),
+            ("1,0,1\n2,0\n", "line 3: malformed table row: expected 3 cells per row, got 2"),
+            ("1,0\n2,0\n", "line 2: malformed table row: expected 3 cells per row, got 2"),
+            ("1,0,1\n\n2,,0\n", "line 4: malformed table row: non-numeric value '' in column 'b'"),
+            ("1,0,1\n\n2,0,1,5\n", "line 4: malformed table row: expected 3 cells per row, got 4"),
+            ("1,0,1\n1_5,0,1\n", "line 3: malformed table row: non-numeric value '1_5' in column 'a'"),
+            ("1,0,1\n\n2,inf,0\n", "line 4: non-finite value inf in column 'b'"),
+            ("1,0,1\nnan,0,1\n", "line 3: non-finite value nan in column 'a'"),
+            ("1,0,1\n2,0,nan\n", "line 3: non-finite value nan in column 'y'"),
+            ("1,0,1\n\n2,0,2\n", "line 4: label must be 0 or 1, got 2.0"),
+        ],
+    )
+    def test_table_faults_name_file_and_line(self, tmp_path, body, message):
+        path = write(tmp_path, "a,b,y\n" + body)
+        with pytest.raises(ValueError) as err:
+            load_table_csv(path, SCHEMA3)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_table_header_and_empty_body_checked(self, tmp_path):
+        with pytest.raises(ValueError, match="not a table file"):
+            load_table_csv(write(tmp_path, "a,c,y\n1,0,1\n"), SCHEMA3)
+        with pytest.raises(ValueError, match="empty table"):
+            load_table_csv(write(tmp_path, "a,b,y\n\n"), SCHEMA3)
 
     def test_header_only_table_bytes_match(self, tmp_path):
         ft = FeatureTable(np.empty((0, 2)), np.empty(0, dtype=np.int64))

@@ -238,6 +238,23 @@ class TestPairCsv:
             load_pairs_csv(path, ft)
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ("0,1,0\n3,x,1\n", "line 3: malformed pair row: non-integer value 'x' in column 'right_index'"),
+            ("0,1,0\n3,4\n", "line 3: malformed pair row: expected 3 cells per row, got 2"),
+            ("0,1,0\n\n1,2.5,0\n", "line 4: malformed pair row: non-integer value '2.5' in column 'right_index'"),
+            ("0,1,0\n\n1,2,0,0\n", "line 4: malformed pair row: expected 3 cells per row, got 4"),
+            ("0,1,0\n\n1,9,0\n", "line 4: pair row 2: index out of range for a table of 5 rows (1,9)"),
+        ],
+    )
+    def test_malformed_row_names_its_file_line(self, tmp_path, rows, message):
+        path = tmp_path / "pairs.csv"
+        path.write_text("left_index,right_index,similar\n" + rows)
+        with pytest.raises(ValueError) as err:
+            load_pairs_csv(path, small_table([0, 1, 0, 1, 0]))
+        assert str(err.value) == f"{path}: {message}"
+
     def test_not_a_pair_file(self, tmp_path):
         path = tmp_path / "pairs.csv"
         path.write_text("a,b,c\n0,1,0\n")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import kink_free_input, max_rel_error, numeric_gradient
+from oracles import kink_free_input, max_rel_error, mean_ref_distances_broadcast, numeric_gradient
+from siamtab import siamese as siamese_mod
 from siamtab.data import FeatureTable
 from siamtab.nn import (
     LayerSpec,
@@ -17,12 +18,12 @@ from siamtab.siamese import (
     ReferenceBank,
     SiameseModel,
     build_reference_bank,
-    classify,
     classify_table,
     pair_backward,
     pair_forward,
     pair_verdict,
 )
+from siamtab.train import siamese_network_spec
 
 
 def identity_model(width=1, threshold=0.5):
@@ -30,6 +31,12 @@ def identity_model(width=1, threshold=0.5):
     spec = NetworkSpec((LayerSpec(width, width, "linear"),))
     params = ParamSet([np.eye(width)], [np.zeros(width)])
     return SiameseModel(spec, params, margin=1.0, pair_threshold=threshold)
+
+
+def classify_one(model, bank, x):
+    """classify_table on a one-row table: (label, mean_d0, mean_d1) of the row."""
+    labels, d0, d1 = classify_table(model, bank, FeatureTable(np.asarray(x)[None, :], [0]))
+    return int(labels[0]), float(d0[0]), float(d1[0])
 
 
 def random_model(seed, in_size=6, emb=5):
@@ -225,7 +232,7 @@ class TestClassify:
         x = np.random.default_rng(29).normal(size=6)
         far = np.random.default_rng(30).normal(size=(3, 6)) + 5.0
         bank = ReferenceBank(np.tile(x, (3, 1)), far, 3)
-        label, d0, d1 = classify(model, bank, x)
+        label, d0, d1 = classify_one(model, bank, x)
         assert label == 0
         assert d0 < d1
 
@@ -234,9 +241,9 @@ class TestClassify:
         rng = np.random.default_rng(32)
         bank = ReferenceBank(rng.normal(size=(4, 6)), rng.normal(size=(4, 6)) + 3.0, 4)
         x = rng.normal(size=6)
-        label, d0, d1 = classify(model, bank, x)
+        label, d0, d1 = classify_one(model, bank, x)
         flipped = ReferenceBank(bank.refs1, bank.refs0, 4)
-        label2, d0_2, d1_2 = classify(model, flipped, x)
+        label2, d0_2, d1_2 = classify_one(model, flipped, x)
         assert label2 == 1 - label
         assert d0_2 == d1 and d1_2 == d0
 
@@ -244,7 +251,7 @@ class TestClassify:
         model = identity_model()
         refs = np.array([[1.0]])
         bank = ReferenceBank(refs, refs.copy(), 1)
-        label, d0, d1 = classify(model, bank, np.array([0.0]))
+        label, d0, d1 = classify_one(model, bank, np.array([0.0]))
         assert d0 == d1
         assert label == 1
 
@@ -254,9 +261,9 @@ class TestClassify:
         refs0 = rng.normal(size=(6, 6))
         refs1 = rng.normal(size=(6, 6))
         x = rng.normal(size=6)
-        base = classify(model, ReferenceBank(refs0, refs1, 6), x)
+        base = classify_one(model, ReferenceBank(refs0, refs1, 6), x)
         perm = rng.permutation(6)
-        shuffled = classify(model, ReferenceBank(refs0[perm], refs1[perm], 6), x)
+        shuffled = classify_one(model, ReferenceBank(refs0[perm], refs1[perm], 6), x)
         assert base[0] == shuffled[0]
         assert base[1] == pytest.approx(shuffled[1], rel=1e-12)
 
@@ -269,8 +276,8 @@ class TestClassify:
         bank = ReferenceBank(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), 5)
         for _ in range(10):
             x = rng.normal(size=3)
-            l1, d0a, d1a = classify(model, bank, x)
-            l2, d0b, d1b = classify(scaled, bank, x)
+            l1, d0a, d1a = classify_one(model, bank, x)
+            l2, d0b, d1b = classify_one(scaled, bank, x)
             assert l1 == l2
             assert d0b == pytest.approx(2.0 * d0a, rel=1e-12)
             assert d1b == pytest.approx(2.0 * d1a, rel=1e-12)
@@ -282,11 +289,60 @@ class TestClassify:
         ft = FeatureTable(rng.normal(size=(12, 6)), rng.integers(0, 2, 12))
         labels, d0, d1 = classify_table(model, bank, ft)
         for i in range(12):
-            li, d0i, d1i = classify(model, bank, ft.features[i])
+            li, d0i, d1i = classify_one(model, bank, ft.features[i])
             assert labels[i] == li
             # batched vs single-row BLAS products may differ in the last ulp
             assert d0[i] == pytest.approx(d0i, rel=1e-12)
             assert d1[i] == pytest.approx(d1i, rel=1e-12)
+
+
+def float_model(seed, in_size=15):
+    """The pair network with its Glorot float weights: products and sums
+    round, so a batch that BLAS splits differently could change the bits."""
+    spec = siamese_network_spec(in_size)
+    return SiameseModel(spec, init_params(spec, seed))
+
+
+class TestBlockedInference:
+    @pytest.mark.parametrize("n", [1, 5, 256, 257, 300, 848, 4240])
+    def test_embed_matches_one_forward_bitwise(self, monkeypatch, n):
+        model = float_model(40)
+        x = np.random.default_rng(n).normal(size=(n, 15))
+        want, _ = forward(model.params, model.spec, x)
+        blocks = []
+
+        def recording_forward(params, spec, xb, *args, **kwargs):
+            blocks.append(len(xb))
+            return forward(params, spec, xb, *args, **kwargs)
+
+        monkeypatch.setattr(siamese_mod, "forward", recording_forward)
+        got = model.embed(x)
+        assert np.array_equal(got, want)
+        n_blocks = -(-n // siamese_mod.EMBED_BLOCK)
+        assert blocks == [len(b) for b in np.array_split(np.arange(n), n_blocks)]
+        assert max(blocks) <= siamese_mod.EMBED_BLOCK
+        if n > siamese_mod.EMBED_BLOCK:
+            assert min(blocks) >= siamese_mod.EMBED_BLOCK // 2
+
+    def test_embed_of_a_vector_is_a_vector(self):
+        model = float_model(41)
+        x = np.random.default_rng(42).normal(size=15)
+        got = model.embed(x)
+        assert got.shape == (model.embedding_size,)
+        assert np.array_equal(got, forward(model.params, model.spec, x)[0])
+
+    @pytest.mark.parametrize("n", [1, 848])
+    def test_reference_distances_match_the_broadcast_bitwise(self, n):
+        model = float_model(43)
+        rng = np.random.default_rng(44)
+        bank = ReferenceBank(rng.normal(size=(10, 15)), rng.normal(size=(10, 15)) + 0.5, 10)
+        x = rng.normal(size=(n, 15))
+        d0, d1 = siamese_mod._mean_ref_distances(model, bank, x)
+        want0, want1 = mean_ref_distances_broadcast(model, bank, x)
+        assert np.array_equal(d0, want0) and np.array_equal(d1, want1)
+        labels, t0, t1 = classify_table(model, bank, FeatureTable(x, np.zeros(n, dtype=int)))
+        assert np.array_equal(t0, want0) and np.array_equal(t1, want1)
+        assert np.array_equal(labels, (want1 <= want0).astype(np.int64))
 
 
 class TestTrainedClassification:

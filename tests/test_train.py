@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import count_confusion
+from oracles import count_confusion, pair_distances_row_chunks
 from siamtab import train as train_mod
 from siamtab.data import FeatureTable, apply_norm, fit_norm, synth_generate
-from siamtab.nn import LayerSpec, NetworkSpec, ParamSet
+from siamtab.nn import LayerSpec, NetworkSpec, ParamSet, init_params
 from siamtab.pairs import PairSet, generate_pairs
 from siamtab.siamese import SiameseModel, pair_forward, pair_verdict
 from siamtab.train import (
@@ -351,6 +351,25 @@ class TestPairDistances:
         monkeypatch.setattr(SiameseModel, "embed", counting_embed)
         train_mod._pair_distances(model, ps)
         assert embedded == [4]
+
+
+    @pytest.mark.parametrize("chunk", [7, None])
+    def test_blocked_distances_match_the_row_chunk_evaluator(self, monkeypatch, chunk):
+        # float weights; 600 distinct rows embed in 3 blocks, and 1000 pairs
+        # are no multiple of either distance block size
+        rng = np.random.default_rng(37)
+        spec = siamese_network_spec(15)
+        model = SiameseModel(spec, init_params(spec, 38))
+        ft = FeatureTable(rng.normal(size=(600, 15)), rng.integers(0, 2, 600))
+        left = np.concatenate((np.arange(600), rng.integers(0, 600, 400)))
+        right = rng.integers(0, 600, 1000)
+        right[:2] = left[:2]
+        ps = PairSet(ft, left, right, np.zeros(1000, dtype=bool), (1000, 0, 0))
+        if chunk is not None:
+            monkeypatch.setattr(train_mod, "_EVAL_CHUNK", chunk)
+        assert len(ps) % train_mod._EVAL_CHUNK != 0
+        got = train_mod._pair_distances(model, ps)
+        assert np.array_equal(got, pair_distances_row_chunks(model, ps))
 
 
 class TestEvaluateClassifier:
