@@ -30,7 +30,7 @@ from .nn import (
     init_params,
     rmsprop_step,
 )
-from .pairs import PairSet, SamplePair, generate_pairs, split_by_label, split_pairs
+from .pairs import PairSet, generate_pairs, split_by_label, split_pairs
 from .siamese import (
     ReferenceBank,
     SiameseModel,
@@ -38,7 +38,6 @@ from .siamese import (
     classify_table,
     pair_backward,
     pair_forward,
-    pair_verdict,
 )
 from .train import (
     EvalReport,

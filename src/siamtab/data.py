@@ -474,8 +474,9 @@ def read_grid_csv(path: str | Path, names: list[str], dtype, kind: str) -> np.nd
         header = [h.strip() for h in fh.readline().rstrip("\r\n").split(",")]
         if header != names:
             raise ValueError(f"{path}: not a {kind} file: expected header {names}, got {header}")
-        # loadtxt skips empty lines, and warns when it finds no row at all
-        no_rows = not any(line.strip() for line in fh)
+        # loadtxt skips empty lines, and warns when it finds no row at all; a
+        # line of spaces is a row, which the rescan below reports
+        no_rows = not any(line.rstrip("\r\n") for line in fh)
     if no_rows:
         return np.empty((0, len(names)), dtype=dtype)
     fault = "rows of unequal width"
@@ -543,13 +544,3 @@ def save_norm_stats_csv(stats: NormStats, schema: list[ColumnSpec], path: str | 
         fh.write("column,mean,stddev\n")
         for j, c in enumerate(schema):
             fh.write(f"{c.name},{float(stats.mean[j])!r},{float(stats.std[j])!r}\n")
-
-
-def load_norm_stats_csv(path: str | Path) -> NormStats:
-    rows = read_rows_csv(
-        path,
-        ["column", "mean", "stddev"],
-        "norm-stats",
-        lambda row: (float(row[1]), float(row[2])),
-    )
-    return NormStats(np.array([m for m, _ in rows]), np.array([s for _, s in rows]))

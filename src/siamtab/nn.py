@@ -74,8 +74,8 @@ class ParamSet:
 
     The constructor copies its arrays into `flat`, a contiguous float64
     buffer laid out weights first then biases, in layer order; `weights` and
-    `biases` are views into it. Whole-store operations (copy, zeros, add and
-    the optimizer updates) therefore act on one array. The same container
+    `biases` are views into it. Whole-store operations (zeros and the
+    optimizer updates) therefore act on one array. The same container
     holds gradients and optimizer moment buffers, which share these shapes
     by construction.
     """
@@ -106,12 +106,6 @@ class ParamSet:
         out._bind(flat, like.shapes, len(like.weights))
         return out
 
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def copy(self) -> "ParamSet":
-        return ParamSet._over(self.flat.copy(), self)
-
     @classmethod
     def zeros_like(cls, other: "ParamSet") -> "ParamSet":
         return cls._over(np.zeros_like(other.flat), other)
@@ -120,12 +114,6 @@ class ParamSet:
     def empty_like(cls, other: "ParamSet") -> "ParamSet":
         """Same shapes, uninitialised: for stores the caller fills entirely."""
         return cls._over(np.empty_like(other.flat), other)
-
-    def add_(self, other: "ParamSet") -> "ParamSet":
-        if other.shapes != self.shapes:
-            raise ValueError(f"shapes {other.shapes} != {self.shapes}")
-        self.flat += other.flat
-        return self
 
     def arrays(self):
         """All arrays, weights first then biases, in layer order."""
@@ -148,9 +136,7 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamSet:
 class ForwardTrace:
     """Per-layer bookkeeping retained for the backward pass."""
 
-    mode: str
     inputs: list[np.ndarray] = field(default_factory=list)
-    pre_acts: list[np.ndarray] = field(default_factory=list)
     masks: list[np.ndarray | None] = field(default_factory=list)
     outputs: list[np.ndarray] = field(default_factory=list)
     penalty: float = 0.0
@@ -175,7 +161,7 @@ def forward(
     mode: str = "infer",
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the network on a vector or row batch.
+    """Run the network on an (n, in_size) row batch.
 
     In train mode dropout is inverted: surviving units scale by 1/(1-rate),
     so inference applies no correction. The trace accumulates the activity
@@ -183,22 +169,19 @@ def forward(
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
+    h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != spec.in_size:
-        raise ValueError(f"input width {h.shape[-1]} != network input {spec.in_size}")
+        raise ValueError(f"input shape {h.shape} is not (n, {spec.in_size})")
     if not np.isfinite(h).all():
         raise ValueError("non-finite input")
     if mode == "train" and rng is None and any(l.dropout_rate > 0 for l in spec.layers):
         raise ValueError("train mode with dropout requires an rng")
 
-    trace = ForwardTrace(mode=mode)
+    trace = ForwardTrace()
     penalty = 0.0
     for k, layer in enumerate(spec.layers):
         z = h @ params.weights[k].T + params.biases[k]
         trace.inputs.append(h)
-        trace.pre_acts.append(z)
         if mode == "train" and layer.dropout_rate > 0.0:
             keep = 1.0 - layer.dropout_rate
             mask = (rng.random(z.shape) < keep) / keep
@@ -217,8 +200,7 @@ def forward(
         trace.outputs.append(a)
         h = a
     trace.penalty = penalty
-    out = h[0] if single else h
-    return out, trace
+    return h, trace
 
 
 def backward(
@@ -237,8 +219,6 @@ def backward(
     if len(trace) != len(spec.layers):
         raise ValueError("trace depth does not match the network spec")
     g = np.asarray(grad_out, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
     if g.shape != trace.outputs[-1].shape:
         raise ValueError(
             f"grad_out shape {g.shape} != output shape {trace.outputs[-1].shape}"
@@ -293,8 +273,6 @@ def contrastive_loss(d, similar, margin: float = 1.0):
     hinge = np.maximum(margin - d, 0.0)
     loss = np.where(sim, d * d, hinge * hinge)
     grad = np.where(sim, 2.0 * d, -2.0 * hinge)
-    if loss.ndim == 0:
-        return float(loss), float(grad)
     return loss, grad
 
 
@@ -305,28 +283,22 @@ def floored_sqrt(sq_norms: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return np.sqrt(floored, out=out)
 
 
-def floored_norm(diff: np.ndarray) -> np.ndarray:
-    """floored_sqrt(sum(diff^2)) over the last axis: the distance every pair
-    verdict, loss and reference comparison uses."""
-    return floored_sqrt(np.sum(diff * diff, axis=-1))
-
-
 def euclidean_distance(e1: np.ndarray, e2: np.ndarray):
     """Floored euclidean distance and its gradients w.r.t. both embeddings.
 
     d = sqrt(max(sum((e1-e2)^2), 1e-12)); the floor keeps the gradient
-    (e1-e2)/d finite when the embeddings coincide. Accepts single vectors or
-    row batches (gradients then come back row-aligned).
+    (e1-e2)/d finite when the embeddings coincide. Takes two (n, emb) row
+    batches; d is (n,) and the gradients come back row-aligned.
     """
     e1 = np.asarray(e1, dtype=np.float64)
     e2 = np.asarray(e2, dtype=np.float64)
-    if e1.shape != e2.shape:
-        raise ValueError(f"embedding shapes differ: {e1.shape} vs {e2.shape}")
+    if e1.ndim != 2 or e1.shape != e2.shape:
+        raise ValueError(
+            f"embedding shapes {e1.shape} and {e2.shape} are not two equal (n, emb) batches"
+        )
     diff = e1 - e2
-    d = floored_norm(diff)
-    g1 = diff / (d[..., None] if diff.ndim > 1 else d)
-    if diff.ndim == 1:
-        return float(d), g1, -g1
+    d = floored_sqrt(np.sum(diff * diff, axis=-1))
+    g1 = diff / d[:, None]
     return d, g1, -g1
 
 

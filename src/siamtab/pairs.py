@@ -11,17 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .data import FeatureTable, body_line, read_grid_csv
-
-
-class SamplePair(NamedTuple):
-    left: int
-    right: int
-    similar: bool
 
 
 @dataclass
@@ -53,13 +46,6 @@ class PairSet:
 
     def __len__(self) -> int:
         return self.left.shape[0]
-
-    def __getitem__(self, i: int) -> SamplePair:
-        return SamplePair(int(self.left[i]), int(self.right[i]), bool(self.similar[i]))
-
-    def __iter__(self) -> Iterator[SamplePair]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 def split_by_label(ft: FeatureTable, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Shared-weight twin network: pair distances, verdicts, and reference-bank
+"""Shared-weight twin network: pair distances and reference-bank
 classification of samples.
 
 Both branches read the one ParamSet held by the model; weight sharing is
@@ -54,7 +54,7 @@ class SiameseModel:
         return self.spec.out_size
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        """Inference-mode embedding of a vector or a row batch.
+        """Inference-mode embedding of an (n, d) row batch.
 
         A batch of n > EMBED_BLOCK rows runs as ceil(n / EMBED_BLOCK)
         near-equal blocks (np.array_split boundaries) into one output array.
@@ -63,7 +63,7 @@ class SiameseModel:
         so the rows come out bitwise as from one forward over the batch.
         """
         x = np.asarray(x, dtype=np.float64)
-        n_blocks = -(-len(x) // EMBED_BLOCK) if x.ndim == 2 else 1
+        n_blocks = -(-len(x) // EMBED_BLOCK)
         if n_blocks <= 1:
             return forward(self.params, self.spec, x)[0]
         out = np.empty((len(x), self.embedding_size))
@@ -95,33 +95,23 @@ def pair_forward(
     independent."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"pair member shapes differ: {a.shape} vs {b.shape}")
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(
+            f"pair member shapes {a.shape} and {b.shape} are not two equal (n, d) batches"
+        )
     emb, trace = forward(model.params, model.spec, np.vstack((a, b)), mode=mode, rng=rng)
     half = emb.shape[0] // 2
-    ea, eb = (emb[0], emb[1]) if a.ndim == 1 else (emb[:half], emb[half:])
-    d, grad_a, grad_b = euclidean_distance(ea, eb)
+    d, grad_a, grad_b = euclidean_distance(emb[:half], emb[half:])
     return d, PairTrace(trace, grad_a, grad_b)
 
 
 def pair_backward(model: SiameseModel, pair_trace: PairTrace, dloss_dd) -> ParamSet:
     """Gradients over the shared ParamSet for both pair members, from one
-    backward pass. dloss_dd is d loss / d distance, scalar or per-pair
-    vector."""
-    scale = np.asarray(dloss_dd, dtype=np.float64)
-    if pair_trace.grad_a.ndim > 1:
-        scale = scale.reshape(-1, 1)
+    backward pass. dloss_dd is d loss / d distance, one value per pair."""
+    scale = np.asarray(dloss_dd, dtype=np.float64).reshape(-1, 1)
     grad_out = np.vstack((scale * pair_trace.grad_a, scale * pair_trace.grad_b))
     grads, _ = backward(pair_trace.trace, model.params, model.spec, grad_out)
     return grads
-
-
-def pair_verdict(model: SiameseModel, a: np.ndarray, b: np.ndarray):
-    """Similar iff embedding distance < pair_threshold (inference mode)."""
-    d, _ = pair_forward(model, a, b, mode="infer")
-    if np.ndim(d) == 0:
-        return bool(d < model.pair_threshold)
-    return d < model.pair_threshold
 
 
 @dataclass

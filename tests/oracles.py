@@ -39,13 +39,19 @@ def random_small_spec(rng, head: str) -> NetworkSpec:
 def away_from_kinks(spec, params, x, margin: float = 1e-3) -> bool:
     """True when no ReLU pre-activation sits within `margin` of zero, so a
     +/- h parameter perturbation cannot cross the kink where central
-    differences stop being a valid derivative oracle."""
-    from siamtab.nn import forward
-
-    _, trace = forward(params, spec, x)
-    for layer, z in zip(spec.layers, trace.pre_acts):
+    differences stop being a valid derivative oracle. Pre-activations are
+    recomputed here layer by layer from the weights (dropout off)."""
+    h = np.asarray(x, dtype=np.float64)
+    for k, layer in enumerate(spec.layers):
+        z = h @ params.weights[k].T + params.biases[k]
         if layer.activation == "relu" and np.any(np.abs(z) < margin):
             return False
+        if layer.activation == "relu":
+            h = np.maximum(z, 0.0)
+        elif layer.activation == "sigmoid":
+            h = 1.0 / (1.0 + np.exp(-z))
+        else:
+            h = z
     return True
 
 
@@ -92,6 +98,14 @@ def numeric_gradient_array(loss_fn, x: np.ndarray, h: float = FD_H) -> np.ndarra
         x[ix] = orig
         g[ix] = (lp - lm) / (2.0 * h)
     return g
+
+
+def param_sum(a: ParamSet, b: ParamSet) -> ParamSet:
+    """a + b entry by entry over the flat buffers, as a new ParamSet."""
+    assert a.shapes == b.shapes
+    out = ParamSet.zeros_like(a)
+    out.flat[:] = a.flat + b.flat
+    return out
 
 
 def max_rel_error(analytic: ParamSet, numeric: ParamSet) -> float:

@@ -14,7 +14,13 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import framingham_path, needs_framingham
-from oracles import kink_free_input, max_rel_error, numeric_gradient, random_small_spec
+from oracles import (
+    kink_free_input,
+    max_rel_error,
+    numeric_gradient,
+    param_sum,
+    random_small_spec,
+)
 from siamtab.cli import main as cli_main
 from siamtab.data import (
     apply_norm,
@@ -165,37 +171,38 @@ def test_criterion_4_gradient_oracle():
             rng = np.random.default_rng(3000 + trial)
             spec = random_small_spec(rng, "contrastive")
             params = init_params(spec, seed=4000 + trial)
-            a = kink_free_input(rng, spec, params, 1)[0]
-            b = kink_free_input(rng, spec, params, 1)[0]
+            a = kink_free_input(rng, spec, params, 1)
+            b = kink_free_input(rng, spec, params, 1)
             ea, _ = forward(params, spec, a)
             eb, _ = forward(params, spec, b)
             d0, _, _ = euclidean_distance(ea, eb)
-            similar = True if abs(d0 - 1.0) < 1e-2 else bool(rng.integers(2))
+            similar = np.array([True if abs(d0[0] - 1.0) < 1e-2 else bool(rng.integers(2))])
 
             def loss():
                 ea, ta = forward(params, spec, a)
                 eb, tb = forward(params, spec, b)
                 d, _, _ = euclidean_distance(ea, eb)
                 l, _ = contrastive_loss(d, similar, 1.0)
-                return float(l) + ta.penalty + tb.penalty
+                return float(l[0]) + ta.penalty + tb.penalty
 
             _, ta = forward(params, spec, a)
             _, tb = forward(params, spec, b)
-            d, g1, g2 = euclidean_distance(ta.outputs[-1][0], tb.outputs[-1][0])
+            d, g1, g2 = euclidean_distance(ta.outputs[-1], tb.outputs[-1])
             _, dldd = contrastive_loss(d, similar, 1.0)
-            ga, _ = backward(ta, params, spec, dldd * g1)
-            gb, _ = backward(tb, params, spec, dldd * g2)
-            assert max_rel_error(ga.add_(gb), numeric_gradient(loss, params)) < 1e-4
+            ga, _ = backward(ta, params, spec, dldd[:, None] * g1)
+            gb, _ = backward(tb, params, spec, dldd[:, None] * g2)
+            analytic = param_sum(ga, gb)
+            assert max_rel_error(analytic, numeric_gradient(loss, params)) < 1e-4
 
 
 def test_criterion_5_loss_and_optimizer_unit_oracles():
     with criterion(5, "loss and optimizer scalar cases match hand arithmetic to 1e-9"):
-        loss, grad = contrastive_loss(0.6, False, 1.0)
-        assert abs(loss - 0.16) < 1e-9 and abs(grad + 0.8) < 1e-9
-        loss, _ = contrastive_loss(0.0, True, 1.0)
-        assert abs(loss) < 1e-9
-        loss, _ = contrastive_loss(1.2, False, 1.0)
-        assert abs(loss) < 1e-9
+        loss, grad = contrastive_loss(np.array([0.6]), np.array([False]), 1.0)
+        assert abs(loss[0] - 0.16) < 1e-9 and abs(grad[0] + 0.8) < 1e-9
+        loss, _ = contrastive_loss(np.array([0.0]), np.array([True]), 1.0)
+        assert abs(loss[0]) < 1e-9
+        loss, _ = contrastive_loss(np.array([1.2]), np.array([False]), 1.0)
+        assert abs(loss[0]) < 1e-9
 
         loss, _ = bce_loss(0.5, 1.0, (1.0, 5.0))
         assert abs(loss - 5.0 * math.log(2.0)) < 1e-9

@@ -8,6 +8,7 @@ from oracles import (
     max_rel_error,
     numeric_gradient,
     numeric_gradient_array,
+    param_sum,
     random_small_spec,
     rel_error_array,
 )
@@ -80,25 +81,14 @@ class TestParamSet:
     def test_copy_and_zeros_like_are_independent(self):
         params = init_params(THREE_LAYERS, seed=41)
         before = params.flat.copy()
-        for other in (params.copy(), ParamSet.zeros_like(params), ParamSet.empty_like(params)):
+        for other in (ParamSet.zeros_like(params), ParamSet.empty_like(params)):
             assert other.shapes == params.shapes
             assert not np.shares_memory(other.flat, params.flat)
             for arr in other.arrays():
                 assert np.shares_memory(arr, other.flat)
             other.flat[:] = 3.0
             assert np.array_equal(params.flat, before)
-        assert np.array_equal(params.copy().flat, before)
         assert np.all(ParamSet.zeros_like(params).flat == 0.0)
-
-    def test_add_sums_every_array(self):
-        a = init_params(THREE_LAYERS, seed=42)
-        b = init_params(THREE_LAYERS, seed=43)
-        expected = [x + y for x, y in zip(a.arrays(), b.arrays())]
-        assert a.add_(b) is a
-        for got, want in zip(a.arrays(), expected):
-            assert np.array_equal(got, want)
-        with pytest.raises(ValueError, match="shapes"):
-            a.add_(scalar_params(0.0, 0.0))
 
 
 class TestInitParams:
@@ -126,15 +116,15 @@ class TestInitParams:
 
 class TestForward:
     def test_single_linear_hand_case(self):
-        out, _ = forward(scalar_params(2.0, 1.0), LINEAR1, np.array([3.0]))
-        assert out.shape == (1,)
-        assert out[0] == 7.0
+        out, _ = forward(scalar_params(2.0, 1.0), LINEAR1, np.array([[3.0]]))
+        assert out.shape == (1, 1)
+        assert out[0, 0] == 7.0
 
     def test_relu_definition(self):
         spec = NetworkSpec((LayerSpec(2, 2, "relu"),))
         params = ParamSet([np.eye(2)], [np.zeros(2)])
-        out, _ = forward(params, spec, np.array([-1.0, 2.0]))
-        assert np.array_equal(out, [0.0, 2.0])
+        out, _ = forward(params, spec, np.array([[-1.0, 2.0]]))
+        assert np.array_equal(out, [[0.0, 2.0]])
 
     def test_dropout_identity_at_inference(self):
         spec_drop = NetworkSpec(
@@ -148,17 +138,22 @@ class TestForward:
         assert np.array_equal(out_a, out_b)
 
     def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="width"):
-            forward(scalar_params(1, 0), LINEAR1, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"input shape \(1, 2\) is not \(n, 1\)"):
+            forward(scalar_params(1, 0), LINEAR1, np.array([[1.0, 2.0]]))
+        # a 15-vector for a 15-input network names the batch shape it needs
+        spec = NetworkSpec((LayerSpec(15, 4, "relu"),))
+        for x in (np.ones(15), np.ones((2, 15, 1))):
+            with pytest.raises(ValueError, match=r"is not \(n, 15\)"):
+                forward(init_params(spec, 0), spec, x)
 
     def test_non_finite_input(self):
         with pytest.raises(ValueError, match="finite"):
-            forward(scalar_params(1, 0), LINEAR1, np.array([np.nan]))
+            forward(scalar_params(1, 0), LINEAR1, np.array([[np.nan]]))
 
     def test_train_dropout_needs_rng(self):
         spec = NetworkSpec((LayerSpec(1, 1, "linear", dropout_rate=0.5),))
         with pytest.raises(ValueError, match="rng"):
-            forward(init_params(spec, 0), spec, np.array([1.0]), mode="train")
+            forward(init_params(spec, 0), spec, np.array([[1.0]]), mode="train")
 
     def test_batch_shape(self):
         out, trace = forward(scalar_params(2.0, 0.0), LINEAR1, np.array([[1.0], [2.0]]))
@@ -168,7 +163,7 @@ class TestForward:
     def test_penalty_accumulates(self):
         spec = NetworkSpec((LayerSpec(2, 2, "linear", activity_l2=0.5),))
         params = ParamSet([np.eye(2)], [np.zeros(2)])
-        _, trace = forward(params, spec, np.array([1.0, 2.0]))
+        _, trace = forward(params, spec, np.array([[1.0, 2.0]]))
         assert trace.penalty == 0.5 * (1.0 + 4.0)
 
     def test_inverted_dropout_expectation(self):
@@ -185,8 +180,8 @@ class TestForward:
 class TestBackward:
     def test_linear_hand_case(self):
         params = scalar_params(2.0, 0.0)
-        _, trace = forward(params, LINEAR1, np.array([3.0]))
-        grads, grad_in = backward(trace, params, LINEAR1, np.array([1.0]))
+        _, trace = forward(params, LINEAR1, np.array([[3.0]]))
+        grads, grad_in = backward(trace, params, LINEAR1, np.array([[1.0]]))
         assert grads.weights[0][0, 0] == 3.0
         assert grads.biases[0][0] == 1.0
         assert grad_in[0, 0] == 2.0
@@ -237,10 +232,10 @@ class TestBackward:
 
     def test_trace_spec_mismatch(self):
         params = scalar_params(1.0, 0.0)
-        _, trace = forward(params, LINEAR1, np.array([1.0]))
+        _, trace = forward(params, LINEAR1, np.array([[1.0]]))
         two_layer = NetworkSpec((LayerSpec(1, 1), LayerSpec(1, 1)))
         with pytest.raises(ValueError, match="trace"):
-            backward(trace, params, two_layer, np.array([1.0]))
+            backward(trace, params, two_layer, np.array([[1.0]]))
 
 
 class TestBceLoss:
@@ -274,22 +269,29 @@ class TestBceLoss:
         assert abs(loss[0] - 5.0 * math.log(2.0)) < 1e-9
 
 
+def contrastive_one(d, similar, margin=1.0):
+    """contrastive_loss of a 1-element batch, unpacked to its one entry."""
+    loss, grad = contrastive_loss(np.array([d]), np.array([similar]), margin)
+    assert loss.shape == grad.shape == (1,)
+    return loss[0], grad[0]
+
+
 class TestContrastiveLoss:
     def test_similar_at_zero(self):
-        loss, grad = contrastive_loss(0.0, True, 1.0)
+        loss, grad = contrastive_one(0.0, True)
         assert loss == 0.0 and grad == 0.0
 
     def test_dissimilar_beyond_margin(self):
-        loss, grad = contrastive_loss(1.2, False, 1.0)
+        loss, grad = contrastive_one(1.2, False)
         assert loss == 0.0 and grad == 0.0
 
     def test_dissimilar_inside_margin(self):
-        loss, grad = contrastive_loss(0.6, False, 1.0)
+        loss, grad = contrastive_one(0.6, False)
         assert abs(loss - 0.16) < 1e-9
         assert abs(grad - (-0.8)) < 1e-9
 
     def test_similar_quadratic(self):
-        loss, grad = contrastive_loss(0.7, True, 1.0)
+        loss, grad = contrastive_one(0.7, True)
         assert abs(loss - 0.49) < 1e-12
         assert abs(grad - 1.4) < 1e-12
 
@@ -305,42 +307,42 @@ class TestContrastiveLoss:
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            contrastive_loss(-0.1, True, 1.0)
+            contrastive_one(-0.1, True)
 
     def test_bad_margin(self):
         with pytest.raises(ValueError, match="margin"):
-            contrastive_loss(0.5, True, 0.0)
+            contrastive_one(0.5, True, 0.0)
 
 
 class TestEuclideanDistance:
     def test_345_triangle(self):
-        d, g1, g2 = euclidean_distance(np.array([3.0, 4.0]), np.array([0.0, 0.0]))
-        assert d == 5.0
-        assert np.allclose(g1, [0.6, 0.8])
+        d, g1, g2 = euclidean_distance(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]]))
+        assert d.shape == (1,) and d[0] == 5.0
+        assert np.allclose(g1, [[0.6, 0.8]])
         assert np.array_equal(g2, -g1)
 
     def test_coincident_floor(self):
-        e = np.array([1.0, 2.0, 3.0])
+        e = np.array([[1.0, 2.0, 3.0]])
         d, g1, g2 = euclidean_distance(e, e.copy())
-        assert d == 1e-6  # sqrt of the 1e-12 floor
+        assert d[0] == 1e-6  # sqrt of the 1e-12 floor
         assert np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))
 
     def test_symmetry(self):
         rng = np.random.default_rng(13)
-        a, b = rng.normal(size=8), rng.normal(size=8)
+        a, b = rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
         da, _, _ = euclidean_distance(a, b)
         db, _, _ = euclidean_distance(b, a)
-        assert da == db
+        assert np.array_equal(da, db)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(14)
         for _ in range(5):
-            a = rng.normal(size=8)
-            b = rng.normal(size=8)
+            a = rng.normal(size=(1, 8))
+            b = rng.normal(size=(1, 8))
             d, g1, g2 = euclidean_distance(a, b)
-            assert d > 0.1
-            num1 = numeric_gradient_array(lambda: euclidean_distance(a, b)[0], a)
-            num2 = numeric_gradient_array(lambda: euclidean_distance(a, b)[0], b)
+            assert d[0] > 0.1
+            num1 = numeric_gradient_array(lambda: euclidean_distance(a, b)[0][0], a)
+            num2 = numeric_gradient_array(lambda: euclidean_distance(a, b)[0][0], b)
             assert rel_error_array(g1, num1) < 1e-4
             assert rel_error_array(g2, num2) < 1e-4
 
@@ -350,13 +352,17 @@ class TestEuclideanDistance:
         d, g1, _ = euclidean_distance(e1, e2)
         assert d.shape == (6,)
         for i in range(6):
-            di, g1i, _ = euclidean_distance(e1[i], e2[i])
-            assert d[i] == di
-            assert np.array_equal(g1[i], g1i)
+            di, g1i, _ = euclidean_distance(e1[i : i + 1], e2[i : i + 1])
+            assert d[i] == di[0]
+            assert np.array_equal(g1[i], g1i[0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
-            euclidean_distance(np.ones(3), np.ones(4))
+            euclidean_distance(np.ones((1, 3)), np.ones((1, 4)))
+        # vectors, scalars and 3-D stacks are refused, not indexed into
+        for shape in ((3,), (), (2, 1, 3)):
+            with pytest.raises(ValueError, match=r"not two equal \(n, emb\) batches"):
+                euclidean_distance(np.ones(shape), np.ones(shape))
 
 
 class TestAdam:
@@ -561,30 +567,30 @@ class TestGradientFidelity:
         rng = np.random.default_rng(300 + trial)
         spec = random_small_spec(rng, "contrastive")
         params = init_params(spec, seed=400 + trial)
-        a = kink_free_input(rng, spec, params, 1)[0]
-        b = kink_free_input(rng, spec, params, 1)[0]
+        a = kink_free_input(rng, spec, params, 1)
+        b = kink_free_input(rng, spec, params, 1)
         margin = 1.0
 
         ea, _ = forward(params, spec, a)
         eb, _ = forward(params, spec, b)
         d0, _, _ = euclidean_distance(ea, eb)
         # stay off the hinge kink for clean finite differences
-        similar = True if abs(d0 - margin) < 1e-2 else bool(rng.integers(2))
+        similar = np.array([True if abs(d0[0] - margin) < 1e-2 else bool(rng.integers(2))])
 
         def loss():
             ea, ta = forward(params, spec, a)
             eb, tb = forward(params, spec, b)
             d, _, _ = euclidean_distance(ea, eb)
             l, _ = contrastive_loss(d, similar, margin)
-            return float(l) + ta.penalty + tb.penalty
+            return float(l[0]) + ta.penalty + tb.penalty
 
         _, ta = forward(params, spec, a)
         _, tb = forward(params, spec, b)
         e1, e2 = ta.outputs[-1], tb.outputs[-1]
-        d, g1, g2 = euclidean_distance(e1[0], e2[0])
+        d, g1, g2 = euclidean_distance(e1, e2)
         _, dldd = contrastive_loss(d, similar, margin)
-        ga, _ = backward(ta, params, spec, dldd * g1)
-        gb, _ = backward(tb, params, spec, dldd * g2)
-        analytic = ga.add_(gb)
+        ga, _ = backward(ta, params, spec, dldd[:, None] * g1)
+        gb, _ = backward(tb, params, spec, dldd[:, None] * g2)
+        analytic = param_sum(ga, gb)
         numeric = numeric_gradient(loss, params)
         assert max_rel_error(analytic, numeric) < 1e-4

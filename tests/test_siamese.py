@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import kink_free_input, max_rel_error, mean_ref_distances_broadcast, numeric_gradient
+from oracles import (
+    kink_free_input,
+    max_rel_error,
+    mean_ref_distances_broadcast,
+    numeric_gradient,
+    param_sum,
+)
 from siamtab import siamese as siamese_mod
 from siamtab.data import FeatureTable
 from siamtab.nn import (
@@ -14,6 +20,7 @@ from siamtab.nn import (
     forward,
     init_params,
 )
+from siamtab.pairs import PairSet
 from siamtab.siamese import (
     ReferenceBank,
     SiameseModel,
@@ -21,9 +28,8 @@ from siamtab.siamese import (
     classify_table,
     pair_backward,
     pair_forward,
-    pair_verdict,
 )
-from siamtab.train import siamese_network_spec
+from siamtab.train import evaluate_pairs, siamese_network_spec
 
 
 def identity_model(width=1, threshold=0.5):
@@ -47,18 +53,19 @@ def random_model(seed, in_size=6, emb=5):
 class TestPairForward:
     def test_identical_inputs_hit_distance_floor(self):
         model = random_model(0)
-        x = np.random.default_rng(1).normal(size=6)
+        x = np.random.default_rng(1).normal(size=(1, 6))
         d, _ = pair_forward(model, x, x.copy())
-        assert d == pytest.approx(1e-6, abs=1e-12)
+        assert d.shape == (1,)
+        assert d[0] == pytest.approx(1e-6, abs=1e-12)
 
     def test_symmetry_in_infer_mode(self):
         model = random_model(2)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            a, b = rng.normal(size=6), rng.normal(size=6)
+            a, b = rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
             dab, _ = pair_forward(model, a, b)
             dba, _ = pair_forward(model, b, a)
-            assert dab == dba
+            assert np.array_equal(dab, dba)
 
     def test_nonnegative(self):
         model = random_model(4)
@@ -79,6 +86,9 @@ class TestPairForward:
             pair_forward(model, np.zeros((3, 6)), np.zeros((2, 6)))
         with pytest.raises(ValueError, match="pair member shapes"):
             pair_forward(model, np.zeros(6), np.zeros((1, 6)))
+        # two vectors are not read as a stacked batch of two rows
+        with pytest.raises(ValueError, match=r"not two equal \(n, d\) batches"):
+            pair_forward(model, np.zeros(6), np.zeros(6))
 
     def test_stacked_pass_matches_separate_branches(self):
         model = random_model(39)
@@ -93,9 +103,9 @@ class TestPairForward:
     def test_branches_get_independent_dropout(self):
         spec = NetworkSpec((LayerSpec(4, 64, "relu", dropout_rate=0.5),))
         model = SiameseModel(spec, init_params(spec, 7))
-        x = np.abs(np.random.default_rng(8).normal(size=4)) + 0.5
+        x = np.abs(np.random.default_rng(8).normal(size=(1, 4))) + 0.5
         d, _ = pair_forward(model, x, x.copy(), mode="train", rng=np.random.default_rng(9))
-        assert d > 1e-3  # identical inputs diverge only via differing masks
+        assert d[0] > 1e-3  # identical inputs diverge only via differing masks
 
 
 class TestPairBackward:
@@ -104,17 +114,17 @@ class TestPairBackward:
         params = init_params(spec, 10)
         model = SiameseModel(spec, params)
         rng = np.random.default_rng(11)
-        a = kink_free_input(rng, spec, params, 1)[0]
-        b = kink_free_input(rng, spec, params, 1)[0]
-        similar = False
+        a = kink_free_input(rng, spec, params, 1)
+        b = kink_free_input(rng, spec, params, 1)
+        similar = np.array([False])
 
         def loss():
             d, _ = pair_forward(model, a, b)
             l, _ = contrastive_loss(d, similar, model.margin)
-            return float(l)
+            return float(l[0])
 
         d, traces = pair_forward(model, a, b)
-        assert abs(d - model.margin) > 1e-2
+        assert abs(d[0] - model.margin) > 1e-2
         _, dldd = contrastive_loss(d, similar, model.margin)
         analytic = pair_backward(model, traces, dldd)
         numeric = numeric_gradient(loss, params)
@@ -134,26 +144,26 @@ class TestPairBackward:
         _, ga, gb = euclidean_distance(ea, eb)
         grads_a, _ = backward(ta, model.params, model.spec, dldd[:, None] * ga)
         grads_b, _ = backward(tb, model.params, model.spec, dldd[:, None] * gb)
-        reference = grads_a.add_(grads_b)
+        reference = param_sum(grads_a, grads_b)
         for x, y in zip(stacked.arrays(), reference.arrays()):
             assert np.allclose(x, y, rtol=1e-12, atol=1e-14)
 
     def test_zero_upstream_gives_zero_grads(self):
         model = random_model(12)
-        a, b = np.random.default_rng(13).normal(size=(2, 6))
+        a, b = np.random.default_rng(13).normal(size=(2, 1, 6))
         _, traces = pair_forward(model, a, b)
-        grads = pair_backward(model, traces, 0.0)
+        grads = pair_backward(model, traces, np.zeros(1))
         for arr in grads.arrays():
             assert np.all(arr == 0.0)
 
     def test_swap_symmetry(self):
         model = random_model(14)
         rng = np.random.default_rng(15)
-        a, b = rng.normal(size=6), rng.normal(size=6)
+        a, b = rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
         _, t_ab = pair_forward(model, a, b)
         _, t_ba = pair_forward(model, b, a)
-        g_ab = pair_backward(model, t_ab, 1.0)
-        g_ba = pair_backward(model, t_ba, 1.0)
+        g_ab = pair_backward(model, t_ab, np.ones(1))
+        g_ba = pair_backward(model, t_ba, np.ones(1))
         for x, y in zip(g_ab.arrays(), g_ba.arrays()):
             assert np.allclose(x, y, atol=1e-12)
 
@@ -166,31 +176,41 @@ class TestPairBackward:
         batched = pair_backward(model, traces, dldd)
         summed = None
         for i in range(3):
-            _, t = pair_forward(model, a[i], b[i])
-            g = pair_backward(model, t, dldd[i])
-            summed = g if summed is None else summed.add_(g)
+            _, t = pair_forward(model, a[i : i + 1], b[i : i + 1])
+            g = pair_backward(model, t, dldd[i : i + 1])
+            summed = g if summed is None else param_sum(summed, g)
         for x, y in zip(batched.arrays(), summed.arrays()):
             assert np.allclose(x, y, atol=1e-12)
 
 
+def verdict(model, a, b) -> bool:
+    """evaluate_pairs' verdict on the one pair (a, b): similar iff the pair,
+    flagged similar, lands in the true-positive cell."""
+    ps = PairSet(FeatureTable(np.vstack((a, b)), [0, 0]), [0], [1], [True], (0, 1, 0))
+    report = evaluate_pairs(model, ps)
+    return bool(report.confusion[1, 1] == 1)
+
+
 class TestPairVerdict:
+    """Pair verdicts as evaluate_pairs draws them, on the identity model."""
+
     def test_identical_inputs_similar(self):
-        model = random_model(18)
+        model = identity_model(width=6)
         x = np.random.default_rng(19).normal(size=6)
-        assert pair_verdict(model, x, x.copy()) is True
+        assert verdict(model, x, x.copy()) is True
 
     def test_threshold_boundary(self):
         model = identity_model(threshold=0.5)
         zero = np.array([0.0])
-        assert pair_verdict(model, zero, np.array([0.49])) is True
-        assert pair_verdict(model, zero, np.array([0.51])) is False
+        assert verdict(model, zero, np.array([0.49])) is True
+        assert verdict(model, zero, np.array([0.51])) is False
 
     def test_symmetric(self):
-        model = random_model(20)
+        model = identity_model(width=6, threshold=3.0)
         rng = np.random.default_rng(21)
         for _ in range(5):
             a, b = rng.normal(size=6), rng.normal(size=6)
-            assert pair_verdict(model, a, b) == pair_verdict(model, b, a)
+            assert verdict(model, a, b) == verdict(model, b, a)
 
 
 class TestReferenceBank:
@@ -324,13 +344,6 @@ class TestBlockedInference:
         if n > siamese_mod.EMBED_BLOCK:
             assert min(blocks) >= siamese_mod.EMBED_BLOCK // 2
 
-    def test_embed_of_a_vector_is_a_vector(self):
-        model = float_model(41)
-        x = np.random.default_rng(42).normal(size=15)
-        got = model.embed(x)
-        assert got.shape == (model.embedding_size,)
-        assert np.array_equal(got, forward(model.params, model.spec, x)[0])
-
     @pytest.mark.parametrize("n", [1, 848])
     def test_reference_distances_match_the_broadcast_bitwise(self, n):
         model = float_model(43)
@@ -354,12 +367,12 @@ class TestTrainedClassification:
         assert acc > 0.95
 
         # oracle 1: plain-loop recomputation of the mean-distance protocol
-        e0 = np.array([model.embed(r) for r in bank.refs0])
-        e1 = np.array([model.embed(r) for r in bank.refs1])
+        e0 = [model.embed(bank.refs0[j : j + 1]) for j in range(bank.k)]
+        e1 = [model.embed(bank.refs1[j : j + 1]) for j in range(bank.k)]
         for i in range(test.n):
-            ex = model.embed(test.features[i])
-            d0 = np.mean([euclidean_distance(ex, e)[0] for e in e0])
-            d1 = np.mean([euclidean_distance(ex, e)[0] for e in e1])
+            ex = model.embed(test.features[i : i + 1])
+            d0 = np.mean([euclidean_distance(ex, e)[0][0] for e in e0])
+            d1 = np.mean([euclidean_distance(ex, e)[0][0] for e in e1])
             assert preds[i] == int(d1 <= d0)
 
         # oracle 2: brute-force nearest-centroid in embedding space

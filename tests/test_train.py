@@ -6,7 +6,7 @@ from siamtab import train as train_mod
 from siamtab.data import FeatureTable, apply_norm, fit_norm, synth_generate
 from siamtab.nn import LayerSpec, NetworkSpec, ParamSet, init_params
 from siamtab.pairs import PairSet, generate_pairs
-from siamtab.siamese import SiameseModel, pair_forward, pair_verdict
+from siamtab.siamese import SiameseModel, pair_forward
 from siamtab.train import (
     EvalReport,
     History,
@@ -280,7 +280,11 @@ class TestEvaluatePairs:
         model = synth_trained.model
         ps = generate_pairs(synth_trained.train, 150, 75, 75, seed=19)
         report = evaluate_pairs(model, ps)
-        verdicts = [pair_verdict(model, ps.source.features[p.left], ps.source.features[p.right]) for p in ps]
+        f = ps.source.features
+        verdicts = [
+            pair_forward(model, f[l : l + 1], f[r : r + 1])[0][0] < model.pair_threshold
+            for l, r in zip(ps.left, ps.right)
+        ]
         tn, fp, fn, tp = count_confusion(ps.similar.astype(int), [int(v) for v in verdicts])
         assert report.confusion.tolist() == [[tn, fp], [fn, tp]]
         assert int(report.confusion.sum()) == len(ps)
@@ -332,7 +336,7 @@ class TestPairDistances:
         assert len(np.unique(np.concatenate((left, right)))) > 7
         got = train_mod._pair_distances(model, ps)
         expected = [
-            pair_forward(model, ft.features[i], ft.features[j])[0]
+            pair_forward(model, ft.features[i : i + 1], ft.features[j : j + 1])[0][0]
             for i, j in zip(left, right)
         ]
         assert np.array_equal(got, expected)
