@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -179,18 +180,62 @@ def _split_row(row: list[str]) -> tuple[int, bool]:
     return int(row[0]), row[1] == "train"
 
 
+_SPLITS_HEADER = "index,part\n"
+
+
+def _read_split_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """(index, in_train) columns of a splits file.
+
+    A body in the form prepare writes ("\\n" line ends, no empty line, every
+    part exactly 'train' or 'test') is parsed by one np.loadtxt call. Any
+    other body, and any the strict parse refuses or warns about, is read row
+    by row through _split_row, which gives every accepted form and error
+    message. The part column is read 6 characters wide, so a longer cell
+    such as 'trainx' cannot be cut down to 'train'.
+    """
+    with open(path, newline="") as fh:
+        text = fh.read()
+    if (
+        text.startswith(_SPLITS_HEADER)
+        and text.endswith("\n")
+        and "\n\n" not in text  # loadtxt skips empty lines; the row reader refuses them
+        and "\r" not in text
+    ):
+        try:
+            with warnings.catch_warnings():
+                # numpy < 2 reads "5.0" as an integer under a DeprecationWarning
+                warnings.simplefilter("error")
+                body = np.loadtxt(
+                    path,
+                    delimiter=",",
+                    dtype=[("index", np.int64), ("part", "U6")],
+                    comments=None,
+                    skiprows=1,
+                    ndmin=1,
+                )
+        except (ValueError, Warning):
+            pass
+        else:
+            in_train = body["part"] == "train"
+            if (in_train | (body["part"] == "test")).all():
+                return body["index"], in_train
+    rows = dt.read_rows_csv(path, ["index", "part"], "splits", _split_row)
+    return (
+        np.array([i for i, _ in rows], dtype=np.int64),
+        np.array([t for _, t in rows], dtype=bool),
+    )
+
+
 def _load_split_indices(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(train, test) row indices from splits.csv, for a table of n rows."""
     path = _require(cfg, "splits.csv")
-    rows = dt.read_rows_csv(path, ["index", "part"], "splits", _split_row)
-    idx = np.array([i for i, _ in rows], dtype=np.int64)
+    idx, in_train = _read_split_rows(path)
     bad = np.flatnonzero((idx < 0) | (idx >= n))
     if bad.size:
         raise ValueError(
             f"{path}: line {bad[0] + 2}: index {idx[bad[0]]} out of range for a table "
             f"of {n} rows"
         )
-    in_train = np.array([t for _, t in rows], dtype=bool)
     return idx[in_train], idx[~in_train]
 
 
@@ -226,9 +271,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     parts[train_idx] = "train"
     parts[test_idx] = "test"
     with open(_artifact(cfg, "splits.csv"), "w", newline="\n") as fh:
-        fh.write("index,part\n")
-        for i in range(normed.n):
-            fh.write(f"{i},{parts[i]}\n")
+        fh.write(_SPLITS_HEADER + "".join(f"{i},{part}\n" for i, part in enumerate(parts)))
 
     lines = [
         "data report",

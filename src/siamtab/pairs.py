@@ -124,20 +124,50 @@ def split_pairs(ps: PairSet, fraction: float, seed: int) -> tuple[PairSet, PairS
 
 
 _PAIR_HEADER = "left_index,right_index,similar"
-_WRITE_CHUNK = 8192  # rows formatted per write; bounds the text held at once
+_WRITE_CHUNK = 8192  # rows assembled per write; bounds the bytes held at once
+
+
+def _digit_table(hi: int) -> np.ndarray:
+    """(hi + 1, len(str(hi))) uint8: row v holds the ASCII digits of v,
+    right-aligned, with its unused leading positions 0."""
+    nd = len(str(hi))
+    values = np.arange(hi + 1)
+    table = np.zeros((hi + 1, nd), dtype=np.uint8)
+    for k in range(nd):
+        place = 10 ** (nd - 1 - k)
+        used = values >= place  # a value has a digit at every place up to its own size
+        table[used, k] = ord("0") + values[used] // place % 10
+    table[0, -1] = ord("0")
+    return table
 
 
 def save_pairs_csv(ps: PairSet, path: str | Path):
-    """Write `left_index,right_index,similar` rows, one formatted write per
-    chunk of rows."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_PAIR_HEADER + "\n")
+    """Write `left_index,right_index,similar` rows, one binary write per
+    chunk of rows.
+
+    Each chunk's bytes are gathered from a table of the digits of every index
+    up to the largest one, into fixed-width rows whose pad bytes are 0; one
+    boolean compaction then drops the pads, leaving exactly the "%d,%d,%d\\n"
+    text of each pair.
+    """
+    lo = int(min(ps.left.min(initial=0), ps.right.min(initial=0)))
+    if lo < 0:
+        raise ValueError(f"negative pair index {lo}")
+    hi = int(max(ps.left.max(initial=0), ps.right.max(initial=0)))
+    digits = _digit_table(hi)
+    nd = digits.shape[1]
+    with open(path, "wb") as fh:
+        fh.write(_PAIR_HEADER.encode() + b"\n")
+        buf = np.empty((min(len(ps), _WRITE_CHUNK), 2 * nd + 4), dtype=np.uint8)
+        buf[:, nd] = buf[:, 2 * nd + 1] = ord(",")
+        buf[:, -1] = ord("\n")
         for start in range(0, len(ps), _WRITE_CHUNK):
-            stop = start + _WRITE_CHUNK
-            rows = np.stack(
-                (ps.left[start:stop], ps.right[start:stop], ps.similar[start:stop]), axis=1
-            )
-            fh.write(("%d,%d,%d\n" * rows.shape[0]) % tuple(rows.ravel().tolist()))
+            stop = min(start + _WRITE_CHUNK, len(ps))
+            rows = buf[: stop - start]
+            np.take(digits, ps.left[start:stop], axis=0, out=rows[:, :nd])
+            np.take(digits, ps.right[start:stop], axis=0, out=rows[:, nd + 1 : 2 * nd + 1])
+            rows[:, -2] = ps.similar[start:stop] + ord("0")
+            fh.write(rows[rows != 0].tobytes())
 
 
 def load_pairs_csv(path: str | Path, ft: FeatureTable) -> PairSet:

@@ -63,6 +63,8 @@ class SiameseModel:
         so the rows come out bitwise as from one forward over the batch.
         """
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.spec.in_size:
+            raise ValueError(f"input shape {x.shape} is not (n, {self.spec.in_size})")
         n_blocks = -(-len(x) // EMBED_BLOCK)
         if n_blocks <= 1:
             return forward(self.params, self.spec, x)[0]

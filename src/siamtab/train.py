@@ -356,6 +356,16 @@ def train_siamese(
     return model, _fit(cfg, params, len(train_ps), batch_step, validate, s_loop, progress)
 
 
+def _distinct_rows(ps: PairSet) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(concat(left, right), return_inverse=True) without the sort:
+    the sorted distinct source rows the pairs touch, and each pair member's
+    position among them (left members first)."""
+    idx = np.concatenate((ps.left, ps.right))
+    seen = np.zeros(ps.source.n, dtype=bool)
+    seen[idx] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[idx]
+
+
 def _pair_distances(model: SiameseModel, ps: PairSet) -> np.ndarray:
     """Inference-mode distances for every pair.
 
@@ -365,7 +375,7 @@ def _pair_distances(model: SiameseModel, ps: PairSet) -> np.ndarray:
     in place and summed into the result, which is floored and rooted at the
     end.
     """
-    rows, inverse = np.unique(np.concatenate((ps.left, ps.right)), return_inverse=True)
+    rows, inverse = _distinct_rows(ps)
     emb = model.embed(ps.source.features[rows])
     n = len(ps)
     left, right = inverse[:n], inverse[n:]
@@ -375,7 +385,7 @@ def _pair_distances(model: SiameseModel, ps: PairSet) -> np.ndarray:
     for start in range(0, n, _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, n)
         a, b = buf_a[: stop - start], buf_b[: stop - start]
-        # every index comes from np.unique, so no bounds check is needed;
+        # every index comes from _distinct_rows, so no bounds check is needed;
         # mode="raise" would also gather through a temporary copy
         np.take(emb, left[start:stop], axis=0, out=a, mode="clip")
         np.take(emb, right[start:stop], axis=0, out=b, mode="clip")

@@ -3,7 +3,9 @@ import shutil
 import numpy as np
 import pytest
 
+from siamtab import cli
 from siamtab.cli import main, read_config_file, stage_seed
+from siamtab.data import read_rows_csv
 
 
 def run(*argv):
@@ -156,6 +158,62 @@ class TestTrainCmd:
         out = tmp_path / "run"
         run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 7)
         assert run("train", "siamese", "--out", out) == 1
+
+
+def split_rows_by_row_reader(path):
+    """(index, in_train) of a splits file through the per-row reader alone,
+    or the message it raises."""
+    try:
+        rows = read_rows_csv(path, ["index", "part"], "splits", cli._split_row)
+    except ValueError as exc:
+        return str(exc)
+    return [i for i, _ in rows], [t for _, t in rows]
+
+
+class TestSplitsFile:
+    def test_prepared_file_takes_one_parse(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 7) == 0
+        want = split_rows_by_row_reader(out / "splits.csv")
+        monkeypatch.setattr(cli.dt, "read_rows_csv", None)  # any fallback call fails
+        idx, in_train = cli._read_split_rows(out / "splits.csv")
+        assert idx.dtype == np.int64 and in_train.dtype == bool
+        assert (idx.tolist(), in_train.tolist()) == want
+        assert idx.tolist() == list(range(150))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0,test\n1,train\n",
+            "0,test\n1,trainx\n",  # a 5-wide read would cut the part to 'train'
+            "0,test\n1,trainxy\n",
+            "0,test\n1,tset\n",
+            "0,test\n1, train\n",
+            "0,test\n1,train \n",
+            "0,test\n+1,train\n",
+            "0,test\n 1,test\n",
+            "0,test\n1.0,train\n",
+            "0,test\n1_0,train\n",
+            "0,test\n1\n2,train\n",  # a short row
+            "0,test\n1,train,0\n",
+            "0,test\n\n2,train\n",
+            "0,test\n   \n",
+            "0,test\n1,train",
+            "0,test\n\n",
+            "",
+        ],
+    )
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_same_rows_or_message_as_the_row_reader(self, tmp_path, body, newline):
+        path = tmp_path / "splits.csv"
+        path.write_bytes(("index,part\n" + body).replace("\n", newline).encode())
+        want = split_rows_by_row_reader(path)
+        try:
+            idx, in_train = cli._read_split_rows(path)
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert (idx.tolist(), in_train.tolist()) == want
 
 
 class TestEvalCmd:

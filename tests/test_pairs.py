@@ -191,6 +191,33 @@ class TestPairCsv:
         save_pairs_csv_rows(ps, want)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("chunk", [1, 7, 8192])
+    @pytest.mark.parametrize("size", ["digit_boundaries", "one_zero_pair", "empty"])
+    def test_bytes_match_per_row_reference_at_digit_boundaries(
+        self, tmp_path, monkeypatch, chunk, size
+    ):
+        # indices whose digit count changes, up to 5 digits, with both flags
+        monkeypatch.setattr(pairs, "_WRITE_CHUNK", chunk)
+        ft = FeatureTable(np.zeros((10_001, 1)), np.zeros(10_001, dtype=np.int64))
+        edges = np.array([0, 9, 10, 99, 100, 999, 1000, 9999, 10_000])
+        if size == "digit_boundaries":
+            left, right = (a.ravel() for a in np.meshgrid(edges, edges[::-1]))
+        else:
+            left = right = np.zeros(int(size == "one_zero_pair"), dtype=np.int64)
+        similar = np.arange(left.size) % 3 == 1
+        ps = PairSet(ft, left, right, similar, (left.size, 0, 0))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_pairs_csv(ps, got)
+        save_pairs_csv_rows(ps, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_negative_index_rejected_by_the_writer(self, tmp_path):
+        # the digit table would wrap -1 round to its last row
+        ps = generate_pairs(small_table([0, 1, 0, 1]), 3, 1, 1, seed=27)
+        ps.right[2] = -1
+        with pytest.raises(ValueError, match="negative pair index -1"):
+            save_pairs_csv(ps, tmp_path / "pairs.csv")
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_load_matches_per_row_reference(self, tmp_path, newline):
         ft = synth_generate(40, 3, 0.4, seed=23)

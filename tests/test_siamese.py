@@ -344,6 +344,14 @@ class TestBlockedInference:
         if n > siamese_mod.EMBED_BLOCK:
             assert min(blocks) >= siamese_mod.EMBED_BLOCK // 2
 
+    @pytest.mark.parametrize("shape", [(300,), (300, 15, 1), (300, 14)])
+    def test_bad_input_shape_names_the_whole_input(self, shape):
+        # longer than one block, so a check per block would name a block
+        model = float_model(45)
+        with pytest.raises(ValueError) as err:
+            model.embed(np.ones(shape))
+        assert str(err.value) == f"input shape {shape} is not (n, 15)"
+
     @pytest.mark.parametrize("n", [1, 848])
     def test_reference_distances_match_the_broadcast_bitwise(self, n):
         model = float_model(43)

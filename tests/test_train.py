@@ -341,6 +341,18 @@ class TestPairDistances:
         ]
         assert np.array_equal(got, expected)
 
+    def test_distinct_rows_match_np_unique(self):
+        # repeats within and across sides, and source rows no pair touches
+        ft = FeatureTable(np.zeros((40, 2)), np.zeros(40, dtype=int))
+        rng = np.random.default_rng(38)
+        left, right = rng.integers(5, 30, 60), rng.integers(10, 35, 60)
+        left[:2], right[:2] = [39, 5], [5, 39]
+        ps = PairSet(ft, left, right, np.zeros(60, dtype=bool), (60, 0, 0))
+        rows, inverse = train_mod._distinct_rows(ps)
+        want_rows, want_inverse = np.unique(np.concatenate((left, right)), return_inverse=True)
+        assert np.array_equal(rows, want_rows) and np.array_equal(inverse, want_inverse)
+        assert rows.size < ft.n
+
     def test_each_distinct_row_is_embedded_once(self, monkeypatch):
         model, ft = self.integer_model_and_table(np.random.default_rng(36))
         left, right = np.array([0, 0, 1, 2, 2]), np.array([1, 2, 3, 3, 0])
