@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,6 +72,14 @@ _DEFAULTS = {
     "synthetic": None,
 }
 
+
+def _parse_synthetic(text: str) -> tuple[int, int, float]:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValueError("--synthetic expects n,d,imbalance")
+    return int(parts[0]), int(parts[1]), float(parts[2])
+
+
 _CASTS = {
     "seed": int,
     "epochs": int,
@@ -84,6 +91,7 @@ _CASTS = {
     "pairs-diff": int,
     "pairs-same0": int,
     "pairs-same1": int,
+    "synthetic": _parse_synthetic,
 }
 
 
@@ -113,7 +121,8 @@ class RunConfig:
             print(f"  {key}={'default' if value is None else value}")
 
 
-def read_config_file(path: Path) -> dict[str, str]:
+def read_config_file(path: Path) -> dict[str, object]:
+    """The key=value settings of a config file, each cast to its flag's type."""
     values = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
@@ -125,24 +134,20 @@ def read_config_file(path: Path) -> dict[str, str]:
         key = key.strip()
         if key not in _DEFAULTS:
             raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        try:
+            values[key] = _CASTS.get(key, str)(value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from None
     return values
-
-
-def _parse_synthetic(text: str) -> tuple[int, int, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("--synthetic expects n,d,imbalance")
-    return int(parts[0]), int(parts[1]), float(parts[2])
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = dict(_DEFAULTS)
     explicit = set()
     if args.config is not None:
-        for key, raw in read_config_file(Path(args.config)).items():
-            values[key] = _CASTS.get(key, str)(raw)
-            explicit.add(key)
+        from_file = read_config_file(Path(args.config))
+        values.update(from_file)
+        explicit.update(from_file)
     for key in _DEFAULTS:
         cli_value = getattr(args, key.replace("-", "_"))
         if cli_value is not None:
@@ -174,67 +179,43 @@ def _load_prepared(cfg: RunConfig) -> dt.FeatureTable:
     return dt.load_table_csv(_require(cfg, "normalized.csv"), ordered)
 
 
-def _split_row(row: list[str]) -> tuple[int, bool]:
-    if row[1] not in ("train", "test"):
-        raise ValueError(f"part must be 'train' or 'test', got {row[1]!r}")
-    return int(row[0]), row[1] == "train"
-
-
-_SPLITS_HEADER = "index,part\n"
-
-
-def _read_split_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """(index, in_train) columns of a splits file.
-
-    A body in the form prepare writes ("\\n" line ends, no empty line, every
-    part exactly 'train' or 'test') is parsed by one np.loadtxt call. Any
-    other body, and any the strict parse refuses or warns about, is read row
-    by row through _split_row, which gives every accepted form and error
-    message. The part column is read 6 characters wide, so a longer cell
-    such as 'trainx' cannot be cut down to 'train'.
-    """
-    with open(path, newline="") as fh:
-        text = fh.read()
-    if (
-        text.startswith(_SPLITS_HEADER)
-        and text.endswith("\n")
-        and "\n\n" not in text  # loadtxt skips empty lines; the row reader refuses them
-        and "\r" not in text
-    ):
-        try:
-            with warnings.catch_warnings():
-                # numpy < 2 reads "5.0" as an integer under a DeprecationWarning
-                warnings.simplefilter("error")
-                body = np.loadtxt(
-                    path,
-                    delimiter=",",
-                    dtype=[("index", np.int64), ("part", "U6")],
-                    comments=None,
-                    skiprows=1,
-                    ndmin=1,
-                )
-        except (ValueError, Warning):
-            pass
-        else:
-            in_train = body["part"] == "train"
-            if (in_train | (body["part"] == "test")).all():
-                return body["index"], in_train
-    rows = dt.read_rows_csv(path, ["index", "part"], "splits", _split_row)
-    return (
-        np.array([i for i, _ in rows], dtype=np.int64),
-        np.array([t for _, t in rows], dtype=bool),
-    )
+# The part is read 6 characters wide, so a longer cell such as 'trainx'
+# cannot be cut down to 'train'.
+_SPLITS_DTYPE = np.dtype([("index", np.int64), ("part", "U6")])
 
 
 def _load_split_indices(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(train, test) row indices from splits.csv, for a table of n rows."""
+    """(train, test) row indices from splits.csv, for a table of n rows.
+
+    Every part must be 'train' or 'test', and the file must list each of
+    the n rows exactly once; a fault is an error naming the file and line.
+    """
     path = _require(cfg, "splits.csv")
-    idx, in_train = _read_split_rows(path)
-    bad = np.flatnonzero((idx < 0) | (idx >= n))
-    if bad.size:
+    body = dt.read_grid_csv(path, list(_SPLITS_DTYPE.names), _SPLITS_DTYPE, "splits")
+    idx, part = body["index"], body["part"]
+    in_train = part == "train"
+    bad = ~in_train & (part != "test")
+    if bad.any():
+        line, cells = dt.body_row(path, int(np.argmax(bad)))
+        raise ValueError(f"{path}: line {line}: part must be 'train' or 'test', got {cells[1]!r}")
+    bad = (idx < 0) | (idx >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        line, _ = dt.body_row(path, i)
         raise ValueError(
-            f"{path}: line {bad[0] + 2}: index {idx[bad[0]]} out of range for a table "
-            f"of {n} rows"
+            f"{path}: line {line}: index {idx[i]} out of range for a table of {n} rows"
+        )
+    counts = np.bincount(idx, minlength=n)
+    if (counts > 1).any():
+        first, again = np.flatnonzero(idx == idx[np.argmax(counts[idx] > 1)])[:2]
+        (line, _), (first_line, _) = dt.body_row(path, again), dt.body_row(path, first)
+        raise ValueError(
+            f"{path}: line {line}: index {idx[again]} is already listed on line {first_line}"
+        )
+    if (counts == 0).any():
+        raise ValueError(
+            f"{path}: no row for index {int(np.argmin(counts))}; the file must list "
+            f"each of the {n} table rows once"
         )
     return idx[in_train], idx[~in_train]
 
@@ -271,7 +252,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     parts[train_idx] = "train"
     parts[test_idx] = "test"
     with open(_artifact(cfg, "splits.csv"), "w", newline="\n") as fh:
-        fh.write(_SPLITS_HEADER + "".join(f"{i},{part}\n" for i, part in enumerate(parts)))
+        fh.write("index,part\n" + "".join(f"{i},{part}\n" for i, part in enumerate(parts)))
 
     lines = [
         "data report",

@@ -10,10 +10,10 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from itertools import chain, islice
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -25,8 +25,6 @@ _KINDS = (NOMINAL, CONTINUOUS, DISCRETE)
 # Tokens that mark a missing cell in the CSV dialect we read and write.
 _MISSING_TOKENS = ("", "NA")
 _CHUNK_ROWS = 256  # table rows parsed or formatted at a time; bounds the memory held
-
-_Row = TypeVar("_Row")
 
 
 @dataclass(frozen=True)
@@ -407,7 +405,7 @@ def load_table_csv(path: str | Path, schema: list[ColumnSpec]) -> FeatureTable:
     bad = ~finite.all(axis=1) | ((labels != 0.0) & (labels != 1.0))
     if bad.any():
         i = int(np.argmax(bad))
-        line = body_line(path, i)
+        line, _ = body_row(path, i)
         if finite[i].all():
             raise ValueError(f"{path}: line {line}: label must be 0 or 1, got {labels[i]}")
         j = int(np.argmin(finite[i]))
@@ -428,10 +426,10 @@ def _body_rows(path: str | Path):
                 yield line_no, line.split(",")
 
 
-def body_line(path: str | Path, row: int) -> int:
-    """The file line of body row `row` (0-based) of a grid read by
-    read_grid_csv."""
-    return next(islice(_body_rows(path), row, None))[0]
+def body_row(path: str | Path, row: int) -> tuple[int, list[str]]:
+    """The file line and the cells, as the file spells them, of body row
+    `row` (0-based) of a grid read by read_grid_csv."""
+    return next(islice(_body_rows(path), row, None))
 
 
 def _is_int_token(tok: str) -> bool:
@@ -448,28 +446,33 @@ def _is_float_token(tok: str) -> bool:
     return True
 
 
-def _row_fault(cells: list[str], names: list[str], integer: bool) -> str | None:
-    """Why np.loadtxt refuses a row of cells, or None if it would not."""
-    if len(cells) != len(names):
-        return f"expected {len(names)} cells per row, got {len(cells)}"
-    is_number = _is_int_token if integer else _is_float_token
-    for tok, name in zip(cells, names):
-        if not is_number(tok):
-            what = "integer" if integer else "numeric"
-            return f"non-{what} value {tok.strip()!r} in column {name!r}"
+def _row_fault(cells: list[str], names: list[str], columns: list[np.dtype]) -> str | None:
+    """Why np.loadtxt refuses a row of cells, or None if it would not. Each
+    cell is checked by its column's dtype: integer and float columns take
+    their number tokens, a string column takes any cell."""
+    if len(cells) != len(columns):
+        return f"expected {len(columns)} cells per row, got {len(cells)}"
+    for tok, name, col in zip(cells, names, columns):
+        if np.issubdtype(col, np.integer) and not _is_int_token(tok):
+            return f"non-integer value {tok.strip()!r} in column {name!r}"
+        if np.issubdtype(col, np.floating) and not _is_float_token(tok):
+            return f"non-numeric value {tok.strip()!r} in column {name!r}"
     return None
 
 
 def read_grid_csv(path: str | Path, names: list[str], dtype, kind: str) -> np.ndarray:
-    """The body of a numeric artifact CSV as an (n, len(names)) grid of dtype.
+    """The body of a program-written CSV artifact as a grid of dtype.
 
-    The header cells must equal `names`, or the file is "not a <kind> file".
-    The body is parsed by one np.loadtxt call; a body with no rows is an
-    empty grid. A row of the wrong width or a cell that is not a number of
-    dtype is an error naming the file and its line, counted from the header
-    as line 1; the file is rescanned for that line only after loadtxt has
-    refused it.
+    A plain dtype gives an (n, len(names)) grid; a structured dtype, one
+    field per column, gives n records. The header cells must equal `names`,
+    or the file is "not a <kind> file". The body is parsed by one np.loadtxt
+    call; empty lines are not rows, and a body with no rows is an empty grid.
+    A row of the wrong width or a cell that its column's dtype refuses is an
+    error naming the file and its line, counted from the header as line 1;
+    the file is rescanned for that line only after loadtxt has refused it.
     """
+    dtype = np.dtype(dtype)
+    columns = [dtype.fields[f][0] for f in dtype.names] if dtype.names else [dtype] * len(names)
     with open(path, newline="") as fh:
         header = [h.strip() for h in fh.readline().rstrip("\r\n").split(",")]
         if header != names:
@@ -478,19 +481,30 @@ def read_grid_csv(path: str | Path, names: list[str], dtype, kind: str) -> np.nd
         # line of spaces is a row, which the rescan below reports
         no_rows = not any(line.rstrip("\r\n") for line in fh)
     if no_rows:
-        return np.empty((0, len(names)), dtype=dtype)
+        return np.empty((0,) if dtype.names else (0, len(names)), dtype=dtype)
     fault = "rows of unequal width"
     try:
-        # Given a path, loadtxt reads the file in blocks; given an open file
-        # it iterates line by line, which takes about 1.7x as long.
-        grid = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2, comments=None, skiprows=1)
-        if grid.shape[1] == len(names):
+        with warnings.catch_warnings():
+            # numpy < 2 reads an integer cell "1.0" through float, under only
+            # a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            # Given a path, loadtxt reads the file in blocks; given an open
+            # file it iterates line by line, which takes about 1.7x as long.
+            grid = np.loadtxt(
+                path,
+                delimiter=",",
+                dtype=dtype,
+                ndmin=1 if dtype.names else 2,
+                comments=None,
+                skiprows=1,
+            )
+        # loadtxt itself refuses a row whose width differs from the fields'
+        if dtype.names or grid.shape[1] == len(names):
             return grid
-    except ValueError as exc:
+    except (ValueError, DeprecationWarning) as exc:
         fault = str(exc)
-    integer = np.issubdtype(dtype, np.integer)
     for line_no, cells in _body_rows(path):
-        row_fault = _row_fault(cells, names, integer)
+        row_fault = _row_fault(cells, names, columns)
         if row_fault is not None:
             raise ValueError(f"{path}: line {line_no}: malformed {kind} row: {row_fault}")
     # the rescan disagrees with numpy: pass numpy's own words on
@@ -504,39 +518,33 @@ def save_schema_csv(schema: list[ColumnSpec], path: str | Path):
             fh.write(f"{c.name},{c.kind},{int(c.is_label)}\n")
 
 
-def read_rows_csv(
-    path: str | Path, header: list[str], kind: str, convert: Callable[[list[str]], _Row]
-) -> list[_Row]:
-    """Rows of a small artifact CSV, each passed through `convert`.
+def load_schema_csv(path: str | Path) -> list[ColumnSpec]:
+    """Read back a schema written by save_schema_csv.
 
-    The header must equal `header`, or the file is "not a <kind> file". A row
-    of the wrong width, or one that `convert` rejects with a ValueError, is an
-    error naming the file and line.
+    The header must be name,kind,is_label, or the file is "not a schema
+    file"; empty lines are not rows. A row of the wrong width or with a bad
+    kind or flag is an error naming the file and line, and so is a schema
+    without exactly one label column.
     """
-    out = []
+    schema = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ValueError(f"{path}: not a {kind} file")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line}: expected {len(header)} cells, got {len(row)}"
-                )
+        if next(reader, None) != ["name", "kind", "is_label"]:
+            raise ValueError(f"{path}: not a schema file")
+        for row in reader:
+            if not row:
+                continue
             try:
-                out.append(convert(row))
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 cells, got {len(row)}")
+                schema.append(ColumnSpec(row[0], row[1], bool(int(row[2]))))
             except ValueError as exc:
-                raise ValueError(f"{path}: line {line}: {exc}") from None
-    return out
-
-
-def load_schema_csv(path: str | Path) -> list[ColumnSpec]:
-    return read_rows_csv(
-        path,
-        ["name", "kind", "is_label"],
-        "schema",
-        lambda row: ColumnSpec(row[0], row[1], bool(int(row[2]))),
-    )
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    try:
+        _label_index(schema)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return schema
 
 
 def save_norm_stats_csv(stats: NormStats, schema: list[ColumnSpec], path: str | Path):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureTable, body_line, read_grid_csv
+from .data import FeatureTable, body_row, read_grid_csv
 
 
 @dataclass
@@ -183,8 +183,9 @@ def load_pairs_csv(path: str | Path, ft: FeatureTable) -> PairSet:
     bad = (left < 0) | (left >= ft.n) | (right < 0) | (right >= ft.n)
     if bad.any():
         i = int(np.argmax(bad))
+        line, _ = body_row(path, i)
         raise ValueError(
-            f"{path}: line {body_line(path, i)}: pair row {i + 1}: index out of range "
+            f"{path}: line {line}: pair row {i + 1}: index out of range "
             f"for a table of {ft.n} rows "
             f"({left[i]},{right[i]})"
         )

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import FeatureTable, read_rows_csv, stratified_split
+from .data import FeatureTable, read_grid_csv, stratified_split
 from .nn import (
     LayerSpec,
     NetworkSpec,
@@ -433,11 +433,14 @@ def evaluate_classifier(
     return EvalReport.from_predictions(data.labels, preds)
 
 
+_HISTORY_HEADER = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
+
+
 def export_history(history: History, path: str | Path):
     """Write the per-epoch series as CSV; floats use repr so a read-back
     reproduces every value exactly."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("epoch,train_loss,train_acc,val_loss,val_acc\n")
+        fh.write(",".join(_HISTORY_HEADER) + "\n")
         for i in range(len(history)):
             fh.write(
                 f"{i + 1},{history.train_loss[i]!r},{history.train_acc[i]!r},"
@@ -446,12 +449,7 @@ def export_history(history: History, path: str | Path):
 
 
 def load_history(path: str | Path) -> History:
-    history = History()
-    for values in read_rows_csv(
-        path,
-        ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"],
-        "history",
-        lambda row: [float(v) for v in row[1:]],
-    ):
-        history.append(*values)
-    return history
+    """Read back a history written by export_history; every cell, the epoch
+    included, must be a number."""
+    grid = read_grid_csv(path, _HISTORY_HEADER, np.float64, "history")
+    return History(*(col.tolist() for col in grid[:, 1:].T))

@@ -1,11 +1,11 @@
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from siamtab import cli
 from siamtab.cli import main, read_config_file, stage_seed
-from siamtab.data import read_rows_csv
 
 
 def run(*argv):
@@ -160,60 +160,90 @@ class TestTrainCmd:
         assert run("train", "siamese", "--out", out) == 1
 
 
-def split_rows_by_row_reader(path):
-    """(index, in_train) of a splits file through the per-row reader alone,
-    or the message it raises."""
+def read_splits(path, n):
+    """(train, test) index lists of a splits file for a table of n rows, or
+    the message the reader raises, without the path."""
     try:
-        rows = read_rows_csv(path, ["index", "part"], "splits", cli._split_row)
+        train, test = cli._load_split_indices(SimpleNamespace(out=path.parent), n)
     except ValueError as exc:
-        return str(exc)
-    return [i for i, _ in rows], [t for _, t in rows]
+        return str(exc).removeprefix(f"{path}: ")
+    assert train.dtype == np.int64 and test.dtype == np.int64
+    return train.tolist(), test.tolist()
+
+
+def part_fault(line, cell):
+    return f"line {line}: part must be 'train' or 'test', got {cell!r}"
+
+
+# Each body follows the header "index,part"; read for a table of 2 rows.
+SPLIT_BODIES = {
+    "0,test\n1,train\n": ([1], [0]),
+    "0,test\n1,trainx\n": part_fault(3, "trainx"),  # a 5-wide read would cut it to 'train'
+    "0,test\n1,trainxy\n": part_fault(3, "trainxy"),  # named as the file spells it
+    "0,test\n1,tset\n": part_fault(3, "tset"),
+    "0,test\n1, train\n": part_fault(3, " train"),
+    "0,test\n1,train \n": part_fault(3, "train "),
+    "0,test\n+1,train\n": ([1], [0]),
+    "0,test\n 1,test\n": ([], [0, 1]),
+    "0,test\n1.0,train\n": "line 3: malformed splits row: non-integer value '1.0' in column 'index'",
+    "0,test\n1_0,train\n": "line 3: malformed splits row: non-integer value '1_0' in column 'index'",
+    "0,test\n1\n2,train\n": "line 3: malformed splits row: expected 2 cells per row, got 1",
+    "0,test\n1,train,0\n": "line 3: malformed splits row: expected 2 cells per row, got 3",
+    # an empty line is no row, so the row after it is line 4
+    "0,test\n\n2,train\n": "line 4: index 2 out of range for a table of 2 rows",
+    "0,test\n   \n": "line 3: malformed splits row: expected 2 cells per row, got 1",
+    "0,test\n1,train": ([1], [0]),
+    "0,test\n\n": "no row for index 1; the file must list each of the 2 table rows once",
+    "": "no row for index 0; the file must list each of the 2 table rows once",
+}
 
 
 class TestSplitsFile:
     def test_prepared_file_takes_one_parse(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
         assert run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 7) == 0
-        want = split_rows_by_row_reader(out / "splits.csv")
-        monkeypatch.setattr(cli.dt, "read_rows_csv", None)  # any fallback call fails
-        idx, in_train = cli._read_split_rows(out / "splits.csv")
-        assert idx.dtype == np.int64 and in_train.dtype == bool
-        assert (idx.tolist(), in_train.tolist()) == want
-        assert idx.tolist() == list(range(150))
+        parts = [line.split(",")[1] for line in (out / "splits.csv").read_text().splitlines()[1:]]
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+        train, test = read_splits(out / "splits.csv", 150)
+        assert len(calls) == 1
+        assert train == [i for i, part in enumerate(parts) if part == "train"]
+        assert test == [i for i, part in enumerate(parts) if part == "test"]
+        assert len(test) == 30
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "0,test\n1,train\n",
-            "0,test\n1,trainx\n",  # a 5-wide read would cut the part to 'train'
-            "0,test\n1,trainxy\n",
-            "0,test\n1,tset\n",
-            "0,test\n1, train\n",
-            "0,test\n1,train \n",
-            "0,test\n+1,train\n",
-            "0,test\n 1,test\n",
-            "0,test\n1.0,train\n",
-            "0,test\n1_0,train\n",
-            "0,test\n1\n2,train\n",  # a short row
-            "0,test\n1,train,0\n",
-            "0,test\n\n2,train\n",
-            "0,test\n   \n",
-            "0,test\n1,train",
-            "0,test\n\n",
-            "",
-        ],
-    )
+    @pytest.mark.parametrize("body", list(SPLIT_BODIES))
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_same_rows_or_message_as_the_row_reader(self, tmp_path, body, newline):
+        """The rows or message of each body, under either line end."""
         path = tmp_path / "splits.csv"
         path.write_bytes(("index,part\n" + body).replace("\n", newline).encode())
-        want = split_rows_by_row_reader(path)
-        try:
-            idx, in_train = cli._read_split_rows(path)
-        except ValueError as exc:
-            assert str(exc) == want
+        assert read_splits(path, 2) == SPLIT_BODIES[body]
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            # int() reads the digit separator, as index 10
+            ("1_0,{part}", "line 3: malformed splits row: non-integer value '1_0' in column 'index'"),
+            ("0,{part}", "line 3: index 0 is already listed on line 2"),
+            (None, "no row for index 1; the file must list each of the 150 table rows once"),
+        ],
+    )
+    def test_split_must_list_each_table_row_once(self, tmp_path, capsys, row, message):
+        out = tmp_path / "run"
+        run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 7)
+        run("train", "base", "--out", out, "--seed", 7, "--epochs", 1)
+        lines = (out / "splits.csv").read_text().splitlines()
+        if row is None:
+            del lines[2]  # the row of index 1
         else:
-            assert (idx.tolist(), in_train.tolist()) == want
+            lines[2] = row.format(part=lines[2].split(",")[1])
+        (out / "splits.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("eval", "base", "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {out / 'splits.csv'}: {message}"]
+        assert not (out / "eval_base.txt").exists()
 
 
 class TestEvalCmd:
@@ -306,6 +336,22 @@ class TestEvalCmd:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {out / 'normalized.csv'}: line 122: {match}"]
 
+    @pytest.mark.parametrize("labels", [0, 2])
+    def test_schema_needs_one_label_column(self, tmp_path, capsys, labels):
+        out = tmp_path / "run"
+        run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 14)
+        run("train", "base", "--out", out, "--seed", 14, "--epochs", 1)
+        header, *rows = (out / "schema.csv").read_text().splitlines()
+        rows = [row[:-1] + ("1" if j < labels else "0") for j, row in enumerate(rows)]
+        (out / "schema.csv").write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert run("eval", "base", "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: {out / 'schema.csv'}: schema must have exactly one label column, "
+            f"found {labels}"
+        ]
+
     def test_base_report_schema(self, tmp_path):
         out = tmp_path / "run"
         run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 14)
@@ -345,6 +391,21 @@ class TestExportCmd:
         assert loss[0] == "epoch,train_loss,val_loss"
         assert len(acc) == 4 and len(loss) == 4
 
+    def test_malformed_history_row_writes_no_curves(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 15)
+        run("train", "base", "--out", out, "--seed", 15, "--epochs", 1)
+        with open(out / "base_history.csv", "a") as fh:
+            fh.write("x,1_1.23,0.5,0.5,0.5\n")  # float() reads 1_1.23 as 11.23
+        capsys.readouterr()
+        assert run("export", "base", "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: {out / 'base_history.csv'}: line 3: malformed history row: "
+            "non-numeric value 'x' in column 'epoch'"
+        ]
+        assert not (out / "loss_base.csv").exists()
+
     def test_export_needs_history(self, tmp_path):
         assert run("export", "base", "--out", tmp_path / "none") == 1
 
@@ -373,6 +434,20 @@ class TestConfigFile:
         cfg.write_text("seed\n")
         with pytest.raises(ValueError, match="key=value"):
             read_config_file(cfg)
+
+    @pytest.mark.parametrize(
+        "line,fault",
+        [
+            ("seed=abc", "seed: invalid literal for int() with base 10: 'abc'"),
+            ("synthetic = 100,4", "synthetic: --synthetic expects n,d,imbalance"),
+        ],
+    )
+    def test_value_that_fails_its_cast_names_file_and_line(self, tmp_path, capsys, line, fault):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# comment\n{line}\n")
+        assert run("prepare", "--synthetic", "100,4,0.4", "--out", tmp_path / "run", "--config", cfg) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {cfg}: line 2: {fault}"]
 
     def test_bad_synthetic_spec_exits_nonzero(self, tmp_path, capsys):
         assert run("prepare", "--synthetic", "1,2", "--out", tmp_path / "x") == 1

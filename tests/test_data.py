@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from siamtab.data import (
     load_csv,
     load_schema_csv,
     load_table_csv,
+    read_grid_csv,
     save_norm_stats_csv,
     save_schema_csv,
     save_table_csv,
@@ -455,3 +457,44 @@ class TestArtifactRows:
         path = write(tmp_path, "a,b,y\n1,0,1\n")
         with pytest.raises(ValueError, match="not a schema file"):
             load_schema_csv(path)
+
+    def test_empty_schema_line_is_no_row(self, tmp_path):
+        path = write(tmp_path, "name,kind,is_label\na,continuous,0\n\nb,nominal,0\ny,nominal,1\n")
+        assert load_schema_csv(path) == SCHEMA3
+
+
+class TestReadGridCsv:
+    @pytest.mark.parametrize(
+        "dtype", [np.int64, [("left", np.int64), ("right", np.int64), ("part", "U6")]]
+    )
+    def test_integer_cell_read_through_float_is_refused(self, tmp_path, monkeypatch, dtype):
+        """numpy < 2 parses an integer cell "1.0" through float under only a
+        DeprecationWarning; the cell is refused as on numpy 2."""
+
+        def loadtxt_of_numpy_1(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return np.zeros((1, 3), dtype=np.int64)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_of_numpy_1)
+        path = write(tmp_path, "left,right,part\n0,1,0\n1.0,2,0\n")
+        with pytest.raises(ValueError) as err:
+            read_grid_csv(path, ["left", "right", "part"], dtype, "test")
+        assert str(err.value) == (
+            f"{path}: line 3: malformed test row: non-integer value '1.0' in column 'left'"
+        )
+
+    def test_structured_grid_checks_each_field_by_its_dtype(self, tmp_path):
+        dtype = [("index", np.int64), ("x", np.float64), ("part", "U6")]
+        names = ["index", "x", "part"]
+        path = write(tmp_path, "index,x,part\n0,0.5,any cell\n\n1,2,\n")
+        grid = read_grid_csv(path, names, dtype, "test")
+        assert grid.shape == (2,)
+        assert grid["index"].tolist() == [0, 1] and grid["part"].tolist() == ["any ce", ""]
+        path.write_text("index,x,part\n0,0.5,a\n1,2_0,b\n")
+        with pytest.raises(ValueError, match=r"line 3: malformed test row: non-numeric value '2_0' in column 'x'"):
+            read_grid_csv(path, names, dtype, "test")
+        path.write_text("index,x,part\n0,0.5\n")
+        with pytest.raises(ValueError, match=r"line 2: malformed test row: expected 3 cells per row, got 2"):
+            read_grid_csv(path, names, dtype, "test")
+        path.write_text("index,x,part\n\n")
+        assert read_grid_csv(path, names, dtype, "test").shape == (0,)

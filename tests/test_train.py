@@ -129,15 +129,20 @@ class TestHistoryExport:
         assert path.read_text() == "epoch,train_loss,train_acc,val_loss,val_acc\n"
 
     @pytest.mark.parametrize(
-        "row,match",
-        [("1,0.5", "line 3: expected 5 cells, got 2"), ("1,0.5,x,nan,nan", "line 3: could not")],
+        "row,fault",
+        [
+            ("1,0.5", "expected 5 cells per row, got 2"),
+            ("1,0.5,x,nan,nan", "non-numeric value 'x' in column 'train_acc'"),
+            ("x,0.5,1,1,1", "non-numeric value 'x' in column 'epoch'"),
+            ("2,1_1.23,1,1,1", "non-numeric value '1_1.23' in column 'train_loss'"),
+        ],
     )
-    def test_malformed_row_names_file_and_line(self, tmp_path, row, match):
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, fault):
         path = tmp_path / "siamese_history.csv"
-        path.write_text(f"epoch,train_loss,train_acc,val_loss,val_acc\n1,1,1,1,1\n{row}\n")
-        with pytest.raises(ValueError, match=match) as err:
+        path.write_text(f"epoch,train_loss,train_acc,val_loss,val_acc\n1,1,1,1,1\n\n{row}\n")
+        with pytest.raises(ValueError) as err:
             load_history(path)
-        assert str(err.value).startswith(f"{path}: ")
+        assert str(err.value) == f"{path}: line 4: malformed history row: {fault}"
 
 
 class TestTrainBase:
