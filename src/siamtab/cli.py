@@ -154,6 +154,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[key] = cli_value
             explicit.add(key)
     values["data"] = Path(values["data"]) if values["data"] else None
+    if not values["out"]:
+        # Path("") is the working directory, which no stage should fill
+        raise ValueError("out must name a run directory, got an empty value")
     values["out"] = Path(values["out"])
     if isinstance(values["synthetic"], str):
         values["synthetic"] = _parse_synthetic(values["synthetic"])
@@ -356,12 +359,41 @@ def _write_report(path: Path, lines: list[str], kv_path: Path, kv: dict[str, str
 
 
 def _load_model(cfg: RunConfig, which: str):
-    """Load `<which>_model.npz`, refusing a checkpoint of the other kind."""
+    """Load `<which>_model.npz` as (spec, params, extra, bank), refusing a
+    checkpoint of the other kind or one without an entry that eval reads.
+    The bank is a siamese checkpoint's reference bank, None for base."""
     path = _require(cfg, f"{which}_model.npz")
     spec, params, extra, arrays = load_checkpoint(path)
     if extra.get("kind") != which:
         raise ValueError(f"{path}: checkpoint kind is {extra.get('kind')!r}, expected {which!r}")
-    return spec, params, extra, arrays
+    keys = ("seed",) if which == "base" else ("seed", "margin", "pair_threshold")
+    for key in keys:
+        if key not in extra:
+            raise ValueError(f"{path}: checkpoint has no extra entry {key!r}")
+    if which == "base":
+        return spec, params, extra, None
+    return spec, params, extra, _load_bank(path, spec.in_size, arrays)
+
+
+def _load_bank(path: Path, in_size: int, arrays: dict[str, np.ndarray]) -> ReferenceBank:
+    """A checkpoint's reference bank, refused unless it is in_size wide and
+    every value is finite; ReferenceBank checks its shape."""
+    for name in ("refs0", "refs1"):
+        if name not in arrays:
+            raise ValueError(f"{path}: checkpoint has no array {name}")
+    refs0 = arrays["refs0"]
+    try:
+        bank = ReferenceBank(refs0, arrays["refs1"], refs0.shape[0] if refs0.ndim else 0)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if bank.refs0.shape[1] != in_size:
+        raise ValueError(
+            f"{path}: reference banks are {bank.refs0.shape[1]} wide, the network takes {in_size}"
+        )
+    for name, refs in (("refs0", bank.refs0), ("refs1", bank.refs1)):
+        if not np.isfinite(refs).all():
+            raise ValueError(f"{path}: reference bank {name} contains non-finite values")
+    return bank
 
 
 def cmd_eval(cfg: RunConfig, which: str) -> int:
@@ -383,7 +415,7 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
             _artifact(cfg, "eval_base.txt"), lines, _artifact(cfg, "eval_base.kv"), kv
         )
     else:
-        spec, params, extra, arrays = _load_model(cfg, "siamese")
+        spec, params, extra, bank = _load_model(cfg, "siamese")
         model = SiameseModel(
             spec,
             params,
@@ -392,7 +424,6 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
                 cfg.threshold if "threshold" in cfg.explicit else extra["pair_threshold"]
             ),
         )
-        bank = ReferenceBank(arrays["refs0"], arrays["refs1"], arrays["refs0"].shape[0])
         pairs_test = pr.load_pairs_csv(_require(cfg, "pairs_test.csv"), ft)
         pair_report = evaluate_pairs(model, pairs_test)
         sample_report = evaluate_classifier(model, test_ft, bank)

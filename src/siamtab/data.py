@@ -8,9 +8,11 @@ integer seed and are deterministic for a fixed seed.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import re
 import warnings
+import zipfile
 from itertools import chain, islice
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -375,29 +377,77 @@ def synth_generate(n: int, d: int, imbalance: float, seed: int) -> FeatureTable:
     return FeatureTable(features[perm], labels[perm], feature_cols)
 
 
+def table_sidecar(path: str | Path) -> Path:
+    """Where save_table_csv puts the binary copy of the table at `path`."""
+    return Path(path).with_suffix(".npz")
+
+
+def _table_text(ft: FeatureTable, label_name: str):
+    """The CSV text of a table: its header, then one block per _CHUNK_ROWS rows."""
+    names = [c.name for c in ft.schema] if ft.schema else [f"f{i:02d}" for i in range(ft.d)]
+    yield ",".join(names + [label_name]) + "\n"
+    for start in range(0, ft.n, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        rows = zip(ft.features[start:stop].tolist(), ft.labels[start:stop].tolist())
+        yield "".join(",".join(map(repr, [*row, label])) + "\n" for row, label in rows)
+
+
 def save_table_csv(ft: FeatureTable, path: str | Path, label_name: str = "label"):
     """Persist a FeatureTable in the same CSV dialect we read (label last).
 
     Floats are written with repr so a round trip reproduces values exactly;
-    rows go out one formatted write per chunk.
+    rows go out one formatted write per chunk. The CSV is then copied to its
+    sidecar (table_sidecar): the float64 grid in file order and the sha256
+    of the CSV bytes, hashed as they are written.
     """
-    names = [c.name for c in ft.schema] if ft.schema else [f"f{i:02d}" for i in range(ft.d)]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names + [label_name]) + "\n")
-        for start in range(0, ft.n, _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            rows = zip(ft.features[start:stop].tolist(), ft.labels[start:stop].tolist())
-            fh.write("".join(",".join(map(repr, [*row, label])) + "\n" for row, label in rows))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in _table_text(ft, label_name):
+            block = text.encode()
+            digest.update(block)
+            fh.write(block)
+    grid = np.column_stack([ft.features, ft.labels.astype(np.float64)])
+    np.savez(table_sidecar(path), grid=grid, csv_sha256=np.array(digest.hexdigest()))
+
+
+def _cached_grid(path: str | Path, data: bytes, width: int) -> np.ndarray | None:
+    """The sidecar's grid of the table whose CSV bytes are `data`: None when
+    the sidecar is missing, corrupt, of another width, or was written with
+    other CSV bytes (a stale or foreign copy, or a CSV edited since)."""
+    try:
+        # opened as a zip archive whatever it holds: np.load would return a
+        # bare array for an .npy file, and leave a path it opened itself open
+        # when the file is no zip archive
+        with (
+            open(table_sidecar(path), "rb") as fh,
+            np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz,
+        ):
+            grid, digest = npz["grid"], npz["csv_sha256"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    if grid.dtype != np.float64 or grid.ndim != 2 or grid.shape[1] != width:
+        return None
+    if digest.shape != () or str(digest) != hashlib.sha256(data).hexdigest():
+        return None
+    return grid
 
 
 def load_table_csv(path: str | Path, schema: list[ColumnSpec]) -> FeatureTable:
     """Read back a table written by save_table_csv.
 
-    The body is parsed by one np.loadtxt call. Every cell must be a finite
-    number and every label 0 or 1; a fault is an error naming the file and
-    line.
+    The CSV is the contract. Its grid comes from the sidecar while the
+    sidecar's hash matches the CSV bytes, else from one np.loadtxt parse;
+    repr floats round-trip, so both give the same bits. Every cell must be
+    a finite number and every label 0 or 1; a fault is an error naming the
+    file and line.
     """
-    grid = read_grid_csv(path, [c.name for c in schema], np.float64, "table")
+    names = [c.name for c in schema]
+    data = Path(path).read_bytes()
+    grid = _cached_grid(path, data, len(schema))
+    if grid is None:
+        grid = read_grid_csv(path, names, np.float64, "table")
+    else:
+        _check_header(path, re.match(rb"[^\r\n]*", data)[0].decode(), names, "table")
     if grid.shape[0] == 0:
         raise ValueError(f"{path}: empty table (header only)")
     labels = grid[:, _label_index(schema)]
@@ -460,6 +510,12 @@ def _row_fault(cells: list[str], names: list[str], columns: list[np.dtype]) -> s
     return None
 
 
+def _check_header(path: str | Path, line: str, names: list[str], kind: str):
+    header = [h.strip() for h in line.rstrip("\r\n").split(",")]
+    if header != names:
+        raise ValueError(f"{path}: not a {kind} file: expected header {names}, got {header}")
+
+
 def read_grid_csv(path: str | Path, names: list[str], dtype, kind: str) -> np.ndarray:
     """The body of a program-written CSV artifact as a grid of dtype.
 
@@ -474,9 +530,7 @@ def read_grid_csv(path: str | Path, names: list[str], dtype, kind: str) -> np.nd
     dtype = np.dtype(dtype)
     columns = [dtype.fields[f][0] for f in dtype.names] if dtype.names else [dtype] * len(names)
     with open(path, newline="") as fh:
-        header = [h.strip() for h in fh.readline().rstrip("\r\n").split(",")]
-        if header != names:
-            raise ValueError(f"{path}: not a {kind} file: expected header {names}, got {header}")
+        _check_header(path, fh.readline(), names, kind)
         # loadtxt skips empty lines, and warns when it finds no row at all; a
         # line of spaces is a row, which the rescan below reports
         no_rows = not any(line.rstrip("\r\n") for line in fh)

@@ -174,12 +174,20 @@ def load_pairs_csv(path: str | Path, ft: FeatureTable) -> PairSet:
     """Read a pair CSV back and re-attach it to its source table.
 
     The body is parsed in one pass. A row of the wrong width, a non-integer
-    cell or an index outside the table is an error naming the file and line;
+    cell, a similarity flag other than 0 or 1 or an index outside the table
+    is an error naming the file and line;
     the stored similarity flags are then audited against the table labels so
     a mismatched table is caught immediately.
     """
     body = read_grid_csv(path, _PAIR_HEADER.split(","), np.int64, "pair")
     left, right, flags = body.T
+    bad = (flags != 0) & (flags != 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        line, _ = body_row(path, i)
+        raise ValueError(
+            f"{path}: line {line}: malformed pair row: similar must be 0 or 1, got {flags[i]}"
+        )
     bad = (left < 0) | (left >= ft.n) | (right < 0) | (right >= ft.n)
     if bad.any():
         i = int(np.argmax(bad))

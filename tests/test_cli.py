@@ -1,3 +1,4 @@
+import json
 import shutil
 from types import SimpleNamespace
 
@@ -39,7 +40,7 @@ class TestPrepare:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 9) == 0
-        for name in ("normalized.csv", "splits.csv", "report.txt", "norm_stats.csv"):
+        for name in ("normalized.csv", "normalized.npz", "splits.csv", "report.txt", "norm_stats.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_normalized_table_is_standardized(self, tmp_path):
@@ -246,6 +247,15 @@ class TestSplitsFile:
         assert not (out / "eval_base.txt").exists()
 
 
+def edit_cell(path, line, column, value):
+    """Rewrite one cell of a CSV file in place; the header is line 1."""
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = value
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestEvalCmd:
     def test_eval_before_train_fails(self, tmp_path):
         out = tmp_path / "run"
@@ -304,6 +314,7 @@ class TestEvalCmd:
             ("1,2", "malformed pair row"),
             ("1,99999,0", "index out of range"),
             ("-1,2,0", "index out of range"),
+            ("1,2,7", "malformed pair row: similar must be 0 or 1, got 7"),
         ],
     )
     def test_malformed_pair_row_fails_with_one_error_line(self, tmp_path, capsys, row, match):
@@ -335,6 +346,112 @@ class TestEvalCmd:
         assert run("train", "base", "--out", out, "--epochs", 1) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {out / 'normalized.csv'}: line 122: {match}"]
+
+    @pytest.mark.parametrize(
+        "line,value,message",
+        [
+            (5, "x", "line 5: malformed table row: non-numeric value 'x' in column 'f02'"),
+            (5, "inf", "line 5: non-finite value inf in column 'f02'"),
+            (1, "g02", "not a table file: expected header ['f00', 'f01', 'f02', 'f03', 'f04', "
+             "'f05', 'label'], got ['f00', 'f01', 'g02', 'f03', 'f04', 'f05', 'label']"),
+        ],
+    )
+    def test_table_edited_after_prepare_fails_as_without_its_sidecar(
+        self, tmp_path, capsys, line, value, message
+    ):
+        out = tmp_path / "run"
+        assert run("prepare", "--synthetic", "120,6,0.3", "--out", out, "--seed", 8) == 0
+        edit_cell(out / "normalized.csv", line, 2, value)
+        capsys.readouterr()
+        assert run("train", "base", "--out", out, "--epochs", 1) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {out / 'normalized.csv'}: {message}"]
+
+    def test_cell_edited_after_prepare_is_read_from_the_csv(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("prepare", "--synthetic", "120,6,0.3", "--out", out, "--seed", 8) == 0
+        edit_cell(out / "normalized.csv", 5, 2, "0.5")
+        assert cli._load_prepared(SimpleNamespace(out=out)).features[3, 2] == 0.5
+
+    def test_run_without_the_table_sidecar_writes_the_same_files(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("prepare", "--synthetic", "300,6,0.2", "--out", a, "--seed", 21) == 0
+        shutil.copytree(a, b)
+        (b / "normalized.npz").unlink()
+        stdout = {}
+        for out in (a, b):
+            capsys.readouterr()
+            assert run("pairs", "--out", out, "--seed", 21, "--pairs-diff", 400,
+                       "--pairs-same0", 200, "--pairs-same1", 200) == 0
+            assert run("train", "siamese", "--out", out, "--seed", 21, "--epochs", 1) == 0
+            assert run("eval", "siamese", "--out", out, "--seed", 21) == 0
+            stdout[out] = capsys.readouterr().out.replace(str(out), "<out>")
+        assert stdout[a] == stdout[b]
+        names = sorted(p.name for p in b.iterdir())
+        assert "normalized.npz" not in names  # a reader never writes the sidecar
+        assert sorted(p.name for p in a.iterdir()) == sorted(names + ["normalized.npz"])
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "which,entry",
+        [
+            ("siamese", "refs0"),
+            ("siamese", "refs1"),
+            ("siamese", "margin"),
+            ("siamese", "pair_threshold"),
+            ("siamese", "seed"),
+            ("base", "seed"),
+        ],
+    )
+    def test_checkpoint_without_an_entry_eval_reads_rejected(self, tmp_path, capsys, which, entry):
+        out = tmp_path / "run"
+        pipeline(out, seed=19)
+        assert run("train", "base", "--out", out, "--seed", 19, "--epochs", 1) == 0
+        path = out / f"{which}_model.npz"
+        with np.load(path) as data:
+            stored = dict(data)
+        meta = json.loads(str(stored["meta"]))
+        if entry in stored:
+            del stored[entry]
+            message = f"checkpoint has no array {entry}"
+        else:
+            del meta["extra"][entry]
+            message = f"checkpoint has no extra entry {entry!r}"
+        stored["meta"] = np.array(json.dumps(meta))
+        np.savez(path, **stored)
+        (out / f"eval_{which}.txt").unlink(missing_ok=True)
+        capsys.readouterr()
+        assert run("eval", which, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+        assert not (out / f"eval_{which}.txt").exists()
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda refs: refs[:, :-1], "reference banks are 5 wide, the network takes 6"),
+            (lambda refs: refs[:0], "need at least one reference per class"),
+            (lambda refs: np.where(refs == refs[2, 3], np.nan, refs),
+             "reference bank refs0 contains non-finite values"),
+        ],
+    )
+    def test_reference_bank_of_the_wrong_width_or_non_finite_rejected(
+        self, tmp_path, capsys, damage, message
+    ):
+        out = tmp_path / "run"
+        pipeline(out, seed=20)
+        path = out / "siamese_model.npz"
+        with np.load(path) as data:
+            stored = dict(data)
+        stored["refs0"] = damage(stored["refs0"])
+        if stored["refs0"].shape != stored["refs1"].shape:
+            stored["refs1"] = damage(stored["refs1"])
+        np.savez(path, **stored)
+        (out / "eval_siamese.txt").unlink()
+        capsys.readouterr()
+        assert run("eval", "siamese", "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+        assert not (out / "eval_siamese.txt").exists()
 
     @pytest.mark.parametrize("labels", [0, 2])
     def test_schema_needs_one_label_column(self, tmp_path, capsys, labels):
@@ -448,6 +565,17 @@ class TestConfigFile:
         assert run("prepare", "--synthetic", "100,4,0.4", "--out", tmp_path / "run", "--config", cfg) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {cfg}: line 2: {fault}"]
+
+    @pytest.mark.parametrize("form", ["flag", "config file"])
+    def test_empty_out_is_refused_and_nothing_written(self, tmp_path, monkeypatch, capsys, form):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out=\n")
+        where = ["--out", ""] if form == "flag" else ["--config", cfg]
+        assert run("prepare", "--synthetic", "100,3,0.2", *where) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: out must name a run directory, got an empty value"]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_bad_synthetic_spec_exits_nonzero(self, tmp_path, capsys):
         assert run("prepare", "--synthetic", "1,2", "--out", tmp_path / "x") == 1

@@ -1,5 +1,8 @@
 import csv
+import hashlib
+import io
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -435,6 +438,151 @@ class TestCsvRoundTrips:
         std = np.array([float(row[2]) for row in rows])
         assert np.array_equal(mean.view(np.int64), stats.mean.view(np.int64))
         assert np.array_equal(std.view(np.int64), stats.std.view(np.int64))
+
+
+def fixture_table(seed=3, n=23):
+    """A 4-feature table whose first rows hold the values repr must round-trip."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, 4))
+    features[0] = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
+    features[1] = [1 / 3, -1e-300, 2.0**52 + 1, 123456789.12345678]
+    return FeatureTable(features, rng.integers(0, 2, n), synthetic_schema(4)[:-1])
+
+
+def load_cached(monkeypatch, path, schema):
+    """load_table_csv with the CSV parse switched off, so only the sidecar can serve it."""
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the table was parsed from its CSV")
+
+    with monkeypatch.context() as m:
+        m.setattr(data, "read_grid_csv", no_parse)
+        return load_table_csv(path, schema)
+
+
+def load_parsed(path, schema):
+    """load_table_csv with no sidecar beside the table."""
+    data.table_sidecar(path).unlink(missing_ok=True)
+    return load_table_csv(path, schema)
+
+
+def assert_same_table(got, want):
+    assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
+    assert got.labels.dtype == want.labels.dtype and np.array_equal(got.labels, want.labels)
+    assert got.schema == want.schema
+
+
+def file_digest(path):
+    return np.array(hashlib.sha256(path.read_bytes()).hexdigest())
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+# Ways a sidecar can be unusable: (sidecar path, the table's grid, the CSV's
+# sha256) -> None. Each must leave the reader on the CSV, without a word.
+SIDECAR_DAMAGE = {
+    "missing": lambda side, grid, digest: side.unlink(),
+    "truncated": lambda side, grid, digest: side.write_bytes(side.read_bytes()[:-200]),
+    "not a zip": lambda side, grid, digest: side.write_bytes(b"not a zip archive\n"),
+    "an npy file": lambda side, grid, digest: side.write_bytes(npy_bytes(grid)),
+    "wrong width": lambda side, grid, digest: np.savez(side, grid=grid[:, 1:], csv_sha256=digest),
+    "float32": lambda side, grid, digest: np.savez(
+        side, grid=np.zeros(grid.shape, np.float32), csv_sha256=digest
+    ),
+    "pickled objects": lambda side, grid, digest: np.savez(
+        side, grid=grid.astype(object), csv_sha256=digest
+    ),
+    "no hash": lambda side, grid, digest: np.savez(side, grid=grid),
+    # a stale copy, or one of another table: its grid differs, and so does its hash
+    "another table's": lambda side, grid, digest: np.savez(
+        side, grid=grid + 1.0, csv_sha256=np.array(hashlib.sha256(b"other").hexdigest())
+    ),
+}
+
+
+class TestTableSidecar:
+    def test_cached_and_parsed_tables_are_bitwise_equal(self, tmp_path, monkeypatch):
+        ft = fixture_table()
+        path = tmp_path / "t.csv"
+        save_table_csv(ft, path)
+        with np.load(tmp_path / "t.npz", allow_pickle=False) as npz:
+            assert sorted(npz.files) == ["csv_sha256", "grid"]
+            assert npz["csv_sha256"] == file_digest(path)
+            grid = npz["grid"]
+        assert grid.dtype == np.float64 and grid.shape == (23, 5)
+        assert np.array_equal(grid[:, :4].view(np.int64), ft.features.view(np.int64))
+        assert np.array_equal(grid[:, 4], ft.labels)
+        cached = load_cached(monkeypatch, path, synthetic_schema(4))
+        assert_same_table(cached, load_parsed(path, synthetic_schema(4)))
+        assert np.array_equal(cached.features.view(np.int64), ft.features.view(np.int64))
+
+    def test_label_column_not_last_in_file_order(self, tmp_path, monkeypatch):
+        # the sidecar's grid is in file order, as the CSV parse returns it
+        path = write(tmp_path, "a,y,b\n-0.0,1,5e-324\n1e308,0,0.30000000000000004\n"
+                     "4503599627370497.0,1,-1e-300\n")
+        grid = np.array([[-0.0, 1, 5e-324], [1e308, 0, 0.1 + 0.2], [2.0**52 + 1, 1, -1e-300]])
+        np.savez(data.table_sidecar(path), grid=grid, csv_sha256=file_digest(path))
+        schema = [ColumnSpec("a", CONTINUOUS), ColumnSpec("y", NOMINAL, True), ColumnSpec("b", CONTINUOUS)]
+        cached = load_cached(monkeypatch, path, schema)
+        assert_same_table(cached, load_parsed(path, schema))
+        assert cached.labels.tolist() == [1, 0, 1]
+        assert [c.name for c in cached.schema] == ["a", "b"]
+        assert np.array_equal(cached.features.view(np.int64), grid[:, [0, 2]].view(np.int64))
+
+    @pytest.mark.parametrize("damage", list(SIDECAR_DAMAGE))
+    def test_unusable_sidecar_falls_back_to_the_csv(self, tmp_path, damage):
+        ft = fixture_table()
+        path = tmp_path / "t.csv"
+        save_table_csv(ft, path)
+        grid = np.column_stack([ft.features, ft.labels.astype(np.float64)])
+        SIDECAR_DAMAGE[damage](data.table_sidecar(path), grid, file_digest(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load_table_csv(path, synthetic_schema(4))
+        assert_same_table(got, load_parsed(path, synthetic_schema(4)))
+
+    @pytest.mark.parametrize(
+        "cell,value,message",
+        [
+            ((3, 4), 2, "line 5: label must be 0 or 1, got 2.0"),
+            ((2, 1), np.inf, "line 4: non-finite value inf in column 'f01'"),
+            ((5, 0), -np.inf, "line 7: non-finite value -inf in column 'f00'"),
+            ((6, 3), np.nan, "line 8: non-finite value nan in column 'f03'"),
+        ],
+    )
+    def test_saved_fault_fails_alike_on_both_paths(self, tmp_path, monkeypatch, cell, value, message):
+        ft = fixture_table()
+        i, j = cell
+        if j == ft.d:
+            ft.labels[i] = value
+        else:
+            ft.features[i, j] = value
+        path = tmp_path / "t.csv"
+        save_table_csv(ft, path)  # the sidecar's hash matches this CSV
+        with pytest.raises(ValueError) as cached:
+            load_cached(monkeypatch, path, synthetic_schema(4))
+        with pytest.raises(ValueError) as parsed:
+            load_parsed(path, synthetic_schema(4))
+        assert str(cached.value) == str(parsed.value) == f"{path}: {message}"
+
+    def test_header_and_empty_body_checked_on_both_paths(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        save_table_csv(fixture_table(), path)
+        renamed = [ColumnSpec(name, CONTINUOUS) for name in "abcd"] + [ColumnSpec("label", NOMINAL, True)]
+        with pytest.raises(ValueError) as cached:
+            load_cached(monkeypatch, path, renamed)
+        with pytest.raises(ValueError) as parsed:
+            load_parsed(path, renamed)
+        assert str(cached.value) == str(parsed.value)
+        assert "not a table file: expected header ['a', 'b', 'c', 'd', 'label']" in str(cached.value)
+        save_table_csv(FeatureTable(np.empty((0, 4)), np.empty(0, dtype=np.int64)), path)
+        for load in (partial(load_cached, monkeypatch), load_parsed):
+            with pytest.raises(ValueError, match="empty table"):
+                load(path, synthetic_schema(4))
 
 
 class TestArtifactRows:

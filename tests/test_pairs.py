@@ -249,6 +249,7 @@ class TestPairCsv:
             ("0,1,0\n1,2,x\n", "malformed pair row"),
             ("0,1,0\n1,99999,0\n", "pair row 2: index out of range"),
             ("0,1,0\n0,1,0\n-1,2,0\n", "pair row 3: index out of range"),
+            ("0,1,0\n0,2,-1\n", "malformed pair row: similar must be 0 or 1, got -1"),
         ],
     )
     def test_malformed_rows_rejected_before_the_label_audit(self, tmp_path, rows, match):
@@ -267,6 +268,8 @@ class TestPairCsv:
             ("0,1,0\n\n1,2.5,0\n", "line 4: malformed pair row: non-integer value '2.5' in column 'right_index'"),
             ("0,1,0\n\n1,2,0,0\n", "line 4: malformed pair row: expected 3 cells per row, got 4"),
             ("0,1,0\n\n1,9,0\n", "line 4: pair row 2: index out of range for a table of 5 rows (1,9)"),
+            # a same-class pair, so a flag read as "not 0" would pass the label audit
+            ("0,1,0\n0,2,7\n", "line 3: malformed pair row: similar must be 0 or 1, got 7"),
             # only an empty line is no row; a line of spaces is a 1-cell row
             ("   \n", "line 2: malformed pair row: expected 3 cells per row, got 1"),
         ],
