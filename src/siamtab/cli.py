@@ -16,6 +16,7 @@ rewrites byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 from . import data as dt
 from . import pairs as pr
 from .nn import load_checkpoint, save_checkpoint
-from .siamese import ReferenceBank, SiameseModel, build_reference_bank
+from .siamese import ReferenceBank, SiameseModel, build_reference_bank, require_positive
 from .train import (
     base_config,
     base_network_spec,
@@ -160,6 +161,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values["out"] = Path(values["out"])
     if isinstance(values["synthetic"], str):
         values["synthetic"] = _parse_synthetic(values["synthetic"])
+    for key in ("margin", "threshold"):
+        require_positive(key, values[key])
     fields = {key.replace("-", "_"): value for key, value in values.items()}
     return RunConfig(**fields, explicit=frozenset(explicit))
 
@@ -197,17 +200,14 @@ def _load_split_indices(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]
     body = dt.read_grid_csv(path, list(_SPLITS_DTYPE.names), _SPLITS_DTYPE, "splits")
     idx, part = body["index"], body["part"]
     in_train = part == "train"
-    bad = ~in_train & (part != "test")
-    if bad.any():
-        line, cells = dt.body_row(path, int(np.argmax(bad)))
-        raise ValueError(f"{path}: line {line}: part must be 'train' or 'test', got {cells[1]!r}")
-    bad = (idx < 0) | (idx >= n)
-    if bad.any():
-        i = int(np.argmax(bad))
-        line, _ = dt.body_row(path, i)
-        raise ValueError(
-            f"{path}: line {line}: index {idx[i]} out of range for a table of {n} rows"
-        )
+    bad_part = ~in_train & (part != "test")
+
+    def fault(i, cells):
+        if bad_part[i]:
+            return f"part must be 'train' or 'test', got {cells[1]!r}"
+        return f"index {idx[i]} out of range for a table of {n} rows"
+
+    dt.refuse_row(path, bad_part | (idx < 0) | (idx >= n), fault)
     counts = np.bincount(idx, minlength=n)
     if (counts > 1).any():
         first, again = np.flatnonzero(idx == idx[np.argmax(counts[idx] > 1)])[:2]
@@ -360,8 +360,9 @@ def _write_report(path: Path, lines: list[str], kv_path: Path, kv: dict[str, str
 
 def _load_model(cfg: RunConfig, which: str):
     """Load `<which>_model.npz` as (spec, params, extra, bank), refusing a
-    checkpoint of the other kind or one without an entry that eval reads.
-    The bank is a siamese checkpoint's reference bank, None for base."""
+    checkpoint of the other kind, one without an entry that eval reads, or
+    one whose seed, margin or pair threshold is not a finite number. The
+    bank is a siamese checkpoint's reference bank, None for base."""
     path = _require(cfg, f"{which}_model.npz")
     spec, params, extra, arrays = load_checkpoint(path)
     if extra.get("kind") != which:
@@ -370,6 +371,13 @@ def _load_model(cfg: RunConfig, which: str):
     for key in keys:
         if key not in extra:
             raise ValueError(f"{path}: checkpoint has no extra entry {key!r}")
+        value = extra[key]
+        # type(), not isinstance(): a JSON true is a bool, which is an int;
+        # and a seed may be an int too large for a float
+        if not (type(value) is int or type(value) is float and math.isfinite(value)):
+            raise ValueError(
+                f"{path}: checkpoint extra entry {key!r} is not a finite number: {value!r}"
+            )
     if which == "base":
         return spec, params, extra, None
     return spec, params, extra, _load_bank(path, spec.in_size, arrays)

@@ -16,6 +16,7 @@ import zipfile
 from itertools import chain, islice
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -151,74 +152,47 @@ class NormStats:
 STD_FLOOR = 1e-8
 
 
-def _parse_cell(tok: str) -> float | None:
-    """A cell as a float: NaN for a missing token, None for one float()
-    refuses. _parse_rows then refuses what float() reads too generously."""
+def _raw_float(tok: str) -> float:
+    """float(tok), or NaN where float() refuses the token."""
     try:
         return float(tok)
     except ValueError:
-        return math.nan if tok.strip() in _MISSING_TOKENS else None
+        return math.nan
 
 
-def _parse_rows(
-    rows: list[list[str]], first_line: int, path: Path, schema: list[ColumnSpec], label_j: int
-) -> np.ndarray:
-    """Parse a block of CSV rows into a float64 grid in one pass, then check
-    the whole grid; the error names the first faulty line of the block."""
-    width = len(schema)
-    # Rows up to the first ragged one are parsed; a fault before it wins.
-    n_ok = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
-    flat = [_parse_cell(tok) for row in rows[:n_ok] for tok in row]
-    cells = np.array(flat, dtype=np.float64).reshape(n_ok, width)  # None -> NaN
-    # Only a missing token may be non-finite, and no number is written with
-    # digit separators, though float() reads "nan", "inf" and "1_5". Both
-    # are rare, so the block is searched as a whole before any single cell.
-    suspects = np.flatnonzero(~np.isfinite(cells))
-    if "_" in "".join(chain.from_iterable(rows[:n_ok])):
-        suspects = range(len(flat))
-    for k in suspects:
-        tok = rows[k // width][k % width]
-        if flat[k] is not None and tok.strip() not in _MISSING_TOKENS:
-            if "_" in tok or not math.isfinite(flat[k]):
-                flat[k] = None
-                cells.flat[k] = math.nan
-
-    # Each fault is keyed (row, position in the row's checks): cells are
-    # checked in column order, the label's value after every cell.
-    faults = []
-    if None in flat:
-        faults.append(divmod(flat.index(None), width))
+def _parse_block(rows: list[list[str]], width: int, label_j: int) -> np.ndarray | None:
+    """A block of raw rows as a float64 grid, from one float() per token;
+    None when some row holds a fault. A token float() refuses reads NaN, and
+    only a missing token may be non-finite; no number is written with digit
+    separators, though float() reads "1_5". So the block is taken whole when
+    every row has the schema's width, no token holds "_", every label is 0
+    or 1 and every non-finite cell is a missing token."""
+    if any(len(row) != width for row in rows) or "_" in "".join(chain.from_iterable(rows)):
+        return None
+    cells = np.array([_raw_float(tok) for row in rows for tok in row]).reshape(-1, width)
     labels = cells[:, label_j]
-    missing = [
-        i
-        for i in np.flatnonzero(np.isnan(labels))
-        if rows[i][label_j].strip() in _MISSING_TOKENS
-    ]
-    if missing:
-        faults.append((int(missing[0]), label_j))
-    not_binary = np.flatnonzero((labels != 0.0) & (labels != 1.0))
-    if not_binary.size:
-        faults.append((int(not_binary[0]), width))
-    if not faults:
-        if n_ok < len(rows):
-            raise ValueError(
-                f"{path}: line {first_line + n_ok}: expected {width} cells, "
-                f"got {len(rows[n_ok])}"
-            )
-        return cells
+    if not ((labels == 0.0) | (labels == 1.0)).all():
+        return None
+    for k in np.flatnonzero(~np.isfinite(cells)):
+        if rows[k // width][k % width].strip() not in _MISSING_TOKENS:
+            return None
+    return cells
 
-    i, j = min(faults)
-    line = first_line + i
-    if j == width:
-        raise ValueError(f"{path}: line {line}: label must be 0 or 1, got {labels[i]}")
-    if flat[i * width + j] is None:
-        raise ValueError(
-            f"{path}: line {line}: non-numeric value {rows[i][j].strip()!r} in column "
-            f"{schema[j].name!r}"
-        )
-    raise ValueError(
-        f"{path}: line {line}: missing value in label column {schema[j].name!r}"
-    )
+
+def _raw_row_fault(row: list[str], schema: list[ColumnSpec], label_j: int) -> str | None:
+    """Why load_csv refuses a raw row, or None: its width first, then each
+    cell in column order (a missing label is a fault there), then the
+    label's value."""
+    if len(row) != len(schema):
+        return f"expected {len(schema)} cells, got {len(row)}"
+    for tok, col in zip(row, schema):
+        if tok.strip() in _MISSING_TOKENS:
+            if col.is_label:
+                return f"missing value in label column {col.name!r}"
+        elif "_" in tok or not math.isfinite(_raw_float(tok)):
+            return f"non-numeric value {tok.strip()!r} in column {col.name!r}"
+    label = float(row[label_j])
+    return None if label in (0.0, 1.0) else f"label must be 0 or 1, got {label}"
 
 
 def load_csv(path: str | Path, schema: list[ColumnSpec]) -> RawTable:
@@ -227,8 +201,9 @@ def load_csv(path: str | Path, schema: list[ColumnSpec]) -> RawTable:
     The header row must match the schema names in order. Empty strings and
     "NA" parse as missing; any other token that is not a finite number
     ("nan", "inf" and "1_5" included) is an error, as is a missing value in
-    the label column. Rows are parsed a block at a time, each block in one
-    pass; the error names the first faulty line. This is the reader for raw
+    the label column. Rows are parsed a block of _CHUNK_ROWS at a time, each
+    block in one pass; a block that pass refuses is rescanned row by row,
+    and the error names the first faulty line. This is the reader for raw
     input; the program's own tables go through load_table_csv.
     """
     path = Path(path)
@@ -247,7 +222,12 @@ def load_csv(path: str | Path, schema: list[ColumnSpec]) -> RawTable:
         blocks = []
         line = 2
         while rows := list(islice(reader, _CHUNK_ROWS)):
-            blocks.append(_parse_rows(rows, line, path, schema, label_j))
+            cells = _parse_block(rows, len(schema), label_j)
+            if cells is None:  # then some row of the block has a fault
+                for i, row in enumerate(rows):
+                    if fault := _raw_row_fault(row, schema, label_j):
+                        raise ValueError(f"{path}: line {line + i}: {fault}")
+            blocks.append(cells)
             line += len(rows)
     if not blocks:
         raise ValueError(f"{path}: empty table (header only)")
@@ -452,16 +432,15 @@ def load_table_csv(path: str | Path, schema: list[ColumnSpec]) -> FeatureTable:
         raise ValueError(f"{path}: empty table (header only)")
     labels = grid[:, _label_index(schema)]
     finite = np.isfinite(grid)
-    bad = ~finite.all(axis=1) | ((labels != 0.0) & (labels != 1.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        line, _ = body_row(path, i)
+
+    def fault(i, _):
         if finite[i].all():
-            raise ValueError(f"{path}: line {line}: label must be 0 or 1, got {labels[i]}")
+            return f"label must be 0 or 1, got {labels[i]}"
         j = int(np.argmin(finite[i]))
-        raise ValueError(
-            f"{path}: line {line}: non-finite value {grid[i, j]} in column {schema[j].name!r}"
-        )
+        return f"non-finite value {grid[i, j]} in column {schema[j].name!r}"
+
+    # one mask, so the first bad row in file order is reported
+    refuse_row(path, ~finite.all(axis=1) | ((labels != 0.0) & (labels != 1.0)), fault)
     return to_features(RawTable(schema, grid))
 
 
@@ -480,6 +459,16 @@ def body_row(path: str | Path, row: int) -> tuple[int, list[str]]:
     """The file line and the cells, as the file spells them, of body row
     `row` (0-based) of a grid read by read_grid_csv."""
     return next(islice(_body_rows(path), row, None))
+
+
+def refuse_row(path: str | Path, bad: np.ndarray, what: Callable[[int, list[str]], str]):
+    """Raise for the first body row where the mask `bad` holds, as
+    "<path>: line N: <what(i, cells)>": i is the row (0-based) in the grid
+    read_grid_csv gave, cells its cells as the file spells them."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        line, cells = body_row(path, i)
+        raise ValueError(f"{path}: line {line}: {what(i, cells)}")
 
 
 def _is_int_token(tok: str) -> bool:

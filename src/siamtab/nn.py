@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -430,32 +431,49 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path):
-    """Read a checkpoint back: (spec, params, extra, named arrays)."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-        layers = tuple(
-            LayerSpec(
-                l["in_size"], l["out_size"], l["activation"],
-                l["dropout_rate"], l["activity_l2"],
-            )
-            for l in meta["layers"]
-        )
-        spec = NetworkSpec(layers)
-        expected = {f"w{k}": (l.out_size, l.in_size) for k, l in enumerate(layers)}
-        expected.update({f"b{k}": (l.out_size,) for k, l in enumerate(layers)})
-        stored = {}
-        for name, shape in expected.items():
-            if name not in data.files:
-                raise ValueError(f"{path}: checkpoint has no array {name}")
-            stored[name] = data[name]
-            if stored[name].shape != shape:
-                raise ValueError(
-                    f"{path}: array {name} has shape {stored[name].shape}, "
-                    f"layer spec needs {shape}"
+    """Read a checkpoint back: (spec, params, extra, named arrays).
+
+    A file that is no zip archive, or whose meta entry is not the JSON
+    save_checkpoint writes, is a ValueError naming the file.
+    """
+    try:
+        # opened as a zip archive whatever it holds: np.load would return a
+        # bare array for an .npy file
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+            if not isinstance(meta["extra"], dict):
+                raise ValueError(f"{path}: checkpoint extra is not a JSON object")
+            layers = tuple(
+                LayerSpec(
+                    l["in_size"], l["out_size"], l["activation"],
+                    l["dropout_rate"], l["activity_l2"],
                 )
-        arrays = {name: data[name] for name in data.files if name not in expected and name != "meta"}
+                for l in meta["layers"]
+            )
+            spec = NetworkSpec(layers)
+            expected = {f"w{k}": (l.out_size, l.in_size) for k, l in enumerate(layers)}
+            expected.update({f"b{k}": (l.out_size,) for k, l in enumerate(layers)})
+            stored = {}
+            for name, shape in expected.items():
+                if name not in data.files:
+                    raise ValueError(f"{path}: checkpoint has no array {name}")
+                stored[name] = data[name]
+                if stored[name].shape != shape:
+                    raise ValueError(
+                        f"{path}: array {name} has shape {stored[name].shape}, "
+                        f"layer spec needs {shape}"
+                    )
+            arrays = {
+                name: data[name] for name in data.files if name not in expected and name != "meta"
+            }
+    except (
+        zipfile.BadZipFile, EOFError, json.JSONDecodeError, KeyError, TypeError, AttributeError
+    ) as exc:
+        # a file of another format, or a meta entry without a field read above
+        fault = f"{type(exc).__name__}: {exc}"
+        raise ValueError(f"{path}: not a readable checkpoint ({fault})") from None
     n = len(layers)
     params = ParamSet([stored[f"w{k}"] for k in range(n)], [stored[f"b{k}"] for k in range(n)])
     if not np.isfinite(params.flat).all():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureTable, body_row, read_grid_csv
+from .data import FeatureTable, read_grid_csv, refuse_row
 
 
 @dataclass
@@ -181,22 +181,18 @@ def load_pairs_csv(path: str | Path, ft: FeatureTable) -> PairSet:
     """
     body = read_grid_csv(path, _PAIR_HEADER.split(","), np.int64, "pair")
     left, right, flags = body.T
-    bad = (flags != 0) & (flags != 1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        line, _ = body_row(path, i)
-        raise ValueError(
-            f"{path}: line {line}: malformed pair row: similar must be 0 or 1, got {flags[i]}"
-        )
-    bad = (left < 0) | (left >= ft.n) | (right < 0) | (right >= ft.n)
-    if bad.any():
-        i = int(np.argmax(bad))
-        line, _ = body_row(path, i)
-        raise ValueError(
-            f"{path}: line {line}: pair row {i + 1}: index out of range "
-            f"for a table of {ft.n} rows "
+    bad_flag = (flags != 0) & (flags != 1)
+
+    def fault(i, _):
+        if bad_flag[i]:
+            return f"malformed pair row: similar must be 0 or 1, got {flags[i]}"
+        return (
+            f"pair row {i + 1}: index out of range for a table of {ft.n} rows "
             f"({left[i]},{right[i]})"
         )
+
+    out_of_range = (left < 0) | (left >= ft.n) | (right < 0) | (right >= ft.n)
+    refuse_row(path, bad_flag | out_of_range, fault)
     similar = flags != 0
     if not np.array_equal(similar, ft.labels[left] == ft.labels[right]):
         raise ValueError(f"{path}: similarity flags do not match the table labels")

@@ -14,6 +14,7 @@ reference column at a time through one reused buffer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,12 @@ DEFAULT_PAIR_THRESHOLD = 0.5  # margin / 2
 EMBED_BLOCK = 256
 
 
+def require_positive(name: str, value: float):
+    """Refuse a margin or threshold that is not a finite positive number."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a finite positive number, got {value}")
+
+
 @dataclass
 class SiameseModel:
     spec: NetworkSpec
@@ -44,10 +51,8 @@ class SiameseModel:
     pair_threshold: float = DEFAULT_PAIR_THRESHOLD
 
     def __post_init__(self):
-        if self.margin <= 0.0:
-            raise ValueError("margin must be positive")
-        if self.pair_threshold <= 0.0:
-            raise ValueError("pair_threshold must be positive")
+        require_positive("margin", self.margin)
+        require_positive("pair_threshold", self.pair_threshold)
 
     @property
     def embedding_size(self) -> int:

@@ -48,6 +48,7 @@ from .siamese import (
     classify_table,
     pair_backward,
     pair_forward,
+    require_positive,
 )
 
 _EVAL_CHUNK = 128  # pairs per distance block: two (128, 256) float64 buffers
@@ -101,8 +102,7 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
-        if self.margin <= 0.0:
-            raise ValueError("margin must be positive")
+        require_positive("margin", self.margin)
 
 
 def base_config(seed: int = 0, **overrides) -> TrainConfig:

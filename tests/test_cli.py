@@ -195,6 +195,10 @@ SPLIT_BODIES = {
     "0,test\n   \n": "line 3: malformed splits row: expected 2 cells per row, got 1",
     "0,test\n1,train": ([1], [0]),
     "0,test\n\n": "no row for index 1; the file must list each of the 2 table rows once",
+    # the first bad row in file order is reported, a range fault or a part
+    "7,test\n1,tset\n": "line 2: index 7 out of range for a table of 2 rows",
+    "0,tset\n7,test\n": part_fault(2, "tset"),
+    "7,tset\n": part_fault(2, "tset"),  # on one row the part is checked first
     "": "no row for index 0; the file must list each of the 2 table rows once",
 }
 
@@ -247,6 +251,16 @@ class TestSplitsFile:
         assert not (out / "eval_base.txt").exists()
 
 
+def edit_meta(path, edit):
+    """Rewrite a checkpoint with edit(meta) applied to its meta JSON."""
+    with np.load(path) as data:
+        stored = dict(data)
+    meta = json.loads(str(stored["meta"]))
+    edit(meta)
+    stored["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **stored)
+
+
 def edit_cell(path, line, column, value):
     """Rewrite one cell of a CSV file in place; the header is line 1."""
     lines = path.read_text().splitlines()
@@ -256,7 +270,81 @@ def edit_cell(path, line, column, value):
     path.write_text("\n".join(lines) + "\n")
 
 
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A run directory through `eval siamese`; tests work on a copy of it."""
+    out = tmp_path_factory.mktemp("trained") / "run"
+    pipeline(out, seed=23)
+    return out
+
+
+def copy_run(trained_run, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(trained_run, out)
+    (out / "eval_siamese.txt").unlink()
+    return out
+
+
 class TestEvalCmd:
+    @pytest.mark.parametrize(
+        "damage,fault",
+        [
+            (lambda path: path.write_bytes(path.read_bytes()[:-100]),
+             "BadZipFile: File is not a zip file"),
+            (lambda path: np.save(path.with_suffix(".npy"), np.zeros(3))
+             or path.with_suffix(".npy").rename(path), "BadZipFile: File is not a zip file"),
+            (lambda path: edit_meta(path, lambda meta: meta.pop("layers")), "KeyError: 'layers'"),
+        ],
+        ids=["truncated", "an npy file", "meta without layers"],
+    )
+    def test_unreadable_checkpoint_fails_with_one_error_line(
+        self, trained_run, tmp_path, capsys, damage, fault
+    ):
+        out = copy_run(trained_run, tmp_path)
+        path = out / "siamese_model.npz"
+        damage(path)
+        capsys.readouterr()
+        assert run("eval", "siamese", "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: not a readable checkpoint ({fault})"]
+        assert not (out / "eval_siamese.txt").exists()
+
+    @pytest.mark.parametrize("entry", ["seed", "margin", "pair_threshold"])
+    @pytest.mark.parametrize("value", ["1.0", float("nan"), True])
+    def test_checkpoint_extra_that_is_not_a_finite_number_rejected(
+        self, trained_run, tmp_path, capsys, entry, value
+    ):
+        out = copy_run(trained_run, tmp_path)
+        path = out / "siamese_model.npz"
+        edit_meta(path, lambda meta: meta["extra"].update({entry: value}))
+        capsys.readouterr()
+        assert run("eval", "siamese", "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: {path}: checkpoint extra entry {entry!r} is not a finite number: {value!r}"
+        ]
+        assert not (out / "eval_siamese.txt").exists()
+
+    @pytest.mark.parametrize("flag,name", [("--threshold", "threshold"), ("--margin", "margin")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("stage", ["train", "eval"])
+    def test_margin_or_threshold_that_is_not_finite_and_positive_fails_first(
+        self, trained_run, tmp_path, capsys, flag, name, value, stage
+    ):
+        out = copy_run(trained_run, tmp_path)
+        model = out / "siamese_model.npz"
+        if stage == "train":
+            model.unlink()
+        capsys.readouterr()
+        assert run(stage, "siamese", "--out", out, flag, value) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {name} must be a finite positive number, got {float(value)}"
+        ]
+        assert not [line for line in captured.out.splitlines() if line.startswith("epoch ")]
+        assert not (out / "eval_siamese.txt").exists()
+        assert model.exists() == (stage == "eval")
+
     def test_eval_before_train_fails(self, tmp_path):
         out = tmp_path / "run"
         run("prepare", "--synthetic", "120,4,0.3", "--out", out, "--seed", 8)

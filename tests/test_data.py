@@ -120,6 +120,7 @@ class TestLoadCsv:
             ("1,0,1\n1,0\n2,0,1\noops,0,1\n", 3),  # ragged line 3, non-numeric line 5
             ("1,0,1\n1,0,7\n2,0,1\n,0,NA\n", 3),  # label value line 3, missing label line 5
             ("1,0,1\nx,0,NA\n", 3),  # non-numeric before the missing label on one line
+            ("1,0,1\nx,0,2\n", 3),  # each cell before the label's value
             ("1,0,1\n1,y,NA\n", 3),
             ("1,0,1\n1,0,x\n", 3),  # a non-numeric label is reported as such
             ("1,0,1\n1,0,nan\n", 3),
@@ -138,6 +139,20 @@ class TestLoadCsv:
             load_csv(path, SCHEMA3)
         assert str(got.value) == str(want.value)
         assert f"line {line}:" in str(got.value)
+
+    def test_one_pass_takes_a_block_exactly_when_no_row_is_faulty(self):
+        # load_csv rescans a block the one pass refuses, and that rescan must
+        # then find a faulty row; this holds for every row of these tokens
+        cells = ["1", "-0.0", " 2.5 ", "1e5", "+1", "", "NA", " NA ", "nan", "inf", "1_5", "x", "N A"]
+        labels = ["0", "1", "1.0", " 1 ", "-0", "", "NA", "2", "0.5", "x", "nan", "1_0"]
+        rows = [[a, b, y] for a in cells for b in cells for y in labels]
+        rows += [[], ["1"], ["1", "0"], ["1", "0", "1", "0"]]
+        for row in rows:
+            taken = data._parse_block([row], 3, 2) is not None
+            assert taken == (data._raw_row_fault(row, SCHEMA3, 2) is None), row
+        good = [["1", "", "0"], ["NA", "1", "1"]]
+        assert data._parse_block(good, 3, 2) is not None
+        assert data._parse_block(good + [["1", "0", "nan"]], 3, 2) is None
 
 
 class TestSchemas:
@@ -563,6 +578,27 @@ class TestTableSidecar:
             ft.features[i, j] = value
         path = tmp_path / "t.csv"
         save_table_csv(ft, path)  # the sidecar's hash matches this CSV
+        with pytest.raises(ValueError) as cached:
+            load_cached(monkeypatch, path, synthetic_schema(4))
+        with pytest.raises(ValueError) as parsed:
+            load_parsed(path, synthetic_schema(4))
+        assert str(cached.value) == str(parsed.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "label_row,inf_row,message",
+        [
+            (1, 4, "line 3: label must be 0 or 1, got 2.0"),
+            (4, 1, "line 3: non-finite value inf in column 'f02'"),
+        ],
+    )
+    def test_first_bad_row_in_file_order_on_both_paths(
+        self, tmp_path, monkeypatch, label_row, inf_row, message
+    ):
+        ft = fixture_table()
+        ft.labels[label_row] = 2
+        ft.features[inf_row, 2] = np.inf
+        path = tmp_path / "t.csv"
+        save_table_csv(ft, path)
         with pytest.raises(ValueError) as cached:
             load_cached(monkeypatch, path, synthetic_schema(4))
         with pytest.raises(ValueError) as parsed:

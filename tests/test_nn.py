@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -536,6 +537,59 @@ class TestCheckpoint:
         np.savez(path, meta=np.array('{"version": 99, "layers": [], "extra": {}}'))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage,fault",
+        [
+            ("truncated", "BadZipFile: File is not a zip file"),
+            ("an npy file", "BadZipFile: File is not a zip file"),
+            ("no meta", "KeyError: 'meta is not a file in the archive'"),
+            ("meta not JSON", "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+            ("meta a list", "AttributeError: 'list' object has no attribute 'get'"),
+            ("no layers", "KeyError: 'layers'"),
+            ("a layer without its activation", "KeyError: 'activation'"),
+            ("no extra", "KeyError: 'extra'"),
+        ],
+    )
+    def test_unreadable_file_names_itself(self, tmp_path, damage, fault):
+        spec = NetworkSpec((LayerSpec(3, 2, "relu"),))
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, spec, init_params(spec, seed=21), {"kind": "test"})
+        with np.load(path) as data:
+            stored = dict(data)
+        meta = json.loads(str(stored["meta"]))
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-100])
+        elif damage == "an npy file":
+            np.save(tmp_path / "w0.npy", stored["w0"])
+            (tmp_path / "w0.npy").rename(path)
+        else:
+            if damage == "no meta":
+                del stored["meta"]
+            elif damage == "meta not JSON":
+                stored["meta"] = np.array("not json")
+            elif damage == "meta a list":
+                stored["meta"] = np.array("[1]")
+            else:
+                if damage == "no layers":
+                    del meta["layers"]
+                elif damage == "no extra":
+                    del meta["extra"]
+                else:
+                    del meta["layers"][0]["activation"]
+                stored["meta"] = np.array(json.dumps(meta))
+            np.savez(path, **stored)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: not a readable checkpoint ({fault})"
+
+    def test_extra_that_is_not_an_object_names_the_file(self, tmp_path):
+        path = tmp_path / "model.npz"
+        meta = {"version": 1, "layers": [], "extra": [1]}
+        np.savez(path, meta=np.array(json.dumps(meta)))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: checkpoint extra is not a JSON object"
 
 
 class TestGradientFidelity:

@@ -272,6 +272,11 @@ class TestPairCsv:
             ("0,1,0\n0,2,7\n", "line 3: malformed pair row: similar must be 0 or 1, got 7"),
             # only an empty line is no row; a line of spaces is a 1-cell row
             ("   \n", "line 2: malformed pair row: expected 3 cells per row, got 1"),
+            # the first bad row in file order is reported, a range fault or a flag
+            ("0,9,0\n0,1,0\n0,1,0\n0,2,7\n", "line 2: pair row 1: index out of range for a table of 5 rows (0,9)"),
+            ("0,2,7\n0,1,0\n0,1,0\n0,9,0\n", "line 2: malformed pair row: similar must be 0 or 1, got 7"),
+            # on one row the flag is checked first
+            ("0,9,7\n", "line 2: malformed pair row: similar must be 0 or 1, got 7"),
         ],
     )
     def test_malformed_row_names_its_file_line(self, tmp_path, rows, message):

@@ -39,6 +39,14 @@ def identity_model(width=1, threshold=0.5):
     return SiameseModel(spec, params, margin=1.0, pair_threshold=threshold)
 
 
+@pytest.mark.parametrize("name", ["margin", "pair_threshold"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.5])
+def test_margin_and_threshold_must_be_finite_and_positive(name, value):
+    spec = NetworkSpec((LayerSpec(2, 2, "linear"),))
+    with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
+        SiameseModel(spec, init_params(spec, 0), **{name: value})
+
+
 def classify_one(model, bank, x):
     """classify_table on a one-row table: (label, mean_d0, mean_d1) of the row."""
     labels, d0, d1 = classify_table(model, bank, FeatureTable(np.asarray(x)[None, :], [0]))

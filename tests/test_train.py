@@ -61,6 +61,11 @@ class TestConfigs:
         with pytest.raises(ValueError, match="learning_rate"):
             siamese_config(learning_rate=lr)
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_margin_must_be_finite_and_positive(self, margin):
+        with pytest.raises(ValueError, match="margin must be a finite positive number"):
+            siamese_config(margin=margin)
+
     def test_network_shapes(self):
         base = base_network_spec(15)
         assert [(l.in_size, l.out_size) for l in base.layers] == [(15, 256), (256, 256), (256, 1)]
