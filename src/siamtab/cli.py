@@ -57,23 +57,6 @@ def stage_seed(root: int, stage: int) -> int:
     return int(np.random.SeedSequence([root, stage]).generate_state(1)[0])
 
 
-_DEFAULTS = {
-    "data": None,
-    "out": "runs/default",
-    "seed": 0,
-    "epochs": None,  # None -> per-model default
-    "batch-size": None,
-    "lr": None,
-    "margin": 1.0,
-    "threshold": 0.5,
-    "k-refs": 10,
-    "pairs-diff": 100000,
-    "pairs-same0": 50000,
-    "pairs-same1": 50000,
-    "synthetic": None,
-}
-
-
 def _parse_synthetic(text: str) -> tuple[int, int, float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -81,18 +64,23 @@ def _parse_synthetic(text: str) -> tuple[int, int, float]:
     return int(parts[0]), int(parts[1]), float(parts[2])
 
 
-_CASTS = {
-    "seed": int,
-    "epochs": int,
-    "batch-size": int,
-    "lr": float,
-    "margin": float,
-    "threshold": float,
-    "k-refs": int,
-    "pairs-diff": int,
-    "pairs-same0": int,
-    "pairs-same1": int,
-    "synthetic": _parse_synthetic,
+# flag -> (default, cast, --help text). A config file's values go through
+# the cast. argparse casts only the int and float flags, so a bad
+# --synthetic exits 1 with an `error:` line, not with argparse's usage error.
+_FLAGS = {
+    "data": (None, str, "input CSV path"),
+    "out": ("runs/default", str, "run output directory"),
+    "seed": (0, int, "root seed for the whole run"),
+    "epochs": (None, int, None),  # None -> per-model default
+    "batch-size": (None, int, None),
+    "lr": (None, float, None),
+    "margin": (1.0, float, None),
+    "threshold": (0.5, float, "pair-similarity distance threshold"),
+    "k-refs": (10, int, "reference samples per class"),
+    "pairs-diff": (100000, int, None),
+    "pairs-same0": (50000, int, None),
+    "pairs-same1": (50000, int, None),
+    "synthetic": (None, _parse_synthetic, "n,d,imbalance synthetic dataset spec"),
 }
 
 
@@ -115,7 +103,7 @@ class RunConfig:
 
     def echo(self):
         print("effective config:")
-        for key in _DEFAULTS:
+        for key in _FLAGS:
             value = getattr(self, key.replace("-", "_"))
             if key == "synthetic" and value is not None:
                 value = ",".join(str(v) for v in value)
@@ -133,23 +121,23 @@ def read_config_file(path: Path) -> dict[str, object]:
             raise ValueError(f"{path}: line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in _FLAGS:
             raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _CASTS.get(key, str)(value.strip())
+            values[key] = _FLAGS[key][1](value.strip())
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {key}: {exc}") from None
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (default, _, _) in _FLAGS.items()}
     explicit = set()
     if args.config is not None:
         from_file = read_config_file(Path(args.config))
         values.update(from_file)
         explicit.update(from_file)
-    for key in _DEFAULTS:
+    for key in _FLAGS:
         cli_value = getattr(args, key.replace("-", "_"))
         if cli_value is not None:
             values[key] = cli_value
@@ -167,22 +155,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields, explicit=frozenset(explicit))
 
 
-def _artifact(cfg: RunConfig, name: str) -> Path:
-    return cfg.out / name
-
-
-def _require(cfg: RunConfig, name: str) -> Path:
-    path = _artifact(cfg, name)
-    if not path.exists():
-        raise ValueError(f"missing artifact {path}; run the earlier stages first")
-    return path
-
-
 def _load_prepared(cfg: RunConfig) -> dt.FeatureTable:
-    schema = dt.load_schema_csv(_require(cfg, "schema.csv"))
+    schema = dt.load_schema_csv(cfg.out / "schema.csv")
     label = [c for c in schema if c.is_label][0]
     ordered = [c for c in schema if not c.is_label] + [label]
-    return dt.load_table_csv(_require(cfg, "normalized.csv"), ordered)
+    return dt.load_table_csv(cfg.out / "normalized.csv", ordered)
 
 
 # The part is read 6 characters wide, so a longer cell such as 'trainx'
@@ -196,7 +173,7 @@ def _load_split_indices(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]
     Every part must be 'train' or 'test', and the file must list each of
     the n rows exactly once; a fault is an error naming the file and line.
     """
-    path = _require(cfg, "splits.csv")
+    path = cfg.out / "splits.csv"
     body = dt.read_grid_csv(path, list(_SPLITS_DTYPE.names), _SPLITS_DTYPE, "splits")
     idx, part = body["index"], body["part"]
     in_train = part == "train"
@@ -248,13 +225,13 @@ def cmd_prepare(cfg: RunConfig) -> int:
     )
 
     label_name = [c.name for c in schema if c.is_label][0]
-    dt.save_schema_csv(schema, _artifact(cfg, "schema.csv"))
-    dt.save_table_csv(normed, _artifact(cfg, "normalized.csv"), label_name=label_name)
-    dt.save_norm_stats_csv(stats, normed.schema, _artifact(cfg, "norm_stats.csv"))
+    dt.save_schema_csv(schema, cfg.out / "schema.csv")
+    dt.save_table_csv(normed, cfg.out / "normalized.csv", label_name=label_name)
+    dt.save_norm_stats_csv(stats, normed.schema, cfg.out / "norm_stats.csv")
     parts = np.empty(normed.n, dtype=object)
     parts[train_idx] = "train"
     parts[test_idx] = "test"
-    with open(_artifact(cfg, "splits.csv"), "w", newline="\n") as fh:
+    with open(cfg.out / "splits.csv", "w", newline="\n") as fh:
         fh.write("index,part\n" + "".join(f"{i},{part}\n" for i, part in enumerate(parts)))
 
     lines = [
@@ -270,7 +247,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     lines += [f"  {name}: {count}" for name, count in missing.items()]
     lines += [f"train rows: {train_idx.size}", f"test rows: {test_idx.size}"]
     report = "\n".join(lines) + "\n"
-    _artifact(cfg, "report.txt").write_text(report)
+    (cfg.out / "report.txt").write_text(report)
     print(report, end="")
     return 0
 
@@ -287,8 +264,8 @@ def cmd_pairs(cfg: RunConfig) -> int:
     train_ps, test_ps = pr.split_pairs(
         ps, PAIR_TRAIN_FRACTION, stage_seed(cfg.seed, _STAGE_PAIR_SPLIT)
     )
-    pr.save_pairs_csv(train_ps, _artifact(cfg, "pairs_train.csv"))
-    pr.save_pairs_csv(test_ps, _artifact(cfg, "pairs_test.csv"))
+    pr.save_pairs_csv(train_ps, cfg.out / "pairs_train.csv")
+    pr.save_pairs_csv(test_ps, cfg.out / "pairs_test.csv")
     print(
         f"pairs: {len(ps)} total "
         f"(diff={ps.counts[0]}, same0={ps.counts[1]}, same1={ps.counts[2]}) "
@@ -313,14 +290,14 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
         tc = base_config(seed=stage_seed(cfg.seed, _STAGE_TRAIN_BASE), **overrides)
         params, history = train_base(tc, train_ft, progress=print)
         save_checkpoint(
-            _artifact(cfg, "base_model.npz"),
+            cfg.out / "base_model.npz",
             base_network_spec(train_ft.d),
             params,
             extra={"kind": "base", "seed": cfg.seed},
         )
-        export_history(history, _artifact(cfg, "base_history.csv"))
+        export_history(history, cfg.out / "base_history.csv")
     else:
-        pairs_train = pr.load_pairs_csv(_require(cfg, "pairs_train.csv"), ft)
+        pairs_train = pr.load_pairs_csv(cfg.out / "pairs_train.csv", ft)
         tc = siamese_config(
             seed=stage_seed(cfg.seed, _STAGE_TRAIN_SIAMESE),
             margin=cfg.margin,
@@ -334,7 +311,7 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
             tc, pairs_train, pair_threshold=cfg.threshold, progress=print
         )
         save_checkpoint(
-            _artifact(cfg, "siamese_model.npz"),
+            cfg.out / "siamese_model.npz",
             model.spec,
             model.params,
             extra={
@@ -345,14 +322,14 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
             },
             arrays={"refs0": bank.refs0, "refs1": bank.refs1},
         )
-        export_history(history, _artifact(cfg, "siamese_history.csv"))
+        export_history(history, cfg.out / "siamese_history.csv")
     return 0
 
 
-def _write_report(path: Path, lines: list[str], kv_path: Path, kv: dict[str, str]):
+def _write_report(cfg: RunConfig, which: str, lines: list[str], kv: dict[str, str]):
     text = "\n".join(lines) + "\n"
-    path.write_text(text)
-    with open(kv_path, "w", newline="\n") as fh:
+    (cfg.out / f"eval_{which}.txt").write_text(text)
+    with open(cfg.out / f"eval_{which}.kv", "w", newline="\n") as fh:
         for key, value in kv.items():
             fh.write(f"{key}={value}\n")
     print(text, end="")
@@ -361,9 +338,10 @@ def _write_report(path: Path, lines: list[str], kv_path: Path, kv: dict[str, str
 def _load_model(cfg: RunConfig, which: str):
     """Load `<which>_model.npz` as (spec, params, extra, bank), refusing a
     checkpoint of the other kind, one without an entry that eval reads, or
-    one whose seed, margin or pair threshold is not a finite number. The
-    bank is a siamese checkpoint's reference bank, None for base."""
-    path = _require(cfg, f"{which}_model.npz")
+    one whose seed is not a finite number or whose margin or pair threshold
+    is not a finite positive one. The bank is a siamese checkpoint's
+    reference bank, None for base."""
+    path = cfg.out / f"{which}_model.npz"
     spec, params, extra, arrays = load_checkpoint(path)
     if extra.get("kind") != which:
         raise ValueError(f"{path}: checkpoint kind is {extra.get('kind')!r}, expected {which!r}")
@@ -378,6 +356,8 @@ def _load_model(cfg: RunConfig, which: str):
             raise ValueError(
                 f"{path}: checkpoint extra entry {key!r} is not a finite number: {value!r}"
             )
+        if key != "seed" and value <= 0:
+            raise ValueError(f"{path}: checkpoint extra entry {key!r} is not positive: {value!r}")
     if which == "base":
         return spec, params, extra, None
     return spec, params, extra, _load_bank(path, spec.in_size, arrays)
@@ -419,9 +399,7 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
         ] + report.lines()
         kv = {"report": "base", "seed": str(extra["seed"]), "samples": str(test_ft.n)}
         kv.update(report.kv())
-        _write_report(
-            _artifact(cfg, "eval_base.txt"), lines, _artifact(cfg, "eval_base.kv"), kv
-        )
+        _write_report(cfg, "base", lines, kv)
     else:
         spec, params, extra, bank = _load_model(cfg, "siamese")
         model = SiameseModel(
@@ -432,7 +410,7 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
                 cfg.threshold if "threshold" in cfg.explicit else extra["pair_threshold"]
             ),
         )
-        pairs_test = pr.load_pairs_csv(_require(cfg, "pairs_test.csv"), ft)
+        pairs_test = pr.load_pairs_csv(cfg.out / "pairs_test.csv", ft)
         pair_report = evaluate_pairs(model, pairs_test)
         sample_report = evaluate_classifier(model, test_ft, bank)
         lines = (
@@ -456,19 +434,14 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
         }
         kv.update({f"pair_{k}": v for k, v in pair_report.kv().items()})
         kv.update({f"sample_{k}": v for k, v in sample_report.kv().items()})
-        _write_report(
-            _artifact(cfg, "eval_siamese.txt"),
-            lines,
-            _artifact(cfg, "eval_siamese.kv"),
-            kv,
-        )
+        _write_report(cfg, "siamese", lines, kv)
     return 0
 
 
 def cmd_export(cfg: RunConfig, which: str) -> int:
-    history = load_history(_require(cfg, f"{which}_history.csv"))
-    acc_path = _artifact(cfg, f"accuracy_{which}.csv")
-    loss_path = _artifact(cfg, f"loss_{which}.csv")
+    history = load_history(cfg.out / f"{which}_history.csv")
+    acc_path = cfg.out / f"accuracy_{which}.csv"
+    loss_path = cfg.out / f"loss_{which}.csv"
     with open(acc_path, "w", newline="\n") as fh:
         fh.write("epoch,train_acc,val_acc\n")
         for i in range(len(history)):
@@ -481,33 +454,58 @@ def cmd_export(cfg: RunConfig, which: str) -> int:
     return 0
 
 
+# stage -> (function, artifacts it reads, artifacts it writes). No stage
+# reads normalized.npz: the table reader takes it only while its hash
+# matches normalized.csv.
+_TABLE = ("schema.csv", "normalized.csv")
+_SPLIT = _TABLE + ("splits.csv",)
+STAGES = {
+    "prepare": (cmd_prepare, (), _SPLIT + ("normalized.npz", "norm_stats.csv", "report.txt")),
+    "pairs": (cmd_pairs, _TABLE, ("pairs_train.csv", "pairs_test.csv")),
+    "train base": (cmd_train, _SPLIT, ("base_model.npz", "base_history.csv")),
+    "train siamese": (
+        cmd_train, _SPLIT + ("pairs_train.csv",), ("siamese_model.npz", "siamese_history.csv")
+    ),
+    "eval base": (cmd_eval, _SPLIT + ("base_model.npz",), ("eval_base.txt", "eval_base.kv")),
+    "eval siamese": (
+        cmd_eval,
+        _SPLIT + ("siamese_model.npz", "pairs_test.csv"),
+        ("eval_siamese.txt", "eval_siamese.kv"),
+    ),
+    "export base": (cmd_export, ("base_history.csv",), ("accuracy_base.csv", "loss_base.csv")),
+    "export siamese": (
+        cmd_export, ("siamese_history.csv",), ("accuracy_siamese.csv", "loss_siamese.csv")
+    ),
+}
+
+
+def run_stage(name: str, cfg: RunConfig) -> int:
+    """Run a stage of STAGES once every artifact it reads exists; a missing
+    one is an error naming the stage that writes it."""
+    func, reads, _ = STAGES[name]
+    for read in reads:
+        if not (cfg.out / read).exists():
+            producer = next(stage for stage, (_, _, writes) in STAGES.items() if read in writes)
+            raise ValueError(
+                f"missing artifact {cfg.out / read}; run the earlier stages first "
+                f"(siamtab {producer})"
+            )
+    return func(cfg, *name.split()[1:])
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="flat key=value config file")
-    shared.add_argument("--data", help="input CSV path")
-    shared.add_argument("--out", help="run output directory")
-    shared.add_argument("--seed", type=int, help="root seed for the whole run")
-    shared.add_argument("--epochs", type=int)
-    shared.add_argument("--batch-size", type=int)
-    shared.add_argument("--lr", type=float)
-    shared.add_argument("--margin", type=float)
-    shared.add_argument("--threshold", type=float, help="pair-similarity distance threshold")
-    shared.add_argument("--k-refs", type=int, help="reference samples per class")
-    shared.add_argument("--pairs-diff", type=int)
-    shared.add_argument("--pairs-same0", type=int)
-    shared.add_argument("--pairs-same1", type=int)
-    shared.add_argument("--synthetic", help="n,d,imbalance synthetic dataset spec")
+    for flag, (_, cast, text) in _FLAGS.items():
+        shared.add_argument(f"--{flag}", type=cast if cast in (int, float) else None, help=text)
 
     parser = argparse.ArgumentParser(prog="siamtab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("prepare", parents=[shared])
-    sub.add_parser("pairs", parents=[shared])
-    p_train = sub.add_parser("train", parents=[shared])
-    p_train.add_argument("which", choices=["base", "siamese"])
-    p_eval = sub.add_parser("eval", parents=[shared])
-    p_eval.add_argument("which", choices=["base", "siamese"])
-    p_export = sub.add_parser("export", parents=[shared])
-    p_export.add_argument("which", choices=["base", "siamese"])
+    for command in dict.fromkeys(name.split()[0] for name in STAGES):
+        which = [name.split()[1] for name in STAGES if name.startswith(f"{command} ")]
+        p_command = sub.add_parser(command, parents=[shared])
+        if which:
+            p_command.add_argument("which", choices=which)
     return parser
 
 
@@ -516,15 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         cfg.echo()
-        if args.command == "prepare":
-            return cmd_prepare(cfg)
-        if args.command == "pairs":
-            return cmd_pairs(cfg)
-        if args.command == "train":
-            return cmd_train(cfg, args.which)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.which)
-        return cmd_export(cfg, args.which)
+        return run_stage(f"{args.command} {args.which}" if "which" in args else args.command, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

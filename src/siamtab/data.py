@@ -164,10 +164,12 @@ def _parse_block(rows: list[list[str]], width: int, label_j: int) -> np.ndarray 
     """A block of raw rows as a float64 grid, from one float() per token;
     None when some row holds a fault. A token float() refuses reads NaN, and
     only a missing token may be non-finite; no number is written with digit
-    separators, though float() reads "1_5". So the block is taken whole when
-    every row has the schema's width, no token holds "_", every label is 0
-    or 1 and every non-finite cell is a missing token."""
-    if any(len(row) != width for row in rows) or "_" in "".join(chain.from_iterable(rows)):
+    separators, though float() reads "1_5", nor across lines, though float()
+    reads a quoted "1\n". So the block is taken whole when every row has the
+    schema's width, no token holds "_", "\r" or "\n", every label is 0 or 1
+    and every non-finite cell is a missing token."""
+    text = "".join(chain.from_iterable(rows))
+    if any(len(row) != width for row in rows) or any(c in text for c in "_\r\n"):
         return None
     cells = np.array([_raw_float(tok) for row in rows for tok in row]).reshape(-1, width)
     labels = cells[:, label_j]
@@ -186,6 +188,8 @@ def _raw_row_fault(row: list[str], schema: list[ColumnSpec], label_j: int) -> st
     if len(row) != len(schema):
         return f"expected {len(schema)} cells, got {len(row)}"
     for tok, col in zip(row, schema):
+        if "\r" in tok or "\n" in tok:
+            return f"line break inside a cell in column {col.name!r}"
         if tok.strip() in _MISSING_TOKENS:
             if col.is_label:
                 return f"missing value in label column {col.name!r}"
@@ -200,11 +204,13 @@ def load_csv(path: str | Path, schema: list[ColumnSpec]) -> RawTable:
 
     The header row must match the schema names in order. Empty strings and
     "NA" parse as missing; any other token that is not a finite number
-    ("nan", "inf" and "1_5" included) is an error, as is a missing value in
-    the label column. Rows are parsed a block of _CHUNK_ROWS at a time, each
-    block in one pass; a block that pass refuses is rescanned row by row,
-    and the error names the first faulty line. This is the reader for raw
-    input; the program's own tables go through load_table_csv.
+    ("nan", "inf" and "1_5" included) is an error, as are a missing value in
+    the label column and a quoted cell that spans lines, so every line an
+    error names is a line of the file. Rows are parsed a block of
+    _CHUNK_ROWS at a time, each block in one pass; a block that pass refuses
+    is rescanned row by row, and the error names the first faulty line. This
+    is the reader for raw input; the program's own tables go through
+    load_table_csv.
     """
     path = Path(path)
     label_j = _label_index(schema)

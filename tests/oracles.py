@@ -183,7 +183,7 @@ def load_csv_cells(path, schema) -> np.ndarray:
     """Cell grid of a table CSV parsed one cell at a time, checking each line
     fully before the next; raises the same errors as `data.load_csv`. Only
     "" and "NA" are missing; a non-finite or underscored number is not
-    numeric."""
+    numeric, and a cell may not hold a line break."""
     missing_tokens = ("", "NA")
     label_j = [c.is_label for c in schema].index(True)
     with open(path, newline="") as fh:
@@ -203,6 +203,11 @@ def load_csv_cells(path, schema) -> np.ndarray:
                 )
             vals = np.empty(len(schema), dtype=np.float64)
             for j, tok in enumerate(row):
+                if "\r" in tok or "\n" in tok:
+                    raise ValueError(
+                        f"{path}: line {i}: line break inside a cell in column "
+                        f"{schema[j].name!r}"
+                    )
                 tok = tok.strip()
                 if tok in missing_tokens:
                     if j == label_j:

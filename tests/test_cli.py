@@ -325,6 +325,21 @@ class TestEvalCmd:
         ]
         assert not (out / "eval_siamese.txt").exists()
 
+    @pytest.mark.parametrize(
+        "entry,value", [("margin", -1.0), ("margin", 0.0), ("pair_threshold", -1.0)]
+    )
+    def test_checkpoint_margin_or_threshold_that_is_not_positive_names_the_file(
+        self, trained_run, tmp_path, capsys, entry, value
+    ):
+        out = copy_run(trained_run, tmp_path)
+        path = out / "siamese_model.npz"
+        edit_meta(path, lambda meta: meta["extra"].update({entry: value}))
+        capsys.readouterr()
+        assert run("eval", "siamese", "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: checkpoint extra entry {entry!r} is not positive: {value!r}"]
+        assert not (out / "eval_siamese.txt").exists()
+
     @pytest.mark.parametrize("flag,name", [("--threshold", "threshold"), ("--margin", "margin")])
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     @pytest.mark.parametrize("stage", ["train", "eval"])
@@ -567,6 +582,71 @@ class TestEvalCmd:
         )
         for key in ("precision_class0", "precision_class1", "recall_class0", "recall_class1"):
             assert key in kv
+
+
+# Flags every stage accepts; each stage reads the ones it needs.
+STAGE_FLAGS = (
+    "--synthetic", "300,6,0.2", "--seed", 31, "--epochs", 1,
+    "--pairs-diff", 400, "--pairs-same0", 200, "--pairs-same1", 200,
+)
+STAGE_READS = [(name, read) for name, (_, reads, _) in cli.STAGES.items() for read in reads]
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """A run directory after every stage of the table, run in table order."""
+    out = tmp_path_factory.mktemp("full") / "run"
+    for name in cli.STAGES:
+        assert run(*name.split(), *STAGE_FLAGS, "--out", out) == 0, name
+    return out
+
+
+def only_reads(full_run, tmp_path, name, skip=None):
+    """A run directory holding the artifacts a stage declares it reads,
+    except skip, copied from a full run."""
+    out = tmp_path / "run"
+    out.mkdir()
+    for read in cli.STAGES[name][1]:
+        if read != skip:
+            shutil.copy(full_run / read, out / read)
+    return out
+
+
+class TestStageTable:
+    def test_each_read_has_one_earlier_producer(self):
+        names = list(cli.STAGES)
+        for name, read in STAGE_READS:
+            producers = [n for n, (_, _, writes) in cli.STAGES.items() if read in writes]
+            assert len(producers) == 1, read
+            assert names.index(producers[0]) < names.index(name), (name, read)
+
+    @pytest.mark.parametrize("name", list(cli.STAGES))
+    def test_stage_leaves_exactly_its_reads_and_writes(self, full_run, tmp_path, name):
+        _, reads, writes = cli.STAGES[name]
+        out = only_reads(full_run, tmp_path, name)
+        assert run(*name.split(), *STAGE_FLAGS, "--out", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(set(reads) | set(writes))
+        for write in writes:
+            assert (out / write).read_bytes() == (full_run / write).read_bytes(), write
+
+    @pytest.mark.parametrize("name,read", STAGE_READS)
+    def test_missing_read_names_the_stage_that_writes_it(
+        self, full_run, tmp_path, capsys, name, read
+    ):
+        producer = next(n for n, (_, _, writes) in cli.STAGES.items() if read in writes)
+        out = only_reads(full_run, tmp_path, name, skip=read)
+        capsys.readouterr()
+        assert run(*name.split(), *STAGE_FLAGS, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: missing artifact {out / read}; run the earlier stages first "
+            f"(siamtab {producer})"
+        ]
+        assert not [w for w in cli.STAGES[name][2] if (out / w).exists()]
+        # and the stage itself, run without the check, needs the file
+        func, command = cli.STAGES[name][0], name.split()
+        args = cli.build_parser().parse_args([*command, *map(str, STAGE_FLAGS), "--out", str(out)])
+        with pytest.raises(OSError, match=read):
+            func(cli.resolve_config(args), *command[1:])
 
 
 class TestEndToEndDeterminism:

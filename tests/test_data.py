@@ -127,6 +127,10 @@ class TestLoadCsv:
             ("1,0,1\n\n2,0,1\n", 3),  # a blank line is a ragged row
             ("1,0,1\n1,0,1,9\n", 3),  # so is a long one
             ("1,0,1\n2,0,1\n3,0,1\n4,0,NA\n5,0\n6,0,x\n", 5),  # faults in later blocks
+            # a cell holding a line break is refused on the line it starts,
+            # so the x on line 4 is not named as the third record's line 3
+            ('"1\n",0,1\nx,0,1\n', 2),
+            ('1,0,1\n1,"0\r\n",1\n', 3),
         ],
     )
     @pytest.mark.parametrize("chunk", [2, 256])
@@ -143,8 +147,10 @@ class TestLoadCsv:
     def test_one_pass_takes_a_block_exactly_when_no_row_is_faulty(self):
         # load_csv rescans a block the one pass refuses, and that rescan must
         # then find a faulty row; this holds for every row of these tokens
-        cells = ["1", "-0.0", " 2.5 ", "1e5", "+1", "", "NA", " NA ", "nan", "inf", "1_5", "x", "N A"]
-        labels = ["0", "1", "1.0", " 1 ", "-0", "", "NA", "2", "0.5", "x", "nan", "1_0"]
+        cells = ["1", "-0.0", " 2.5 ", "1e5", "+1", "", "NA", " NA ", "nan", "inf", "1_5", "x", "N A",
+                 "1\n", "1\r\n", "1\r"]
+        labels = ["0", "1", "1.0", " 1 ", "-0", "", "NA", "2", "0.5", "x", "nan", "1_0",
+                  "1\n", "1\r\n", "1\r"]
         rows = [[a, b, y] for a in cells for b in cells for y in labels]
         rows += [[], ["1"], ["1", "0"], ["1", "0", "1", "0"]]
         for row in rows:
