@@ -203,6 +203,8 @@ def _load_split_indices(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]
 def cmd_prepare(cfg: RunConfig) -> int:
     if cfg.synthetic is None and cfg.data is None:
         raise ValueError("prepare needs --data or --synthetic")
+    if cfg.synthetic is not None and cfg.data is not None:
+        raise ValueError("prepare takes --data or --synthetic, not both")
     cfg.out.mkdir(parents=True, exist_ok=True)
 
     if cfg.synthetic is not None:

@@ -13,7 +13,7 @@ import math
 import re
 import warnings
 import zipfile
-from itertools import chain, islice
+from itertools import islice
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -27,7 +27,7 @@ _KINDS = (NOMINAL, CONTINUOUS, DISCRETE)
 
 # Tokens that mark a missing cell in the CSV dialect we read and write.
 _MISSING_TOKENS = ("", "NA")
-_CHUNK_ROWS = 256  # table rows parsed or formatted at a time; bounds the memory held
+_CHUNK_ROWS = 256  # table rows save_table_csv formats at a time; bounds the memory held
 
 
 @dataclass(frozen=True)
@@ -152,49 +152,38 @@ class NormStats:
 STD_FLOOR = 1e-8
 
 
-def _raw_float(tok: str) -> float:
-    """float(tok), or NaN where float() refuses the token."""
+def _raw_cell(tok: str) -> float:
+    """The value of one raw token; the one rule for what load_csv reads.
+    "" and "NA", spaces around them allowed, read as NaN (missing). Any
+    other token must be a finite number that float() reads, written without
+    "_" (float() reads "1_5" as 15) and on one line (float() reads a quoted
+    "1\\n"), or it raises ValueError."""
+    if "\r" in tok or "\n" in tok:
+        raise ValueError("line break inside a cell")
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
-        return math.nan
-
-
-def _parse_block(rows: list[list[str]], width: int, label_j: int) -> np.ndarray | None:
-    """A block of raw rows as a float64 grid, from one float() per token;
-    None when some row holds a fault. A token float() refuses reads NaN, and
-    only a missing token may be non-finite; no number is written with digit
-    separators, though float() reads "1_5", nor across lines, though float()
-    reads a quoted "1\n". So the block is taken whole when every row has the
-    schema's width, no token holds "_", "\r" or "\n", every label is 0 or 1
-    and every non-finite cell is a missing token."""
-    text = "".join(chain.from_iterable(rows))
-    if any(len(row) != width for row in rows) or any(c in text for c in "_\r\n"):
-        return None
-    cells = np.array([_raw_float(tok) for row in rows for tok in row]).reshape(-1, width)
-    labels = cells[:, label_j]
-    if not ((labels == 0.0) | (labels == 1.0)).all():
-        return None
-    for k in np.flatnonzero(~np.isfinite(cells)):
-        if rows[k // width][k % width].strip() not in _MISSING_TOKENS:
-            return None
-    return cells
+        if tok.strip() in _MISSING_TOKENS:
+            return math.nan
+        raise ValueError(f"non-numeric value {tok.strip()!r}") from None
+    if "_" in tok or not math.isfinite(value):
+        raise ValueError(f"non-numeric value {tok.strip()!r}")
+    return value
 
 
 def _raw_row_fault(row: list[str], schema: list[ColumnSpec], label_j: int) -> str | None:
     """Why load_csv refuses a raw row, or None: its width first, then each
-    cell in column order (a missing label is a fault there), then the
-    label's value."""
+    cell in column order by _raw_cell (a missing label is a fault there),
+    then the label's value."""
     if len(row) != len(schema):
         return f"expected {len(schema)} cells, got {len(row)}"
     for tok, col in zip(row, schema):
-        if "\r" in tok or "\n" in tok:
-            return f"line break inside a cell in column {col.name!r}"
-        if tok.strip() in _MISSING_TOKENS:
-            if col.is_label:
-                return f"missing value in label column {col.name!r}"
-        elif "_" in tok or not math.isfinite(_raw_float(tok)):
-            return f"non-numeric value {tok.strip()!r} in column {col.name!r}"
+        try:
+            value = _raw_cell(tok)
+        except ValueError as exc:
+            return f"{exc} in column {col.name!r}"
+        if col.is_label and math.isnan(value):
+            return f"missing value in label column {col.name!r}"
     label = float(row[label_j])
     return None if label in (0.0, 1.0) else f"label must be 0 or 1, got {label}"
 
@@ -202,15 +191,15 @@ def _raw_row_fault(row: list[str], schema: list[ColumnSpec], label_j: int) -> st
 def load_csv(path: str | Path, schema: list[ColumnSpec]) -> RawTable:
     """Read a comma-separated file into a RawTable.
 
-    The header row must match the schema names in order. Empty strings and
-    "NA" parse as missing; any other token that is not a finite number
-    ("nan", "inf" and "1_5" included) is an error, as are a missing value in
-    the label column and a quoted cell that spans lines, so every line an
-    error names is a line of the file. Rows are parsed a block of
-    _CHUNK_ROWS at a time, each block in one pass; a block that pass refuses
-    is rescanned row by row, and the error names the first faulty line. This
-    is the reader for raw input; the program's own tables go through
-    load_table_csv.
+    The header row must match the schema names in order. Each cell reads
+    by _raw_cell: empty strings and "NA" are missing; any other token that
+    is not a finite number ("nan", "inf" and "1_5" included) is an error,
+    as are a missing value in the label column and a quoted cell that spans
+    lines, so every line an error names is a line of the file. The body is
+    parsed by one np.loadtxt call with _raw_cell as its converter; only when
+    that parse refuses it is the file rescanned row by row, and the error
+    names the first faulty line. This is the reader for raw input; the
+    program's own tables go through load_table_csv.
     """
     path = Path(path)
     label_j = _label_index(schema)
@@ -225,19 +214,27 @@ def load_csv(path: str | Path, schema: list[ColumnSpec]) -> RawTable:
             raise ValueError(
                 f"{path}: header mismatch: expected {expected}, got {names}"
             )
-        blocks = []
-        line = 2
-        while rows := list(islice(reader, _CHUNK_ROWS)):
-            cells = _parse_block(rows, len(schema), label_j)
-            if cells is None:  # then some row of the block has a fault
-                for i, row in enumerate(rows):
-                    if fault := _raw_row_fault(row, schema, label_j):
-                        raise ValueError(f"{path}: line {line + i}: {fault}")
-            blocks.append(cells)
-            line += len(rows)
-    if not blocks:
+        body = list(fh)
+    if not body:
         raise ValueError(f"{path}: empty table (header only)")
-    return RawTable(schema, np.concatenate(blocks))
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on a body of empty lines, which the shape check refuses
+            warnings.simplefilter("ignore", UserWarning)
+            # encoding=None, or numpy < 2 hands the converter bytes
+            cells = np.loadtxt(path, delimiter=",", quotechar='"', converters=_raw_cell,
+                               comments=None, skiprows=reader.line_num, ndmin=2, encoding=None)
+        # loadtxt skips empty lines, and takes a file of equally short rows whole
+        if cells.shape == (len(body), len(schema)) and np.isin(cells[:, label_j], (0, 1)).all():
+            return RawTable(schema, cells)
+        fault = f"np.loadtxt read a grid of shape {cells.shape}"
+    except ValueError as exc:
+        fault = str(exc)
+    for line, row in enumerate(csv.reader(body), start=2):
+        if row_fault := _raw_row_fault(row, schema, label_j):
+            raise ValueError(f"{path}: line {line}: {row_fault}")
+    # the rescan disagrees with numpy: pass numpy's own words on
+    raise ValueError(f"{path}: {fault}")
 
 
 def impute(table: RawTable) -> RawTable:
@@ -571,9 +568,9 @@ def load_schema_csv(path: str | Path) -> list[ColumnSpec]:
     """Read back a schema written by save_schema_csv.
 
     The header must be name,kind,is_label, or the file is "not a schema
-    file"; empty lines are not rows. A row of the wrong width or with a bad
-    kind or flag is an error naming the file and line, and so is a schema
-    without exactly one label column.
+    file"; empty lines are not rows. A row of the wrong width, with a bad
+    kind, or with an is_label other than 0 or 1 is an error naming the file
+    and line, and so is a schema without exactly one label column.
     """
     schema = []
     with open(path, newline="") as fh:
@@ -586,7 +583,9 @@ def load_schema_csv(path: str | Path) -> list[ColumnSpec]:
             try:
                 if len(row) != 3:
                     raise ValueError(f"expected 3 cells, got {len(row)}")
-                schema.append(ColumnSpec(row[0], row[1], bool(int(row[2]))))
+                if row[2] not in ("0", "1"):
+                    raise ValueError(f"is_label must be 0 or 1, got {row[2]!r}")
+                schema.append(ColumnSpec(row[0], row[1], row[2] == "1"))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     try:

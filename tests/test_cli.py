@@ -55,6 +55,17 @@ class TestPrepare:
         assert run("prepare", "--out", tmp_path / "x") == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", ["flags", "config file"])
+    def test_data_and_synthetic_together_are_refused(self, tmp_path, capsys, form):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data={tmp_path / 'input.csv'}\n")
+        data = ["--data", tmp_path / "input.csv"] if form == "flags" else ["--config", cfg]
+        out = tmp_path / "run"
+        assert run("prepare", *data, "--synthetic", "100,3,0.2", "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: prepare takes --data or --synthetic, not both"]
+        assert not out.exists()
+
     def test_csv_input(self, tmp_path):
         from siamtab.data import save_table_csv, synth_generate
 

@@ -89,15 +89,14 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", SCHEMA3)
 
-    @pytest.mark.parametrize("chunk", [2, 256])
-    def test_grid_matches_per_cell_reference_bitwise(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(data, "_CHUNK_ROWS", chunk)
+    @pytest.mark.parametrize("eol", ["\r\n", "\n", "\r"])
+    def test_grid_matches_per_cell_reference_bitwise(self, tmp_path, eol):
         text = (
             'a,b,y\r\n-0.0,5e-324,1\r\n1e308,NA,0\r\n 0.30000000000000004 ,,1\r\n'
             '"-1.5",+2.5e-3,0\r\n-1E+2, NA ,1.0\r\n'
         )
         path = tmp_path / "t.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(text.replace("\r\n", eol).encode())
         got = load_csv(path, SCHEMA3).cells
         want = load_csv_cells(path, SCHEMA3)
         assert got.shape == want.shape == (5, 3)
@@ -133,10 +132,10 @@ class TestLoadCsv:
             ('1,0,1\n1,"0\r\n",1\n', 3),
         ],
     )
-    @pytest.mark.parametrize("chunk", [2, 256])
-    def test_first_faulty_line_named_as_reference(self, tmp_path, monkeypatch, body, line, chunk):
-        monkeypatch.setattr(data, "_CHUNK_ROWS", chunk)
-        path = write(tmp_path, "a,b,y\n" + body)
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_first_faulty_line_named_as_reference(self, tmp_path, body, line, eol):
+        path = tmp_path / "t.csv"
+        path.write_bytes(("a,b,y\n" + body).replace("\n", eol).encode())
         with pytest.raises(ValueError) as want:
             load_csv_cells(path, SCHEMA3)
         with pytest.raises(ValueError) as got:
@@ -144,21 +143,48 @@ class TestLoadCsv:
         assert str(got.value) == str(want.value)
         assert f"line {line}:" in str(got.value)
 
-    def test_one_pass_takes_a_block_exactly_when_no_row_is_faulty(self):
-        # load_csv rescans a block the one pass refuses, and that rescan must
-        # then find a faulty row; this holds for every row of these tokens
+    def test_each_row_of_the_token_matrix_reads_as_the_per_cell_reference(self, tmp_path):
+        # one parse with _raw_cell as converter, a rescan when it refuses:
+        # every row of these tokens, alone in a file, gives the reference's
+        # grid bits or its message
         cells = ["1", "-0.0", " 2.5 ", "1e5", "+1", "", "NA", " NA ", "nan", "inf", "1_5", "x", "N A",
                  "1\n", "1\r\n", "1\r"]
         labels = ["0", "1", "1.0", " 1 ", "-0", "", "NA", "2", "0.5", "x", "nan", "1_0",
                   "1\n", "1\r\n", "1\r"]
         rows = [[a, b, y] for a in cells for b in cells for y in labels]
         rows += [[], ["1"], ["1", "0"], ["1", "0", "1", "0"]]
+        path = tmp_path / "t.csv"
+        taken = 0
         for row in rows:
-            taken = data._parse_block([row], 3, 2) is not None
-            assert taken == (data._raw_row_fault(row, SCHEMA3, 2) is None), row
-        good = [["1", "", "0"], ["NA", "1", "1"]]
-        assert data._parse_block(good, 3, 2) is not None
-        assert data._parse_block(good + [["1", "0", "nan"]], 3, 2) is None
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([["a", "b", "y"], row])
+            try:
+                want = load_csv_cells(path, SCHEMA3)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    load_csv(path, SCHEMA3)
+                assert str(got.value) == str(exc), row
+            else:
+                got = load_csv(path, SCHEMA3).cells
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), row
+                taken += 1
+        assert taken == 8 * 8 * 5  # finite or missing cells, and a 0/1 label
+
+    def test_missing_cells_read_under_numpy_1x_default_encoding(self, tmp_path, monkeypatch):
+        # numpy < 2 hands loadtxt's converter bytes unless encoding=None is
+        # passed; then no "" or NA cell would read as missing
+        real = np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            kwargs.setdefault("encoding", "bytes")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(data.np, "loadtxt", loadtxt)
+        path = write(tmp_path, 'a,b,y\n1.5,,1\nNA, 0 ,0\n"",NA,1\n')
+        got = load_csv(path, SCHEMA3).cells
+        want = load_csv_cells(path, SCHEMA3)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.isnan(got[:, :2]).sum() == 4
 
 
 class TestSchemas:
@@ -642,6 +668,15 @@ class TestArtifactRows:
         path = write(tmp_path, "name,kind,is_label\na,ordinal,0\n", "schema.csv")
         with pytest.raises(ValueError, match=r"schema\.csv: line 2: unknown column kind"):
             load_schema_csv(path)
+
+    @pytest.mark.parametrize("flag", ["7", "-1", "true"])
+    def test_is_label_other_than_0_or_1_names_file_and_line(self, tmp_path, flag):
+        # -1 on a feature row would otherwise make it a second label
+        path = write(tmp_path, f"name,kind,is_label\na,continuous,0\nb,nominal,{flag}\ny,nominal,1\n",
+                     "schema.csv")
+        with pytest.raises(ValueError) as exc:
+            load_schema_csv(path)
+        assert str(exc.value) == f"{path}: line 3: is_label must be 0 or 1, got {flag!r}"
 
     def test_not_a_schema_file(self, tmp_path):
         path = write(tmp_path, "a,b,y\n1,0,1\n")
