@@ -27,7 +27,8 @@ _KINDS = (NOMINAL, CONTINUOUS, DISCRETE)
 
 # Tokens that mark a missing cell in the CSV dialect we read and write.
 _MISSING_TOKENS = ("", "NA")
-_CHUNK_ROWS = 256  # table rows save_table_csv formats at a time; bounds the memory held
+_CHUNK_ROWS = 256  # table rows save_table_csv gathers per write; bounds the record bytes held
+_REPR_WIDTH = 24  # the longest repr of a float64, e.g. -2.2250738585072014e-308
 
 
 @dataclass(frozen=True)
@@ -194,12 +195,12 @@ def load_csv(path: str | Path, schema: list[ColumnSpec]) -> RawTable:
     The header row must match the schema names in order. Each cell reads
     by _raw_cell: empty strings and "NA" are missing; any other token that
     is not a finite number ("nan", "inf" and "1_5" included) is an error,
-    as are a missing value in the label column and a quoted cell that spans
-    lines, so every line an error names is a line of the file. The body is
-    parsed by one np.loadtxt call with _raw_cell as its converter; only when
-    that parse refuses it is the file rescanned row by row, and the error
-    names the first faulty line. This is the reader for raw input; the
-    program's own tables go through load_table_csv.
+    as are a missing value in the label column and a quoted cell, header
+    cells included, that spans lines, so every line an error names is a line
+    of the file. The body is parsed by one np.loadtxt call with _raw_cell as
+    its converter; only when that parse refuses it is the file rescanned row
+    by row, and the error names the first faulty line. This is the reader
+    for raw input; the program's own tables go through load_table_csv.
     """
     path = Path(path)
     label_j = _label_index(schema)
@@ -208,6 +209,10 @@ def load_csv(path: str | Path, schema: list[ColumnSpec]) -> RawTable:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
+        for cell in header:
+            # else the header spans lines, and every line named below is off
+            if "\r" in cell or "\n" in cell:
+                raise ValueError(f"{path}: line 1: line break inside header cell {cell!r}")
         names = [h.strip() for h in header]
         expected = [c.name for c in schema]
         if names != expected:
@@ -366,27 +371,56 @@ def table_sidecar(path: str | Path) -> Path:
 
 
 def _table_text(ft: FeatureTable, label_name: str):
-    """The CSV text of a table: its header, then one block per _CHUNK_ROWS rows."""
+    """The CSV bytes of a table: its header, then one block per _CHUNK_ROWS rows.
+
+    Each column's distinct floats are formatted once with repr, floats being
+    told apart by bit pattern so that -0.0 keeps its sign, and each distinct
+    label once with str; every text is padded with 0 bytes to a fixed width.
+    A block holds one fixed-width record per row, gathered from those texts:
+    each float's text and a comma, then the label's text and a newline. One
+    bytes.translate drops the pads.
+    """
     names = [c.name for c in ft.schema] if ft.schema else [f"f{i:02d}" for i in range(ft.d)]
-    yield ",".join(names + [label_name]) + "\n"
+    yield (",".join(names + [label_name]) + "\n").encode()
+    if not ft.n:
+        return
+    bits = ft.features.view(np.uint64)
+    # column by column, so np.unique's temporaries are one column's size
+    float_of = np.empty(bits.shape, dtype=np.intp)
+    columns = []
+    for j in range(ft.d):
+        floats, float_of[:, j] = np.unique(bits[:, j], return_inverse=True)
+        columns.append(floats.view(np.float64))
+    starts = np.cumsum([0] + [floats.size for floats in columns])
+    float_of += starts[:-1]
+    texts = np.empty(starts[-1], dtype=f"S{_REPR_WIDTH}")
+    for start, floats in zip(starts, columns):
+        texts[start : start + floats.size] = list(map(repr, floats.tolist()))
+    labels, label_of = np.unique(ft.labels, return_inverse=True)
+    ends = np.array([f"{v}\n" for v in labels.tolist()], dtype=bytes)
+    cell = np.dtype([("text", texts.dtype), ("comma", "u1")])
+    buf = np.empty(min(ft.n, _CHUNK_ROWS), dtype=[("cells", cell, ft.d), ("end", ends.dtype)])
+    buf["cells"]["comma"] = ord(",")
     for start in range(0, ft.n, _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        rows = zip(ft.features[start:stop].tolist(), ft.labels[start:stop].tolist())
-        yield "".join(",".join(map(repr, [*row, label])) + "\n" for row, label in rows)
+        stop = min(start + _CHUNK_ROWS, ft.n)
+        rows = buf[: stop - start]
+        rows["cells"]["text"] = texts[float_of[start:stop]]
+        rows["end"] = ends[label_of[start:stop]]
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def save_table_csv(ft: FeatureTable, path: str | Path, label_name: str = "label"):
     """Persist a FeatureTable in the same CSV dialect we read (label last).
 
     Floats are written with repr so a round trip reproduces values exactly;
-    rows go out one formatted write per chunk. The CSV is then copied to its
-    sidecar (table_sidecar): the float64 grid in file order and the sha256
-    of the CSV bytes, hashed as they are written.
+    rows go out one write per block of _CHUNK_ROWS rows, built as
+    _table_text describes. The CSV is then copied to its sidecar
+    (table_sidecar): the float64 grid in file order and the sha256 of the
+    CSV bytes, hashed as they are written.
     """
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for text in _table_text(ft, label_name):
-            block = text.encode()
+        for block in _table_text(ft, label_name):
             digest.update(block)
             fh.write(block)
     grid = np.column_stack([ft.features, ft.labels.astype(np.float64)])

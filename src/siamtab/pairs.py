@@ -124,7 +124,7 @@ def split_pairs(ps: PairSet, fraction: float, seed: int) -> tuple[PairSet, PairS
 
 
 _PAIR_HEADER = "left_index,right_index,similar"
-_WRITE_CHUNK = 8192  # rows assembled per write; bounds the bytes held at once
+_WRITE_CHUNK = 8192  # pair rows save_pairs_csv assembles per write; bounds the bytes held
 
 
 def _digit_table(hi: int) -> np.ndarray:
@@ -145,29 +145,33 @@ def save_pairs_csv(ps: PairSet, path: str | Path):
     """Write `left_index,right_index,similar` rows, one binary write per
     chunk of rows.
 
-    Each chunk's bytes are gathered from a table of the digits of every index
-    up to the largest one, into fixed-width rows whose pad bytes are 0; one
-    boolean compaction then drops the pads, leaving exactly the "%d,%d,%d\\n"
-    text of each pair.
+    Each row of a chunk is one fixed-width record: the left index's digits,
+    a comma, the right index's digits, a comma, the flag and a newline. The
+    digit fields are gathered whole from a table of the digits of every
+    index up to the largest one, padded with 0 bytes; one bytes.translate
+    then drops the pads, leaving exactly the "%d,%d,%d\\n" text of each pair.
     """
     lo = int(min(ps.left.min(initial=0), ps.right.min(initial=0)))
     if lo < 0:
         raise ValueError(f"negative pair index {lo}")
     hi = int(max(ps.left.max(initial=0), ps.right.max(initial=0)))
-    digits = _digit_table(hi)
-    nd = digits.shape[1]
+    table = _digit_table(hi)
+    digits = table.view(np.dtype((np.void, table.shape[1]))).ravel()  # one item per index
+    row = np.dtype([("left", digits.dtype), ("comma1", "u1"), ("right", digits.dtype),
+                    ("comma2", "u1"), ("flag", "u1"), ("newline", "u1")])
     with open(path, "wb") as fh:
         fh.write(_PAIR_HEADER.encode() + b"\n")
-        buf = np.empty((min(len(ps), _WRITE_CHUNK), 2 * nd + 4), dtype=np.uint8)
-        buf[:, nd] = buf[:, 2 * nd + 1] = ord(",")
-        buf[:, -1] = ord("\n")
+        buf = np.empty(min(len(ps), _WRITE_CHUNK), dtype=row)
+        buf["comma1"] = buf["comma2"] = ord(",")
+        buf["newline"] = ord("\n")
         for start in range(0, len(ps), _WRITE_CHUNK):
             stop = min(start + _WRITE_CHUNK, len(ps))
             rows = buf[: stop - start]
-            np.take(digits, ps.left[start:stop], axis=0, out=rows[:, :nd])
-            np.take(digits, ps.right[start:stop], axis=0, out=rows[:, nd + 1 : 2 * nd + 1])
-            rows[:, -2] = ps.similar[start:stop] + ord("0")
-            fh.write(rows[rows != 0].tobytes())
+            # every index is in 0..hi, checked above, so clipping changes none
+            np.take(digits, ps.left[start:stop], out=rows["left"], mode="clip")
+            np.take(digits, ps.right[start:stop], out=rows["right"], mode="clip")
+            rows["flag"] = ps.similar[start:stop] + ord("0")
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def load_pairs_csv(path: str | Path, ft: FeatureTable) -> PairSet:

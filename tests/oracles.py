@@ -191,6 +191,9 @@ def load_csv_cells(path, schema) -> np.ndarray:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
+        for cell in header:
+            if "\r" in cell or "\n" in cell:
+                raise ValueError(f"{path}: line 1: line break inside header cell {cell!r}")
         names = [h.strip() for h in header]
         expected = [c.name for c in schema]
         if names != expected:

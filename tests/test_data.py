@@ -143,6 +143,18 @@ class TestLoadCsv:
         assert str(got.value) == str(want.value)
         assert f"line {line}:" in str(got.value)
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_line_break_in_a_header_cell_is_refused_on_line_1(self, tmp_path, eol):
+        # read as the header a,b,y, it would make the x on line 4 "line 3"
+        path = tmp_path / "t.csv"
+        path.write_bytes('"a\n",b,y\n1,2,0\nx,2,0\n'.replace("\n", eol).encode())
+        with pytest.raises(ValueError) as want:
+            load_csv_cells(path, SCHEMA3)
+        with pytest.raises(ValueError) as got:
+            load_csv(path, SCHEMA3)
+        message = f"{path}: line 1: line break inside header cell {'a' + eol!r}"
+        assert str(got.value) == str(want.value) == message
+
     def test_each_row_of_the_token_matrix_reads_as_the_per_cell_reference(self, tmp_path):
         # one parse with _raw_cell as converter, a rescan when it refuses:
         # every row of these tokens, alone in a file, gives the reference's
@@ -405,12 +417,14 @@ class TestCsvRoundTrips:
         assert np.array_equal(back.labels, ft.labels)
 
     @pytest.mark.parametrize("chunk", [7, 256])
-    def test_table_bytes_match_per_row_reference(self, tmp_path, monkeypatch, chunk):
+    @pytest.mark.parametrize("order", ["C", "F"])  # apply_norm keeps to_features' F order
+    def test_table_bytes_match_per_row_reference(self, tmp_path, monkeypatch, chunk, order):
         monkeypatch.setattr(data, "_CHUNK_ROWS", chunk)
         rng = np.random.default_rng(3)
         features = rng.normal(size=(23, 4))
         features[0] = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
         features[1] = [1 / 3, -1e-300, 2.0**52 + 1, 123456789.12345678]
+        features = np.asarray(features, order=order)
         ft = FeatureTable(features, rng.integers(0, 2, 23), synthetic_schema(4)[:-1])
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         save_table_csv(ft, got, label_name="y")
@@ -418,6 +432,35 @@ class TestCsvRoundTrips:
         assert got.read_bytes() == want.read_bytes()
         back = load_table_csv(got, synthetic_schema(4)[:-1] + [ColumnSpec("y", NOMINAL, True)])
         assert np.array_equal(back.features.view(np.int64), features.view(np.int64))
+
+    @pytest.mark.parametrize("chunk", [1, 7, data._CHUNK_ROWS])
+    @pytest.mark.parametrize("n", [0, 1, 3, 40])
+    @pytest.mark.parametrize("one_class", [False, True])
+    def test_repeated_table_bytes_match_per_row_reference(
+        self, tmp_path, monkeypatch, chunk, n, one_class
+    ):
+        # each column's distinct floats are formatted once: zeros of both
+        # signs must stay apart within a column and across columns, and so
+        # must a value repeated over columns; -2.2250738585072014e-308 is a
+        # longest repr
+        monkeypatch.setattr(data, "_CHUNK_ROWS", chunk)
+        rows = np.array([
+            [0.0, -0.0, 0.0, 1.5, -0.0],
+            [-0.0, 0.0, 1.5, 1.5, 1.5],
+            [5e-324, 1e16, 1e-05, 2.0**52 + 1, -2.2250738585072014e-308],
+        ])
+        rng = np.random.default_rng(9)
+        features = np.vstack([rows, rows[rng.integers(0, 3, 37)]])[:n]
+        labels = np.ones(n, dtype=np.int64) if one_class else rng.integers(0, 2, n)
+        ft = FeatureTable(features, labels, synthetic_schema(5)[:-1])
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_table_csv(ft, got)
+        save_table_csv_rows(ft, want)
+        assert got.read_bytes() == want.read_bytes()
+        if n:
+            back = load_table_csv(got, synthetic_schema(5))
+            assert np.array_equal(back.features.view(np.int64), features.view(np.int64))
+            assert np.array_equal(back.labels, labels)
 
     def test_table_read_matches_the_raw_reader_bitwise(self, tmp_path):
         rng = np.random.default_rng(4)

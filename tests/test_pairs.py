@@ -180,7 +180,7 @@ class TestPairCsv:
         with pytest.raises(ValueError, match="do not match"):
             load_pairs_csv(path, other)
 
-    @pytest.mark.parametrize("chunk", [7, 8192])
+    @pytest.mark.parametrize("chunk", [7, pairs._WRITE_CHUNK])
     @pytest.mark.parametrize("counts", [(0, 0, 0), (3, 2, 2), (100, 30, 30)])
     def test_bytes_match_per_row_reference(self, tmp_path, monkeypatch, chunk, counts):
         monkeypatch.setattr(pairs, "_WRITE_CHUNK", chunk)
@@ -191,19 +191,25 @@ class TestPairCsv:
         save_pairs_csv_rows(ps, want)
         assert got.read_bytes() == want.read_bytes()
 
-    @pytest.mark.parametrize("chunk", [1, 7, 8192])
-    @pytest.mark.parametrize("size", ["digit_boundaries", "one_zero_pair", "empty"])
+    @pytest.mark.parametrize("chunk", [1, 7, pairs._WRITE_CHUNK])
+    @pytest.mark.parametrize(
+        "size", ["digit_boundaries", "one_digit", "all_zero", "one_zero_pair", "empty"]
+    )
     def test_bytes_match_per_row_reference_at_digit_boundaries(
         self, tmp_path, monkeypatch, chunk, size
     ):
-        # indices whose digit count changes, up to 5 digits, with both flags
+        # indices whose digit count changes, up to 5 digits, with both flags;
+        # one_digit and all_zero write from one-digit tables (largest index 9, 0)
         monkeypatch.setattr(pairs, "_WRITE_CHUNK", chunk)
         ft = FeatureTable(np.zeros((10_001, 1)), np.zeros(10_001, dtype=np.int64))
         edges = np.array([0, 9, 10, 99, 100, 999, 1000, 9999, 10_000])
         if size == "digit_boundaries":
             left, right = (a.ravel() for a in np.meshgrid(edges, edges[::-1]))
+        elif size == "one_digit":
+            left, right = (a.ravel() for a in np.meshgrid(np.arange(10), np.arange(9, -1, -1)))
         else:
-            left = right = np.zeros(int(size == "one_zero_pair"), dtype=np.int64)
+            n = {"all_zero": 12, "one_zero_pair": 1, "empty": 0}[size]
+            left = right = np.zeros(n, dtype=np.int64)
         similar = np.arange(left.size) % 3 == 1
         ps = PairSet(ft, left, right, similar, (left.size, 0, 0))
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
