@@ -42,9 +42,11 @@ from .siamese import (
 from .train import (
     EvalReport,
     History,
+    RowEmbedding,
     TrainConfig,
     base_config,
     base_network_spec,
+    embed_rows,
     evaluate_classifier,
     evaluate_pairs,
     export_history,

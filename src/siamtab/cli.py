@@ -16,6 +16,7 @@ rewrites byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .siamese import ReferenceBank, SiameseModel, build_reference_bank, require_
 from .train import (
     base_config,
     base_network_spec,
+    embed_rows,
     evaluate_classifier,
     evaluate_pairs,
     export_history,
@@ -413,8 +415,9 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
             ),
         )
         pairs_test = pr.load_pairs_csv(cfg.out / "pairs_test.csv", ft)
-        pair_report = evaluate_pairs(model, pairs_test)
-        sample_report = evaluate_classifier(model, test_ft, bank)
+        held_out = embed_rows(model, ft.features, pairs_test.left, pairs_test.right, test_idx)
+        pair_report = evaluate_pairs(model, pairs_test, held_out)
+        sample_report = evaluate_classifier(model, test_ft, bank, held_out)
         lines = (
             [
                 "evaluation: siamese network",
@@ -495,7 +498,10 @@ def run_stage(name: str, cfg: RunConfig) -> int:
     return func(cfg, *name.split()[1:])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (parse_args leaves it as it
+    was)."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="flat key=value config file")
     for flag, (_, cast, text) in _FLAGS.items():

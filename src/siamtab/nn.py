@@ -181,17 +181,20 @@ def forward(
     trace = ForwardTrace()
     penalty = 0.0
     for k, layer in enumerate(spec.layers):
-        z = h @ params.weights[k].T + params.biases[k]
+        # z is the matmul's fresh result, so bias, dropout and ReLU write it
+        # in place; the caller's x is never written
+        z = h @ params.weights[k].T
+        z += params.biases[k]
         trace.inputs.append(h)
         if mode == "train" and layer.dropout_rate > 0.0:
             keep = 1.0 - layer.dropout_rate
             mask = (rng.random(z.shape) < keep) / keep
-            z = z * mask
+            z *= mask
             trace.masks.append(mask)
         else:
             trace.masks.append(None)
         if layer.activation == "relu":
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=z)
         elif layer.activation == "sigmoid":
             a = _sigmoid(z)
         else:

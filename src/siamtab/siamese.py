@@ -9,7 +9,11 @@ the two branches' gradients into the shared store.
 
 Inference embeds a large batch in blocks of at most EMBED_BLOCK rows, so each
 layer's temporaries stay cache-sized, and reference distances are built one
-reference column at a time through one reused buffer.
+reference column at a time through one reused buffer. `eval siamese` embeds
+its held-out pair and test rows once and hands classify_table the test rows'
+embeddings. The reference banks keep their own embed calls: a forward of k
+rows can round differently from a block of the table, and their distances
+decide the labels.
 """
 
 from __future__ import annotations
@@ -157,13 +161,13 @@ def build_reference_bank(train: FeatureTable, k: int, seed: int) -> ReferenceBan
     return ReferenceBank(refs[0], refs[1], k)
 
 
-def _mean_ref_distances(model: SiameseModel, bank: ReferenceBank, x: np.ndarray):
-    """Mean embedding distance from each row of x to each class's references.
+def _mean_ref_distances(model: SiameseModel, bank: ReferenceBank, e_x: np.ndarray):
+    """Mean embedding distance from each embedded row of e_x to each class's
+    references.
 
     Each bank is embedded on its own. Its (n, k) distance matrix is filled one
     reference column at a time through one reused (n, emb) buffer.
     """
-    e_x = model.embed(x)  # (n, emb)
     buf = np.empty_like(e_x)
     means = []
     for refs in (bank.refs0, bank.refs1):
@@ -177,14 +181,21 @@ def _mean_ref_distances(model: SiameseModel, bank: ReferenceBank, x: np.ndarray)
     return means[0], means[1]
 
 
-def classify_table(model: SiameseModel, bank: ReferenceBank, ft: FeatureTable):
+def classify_table(
+    model: SiameseModel, bank: ReferenceBank, ft: FeatureTable, emb: np.ndarray | None = None
+):
     """Label each row by the class with the smaller mean reference distance.
 
+    `emb`, when given, holds ft's rows already embedded, row for row.
     Returns (labels, mean_d0, mean_d1) arrays. An exact tie goes to class 1,
     the costlier class to miss.
     """
     if ft.n == 0:
         raise ValueError("empty table")
-    d0, d1 = _mean_ref_distances(model, bank, ft.features)
+    if emb is None:
+        emb = model.embed(ft.features)
+    elif emb.shape != (ft.n, model.embedding_size):
+        raise ValueError(f"embedding shape {emb.shape} is not ({ft.n}, {model.embedding_size})")
+    d0, d1 = _mean_ref_distances(model, bank, emb)
     labels = (d1 <= d0).astype(np.int64)
     return labels, d0, d1

@@ -356,29 +356,58 @@ def train_siamese(
     return model, _fit(cfg, params, len(train_ps), batch_step, validate, s_loop, progress)
 
 
-def _distinct_rows(ps: PairSet) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(concat(left, right), return_inverse=True) without the sort:
-    the sorted distinct source rows the pairs touch, and each pair member's
-    position among them (left members first)."""
-    idx = np.concatenate((ps.left, ps.right))
-    seen = np.zeros(ps.source.n, dtype=bool)
+def _distinct_rows(n: int, *indices: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """np.unique(concat(indices), return_inverse=True) without the sort, for
+    index arrays over one n-row table: the sorted distinct rows they name,
+    and each array's positions among them."""
+    idx = np.concatenate(indices)
+    seen = np.zeros(n, dtype=bool)
     seen[idx] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[idx]
+    inverse = (np.cumsum(seen) - 1)[idx]
+    return np.flatnonzero(seen), np.split(inverse, np.cumsum([len(i) for i in indices[:-1]]))
 
 
-def _pair_distances(model: SiameseModel, ps: PairSet) -> np.ndarray:
+@dataclass(frozen=True)
+class RowEmbedding:
+    """Inference embeddings of the distinct table rows that some index arrays
+    name, each row embedded once: vectors[positions[j]] embeds the rows the
+    j-th array names, in its order."""
+
+    vectors: np.ndarray
+    positions: tuple[np.ndarray, ...]
+
+
+def embed_rows(model: SiameseModel, features: np.ndarray, *indices: np.ndarray) -> RowEmbedding:
+    """Embed every distinct row of `features` that the index arrays name,
+    with one embed call.
+
+    `eval siamese` embeds the union of its test pairs' rows and test-split
+    rows this way, once, for both of its reports. The reference banks keep
+    their own embed calls: a forward of k rows can round differently from a
+    block of the table, and their distances decide the labels.
+    """
+    rows, positions = _distinct_rows(len(features), *indices)
+    return RowEmbedding(model.embed(features[rows]), tuple(positions))
+
+
+def _pair_distances(
+    model: SiameseModel, ps: PairSet, embedded: RowEmbedding | None = None
+) -> np.ndarray:
     """Inference-mode distances for every pair.
 
-    Each distinct row the pairs touch is embedded once, by one embed call.
-    The distances are then taken _EVAL_CHUNK pairs at a time: both members'
-    embeddings are gathered into two reused buffers, differenced and squared
-    in place and summed into the result, which is floored and rooted at the
-    end.
+    The members' embeddings are read from `embedded` (its first two index
+    arrays were ps.left and ps.right), or from one embed_rows call over the
+    pairs. The distances are taken _EVAL_CHUNK pairs at a time: both
+    members' embeddings are gathered into two reused buffers, differenced
+    and squared in place and summed into the result, which is floored and
+    rooted at the end.
     """
-    rows, inverse = _distinct_rows(ps)
-    emb = model.embed(ps.source.features[rows])
+    if embedded is None:
+        embedded = embed_rows(model, ps.source.features, ps.left, ps.right)
+    emb, (left, right) = embedded.vectors, embedded.positions[:2]
     n = len(ps)
-    left, right = inverse[:n], inverse[n:]
+    if len(left) != n or len(right) != n:
+        raise ValueError(f"embedding positions for {len(left)}/{len(right)} members, not {n}")
     out = np.empty(n)
     buf_a = np.empty((min(n, _EVAL_CHUNK), emb.shape[1]))
     buf_b = np.empty_like(buf_a)
@@ -402,30 +431,39 @@ def _eval_pairs_loss(model: SiameseModel, ps: PairSet) -> tuple[float, float]:
     return float(losses.mean()), acc
 
 
-def evaluate_pairs(model: SiameseModel, pairs: PairSet) -> EvalReport:
-    """Pair-level confusion matrix; a similar verdict is the positive class."""
+def evaluate_pairs(
+    model: SiameseModel, pairs: PairSet, embedded: RowEmbedding | None = None
+) -> EvalReport:
+    """Pair-level confusion matrix; a similar verdict is the positive class.
+    `embedded` is as for _pair_distances."""
     if len(pairs) == 0:
         raise ValueError("empty pair set")
-    d = _pair_distances(model, pairs)
+    d = _pair_distances(model, pairs, embedded)
     verdicts = (d < model.pair_threshold).astype(np.int64)
     return EvalReport.from_predictions(pairs.similar.astype(np.int64), verdicts)
 
 
 def evaluate_classifier(
-    model, data: FeatureTable, bank: ReferenceBank | None = None
+    model,
+    data: FeatureTable,
+    bank: ReferenceBank | None = None,
+    embedded: RowEmbedding | None = None,
 ) -> EvalReport:
     """Sample-level confusion matrix and metrics.
 
     `model` is either a SiameseModel, classified through its reference bank,
     or a (NetworkSpec, ParamSet) pair for a sigmoid-output classifier such
-    as the baseline.
+    as the baseline. For a SiameseModel, `embedded` may hold data's rows
+    already embedded: an embed_rows result whose last index array named
+    them in data's order.
     """
     if data.n == 0:
         raise ValueError("empty data")
     if isinstance(model, SiameseModel):
         if bank is None:
             raise ValueError("siamese evaluation needs a reference bank")
-        preds, _, _ = classify_table(model, bank, data)
+        emb = None if embedded is None else embedded.vectors[embedded.positions[-1]]
+        preds, _, _ = classify_table(model, bank, data, emb)
     else:
         spec, params = model
         out, _ = forward(params, spec, data.features, mode="infer")

@@ -276,3 +276,34 @@ def mean_ref_distances_broadcast(model, bank, x) -> tuple[np.ndarray, np.ndarray
         _floored_norm(e_x[:, None, :] - _embed_whole(model, refs)[None, :, :]).mean(axis=1)
         for refs in (bank.refs0, bank.refs1)
     )
+
+
+def forward_new_arrays(params, spec, x, mode="infer", rng=None):
+    """The engine's forward with three new arrays per layer, as it was before
+    it wrote each layer in place: z = h @ W.T + b, dropout z * mask, ReLU
+    np.maximum(z, 0.0). Draws masks from rng in the same order. Returns
+    (output, inputs, masks, outputs, penalty)."""
+    from siamtab.nn import _sigmoid
+
+    h = np.asarray(x, dtype=np.float64)
+    inputs, masks, outputs, penalty = [], [], [], 0.0
+    for k, layer in enumerate(spec.layers):
+        z = h @ params.weights[k].T + params.biases[k]
+        inputs.append(h)
+        mask = None
+        if mode == "train" and layer.dropout_rate > 0.0:
+            keep = 1.0 - layer.dropout_rate
+            mask = (rng.random(z.shape) < keep) / keep
+            z = z * mask
+        masks.append(mask)
+        if layer.activation == "relu":
+            a = np.maximum(z, 0.0)
+        elif layer.activation == "sigmoid":
+            a = _sigmoid(z)
+        else:
+            a = z
+        if layer.activity_l2 > 0.0:
+            penalty += layer.activity_l2 * float(np.sum(a * a))
+        outputs.append(a)
+        h = a
+    return h, inputs, masks, outputs, penalty

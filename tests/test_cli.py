@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ import pytest
 
 from siamtab import cli
 from siamtab.cli import main, read_config_file, stage_seed
+from siamtab.siamese import SiameseModel
 
 
 def run(*argv):
@@ -395,6 +397,29 @@ class TestEvalCmd:
         assert run("eval", "siamese", "--out", out, "--seed", 13) == 0
         assert (out / "eval_siamese.txt").read_bytes() == first
 
+    def test_held_out_rows_are_embedded_once(self, trained_run, tmp_path, monkeypatch):
+        # one embed of the union of test-pair and test-split rows, then one
+        # per reference bank; the reports keep their bytes
+        out = copy_run(trained_run, tmp_path)
+        embedded = []
+        original = SiameseModel.embed
+
+        def counting_embed(self, x):
+            embedded.append(len(x))
+            return original(self, x)
+
+        monkeypatch.setattr(SiameseModel, "embed", counting_embed)
+        assert run("eval", "siamese", "--out", out) == 0
+        pairs = np.loadtxt(out / "pairs_test.csv", delimiter=",", skiprows=1, dtype=np.int64)
+        splits = np.loadtxt(out / "splits.csv", delimiter=",", skiprows=1, dtype=str)
+        test_rows = splits[splits[:, 1] == "test", 0].astype(np.int64)
+        union = np.union1d(pairs[:, :2], test_rows)
+        assert np.setdiff1d(test_rows, pairs[:, :2]).size > 0
+        assert test_rows.size < union.size < 300
+        assert embedded == [union.size, 10, 10]
+        for name in ("eval_siamese.txt", "eval_siamese.kv"):
+            assert (out / name).read_bytes() == (trained_run / name).read_bytes(), name
+
     def test_checkpoint_of_the_wrong_kind_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
         run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 16)
@@ -766,3 +791,42 @@ class TestStageSeeds:
         seeds = [stage_seed(7, k) for k in range(7)]
         assert len(set(seeds)) == 7
         assert seeds == [stage_seed(7, k) for k in range(7)]
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["eval", "--help"],
+            ["train", "siamese", "--help"],
+            [],
+            ["eval"],
+            ["eval", "nope"],
+            ["pairs", "--seed", "x"],
+            ["prepare", "--synthetic", "100,3,0.2", "--seed", "4", "--out", "{out}"],
+        ],
+    )
+    def test_one_parser_serves_every_call_with_the_same_output(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        argv = [arg.format(out=tmp_path / "run") for arg in argv]
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        outputs, n_built = [], []
+        for _ in range(2):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            outputs.append((code, capsys.readouterr()))
+            n_built.append(len(built))
+        assert n_built[0] > 0 and n_built[1] == n_built[0]
+        assert outputs[0] == outputs[1]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    forward_new_arrays,
     kink_free_input,
     max_rel_error,
     numeric_gradient,
@@ -29,6 +30,7 @@ from siamtab.nn import (
     rmsprop_step,
     save_checkpoint,
 )
+from siamtab.train import base_network_spec, siamese_network_spec
 
 
 def scalar_params(w, b):
@@ -166,6 +168,28 @@ class TestForward:
         params = ParamSet([np.eye(2)], [np.zeros(2)])
         _, trace = forward(params, spec, np.array([[1.0, 2.0]]))
         assert trace.penalty == 0.5 * (1.0 + 4.0)
+
+    @pytest.mark.parametrize("spec_of", [base_network_spec, siamese_network_spec])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_in_place_layers_match_the_new_array_forward_bitwise(self, spec_of, mode):
+        # the base spec covers the sigmoid head and the activity penalty
+        spec = spec_of(15)
+        params = init_params(spec, seed=6)
+        x = np.random.default_rng(7).normal(size=(40, 15))
+        x_before, flat_before = x.copy(), params.flat.copy()
+        out, trace = forward(params, spec, x, mode=mode, rng=np.random.default_rng(8))
+        want, inputs, masks, outputs, penalty = forward_new_arrays(
+            params, spec, x, mode=mode, rng=np.random.default_rng(8)
+        )
+        assert np.array_equal(out, want)
+        for got, ref in zip((trace.inputs, trace.masks, trace.outputs), (inputs, masks, outputs)):
+            assert len(got) == len(ref) == len(spec.layers)
+            for a, b in zip(got, ref):
+                assert (a is None and b is None) or np.array_equal(a, b)
+        assert (trace.masks[0] is None) == (mode == "infer")
+        assert trace.penalty == penalty
+        assert (penalty > 0.0) == (spec_of is base_network_spec)
+        assert np.array_equal(x, x_before) and np.array_equal(params.flat, flat_before)
 
     def test_inverted_dropout_expectation(self):
         # Monte Carlo over 1e5 masks: E[dropout(z)] == z within 1%

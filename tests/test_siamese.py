@@ -366,7 +366,7 @@ class TestBlockedInference:
         rng = np.random.default_rng(44)
         bank = ReferenceBank(rng.normal(size=(10, 15)), rng.normal(size=(10, 15)) + 0.5, 10)
         x = rng.normal(size=(n, 15))
-        d0, d1 = siamese_mod._mean_ref_distances(model, bank, x)
+        d0, d1 = siamese_mod._mean_ref_distances(model, bank, model.embed(x))
         want0, want1 = mean_ref_distances_broadcast(model, bank, x)
         assert np.array_equal(d0, want0) and np.array_equal(d1, want1)
         labels, t0, t1 = classify_table(model, bank, FeatureTable(x, np.zeros(n, dtype=int)))

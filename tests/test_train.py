@@ -3,10 +3,10 @@ import pytest
 
 from oracles import count_confusion, pair_distances_row_chunks
 from siamtab import train as train_mod
-from siamtab.data import FeatureTable, apply_norm, fit_norm, synth_generate
+from siamtab.data import FeatureTable, apply_norm, fit_norm, synth_generate, take_rows
 from siamtab.nn import LayerSpec, NetworkSpec, ParamSet, init_params
 from siamtab.pairs import PairSet, generate_pairs
-from siamtab.siamese import SiameseModel, pair_forward
+from siamtab.siamese import ReferenceBank, SiameseModel, classify_table, pair_forward
 from siamtab.train import (
     EvalReport,
     History,
@@ -352,16 +352,20 @@ class TestPairDistances:
         assert np.array_equal(got, expected)
 
     def test_distinct_rows_match_np_unique(self):
-        # repeats within and across sides, and source rows no pair touches
-        ft = FeatureTable(np.zeros((40, 2)), np.zeros(40, dtype=int))
+        # repeats within and across arrays, and source rows no array names;
+        # one, two (the pair members) and three (eval's test rows too) arrays
         rng = np.random.default_rng(38)
-        left, right = rng.integers(5, 30, 60), rng.integers(10, 35, 60)
-        left[:2], right[:2] = [39, 5], [5, 39]
-        ps = PairSet(ft, left, right, np.zeros(60, dtype=bool), (60, 0, 0))
-        rows, inverse = train_mod._distinct_rows(ps)
-        want_rows, want_inverse = np.unique(np.concatenate((left, right)), return_inverse=True)
-        assert np.array_equal(rows, want_rows) and np.array_equal(inverse, want_inverse)
-        assert rows.size < ft.n
+        indices = [rng.integers(5, 30, 60), rng.integers(10, 35, 60), rng.integers(0, 12, 9)]
+        indices[0][:2], indices[1][:2] = [39, 5], [5, 39]
+        for arrays in (1, 2, 3):
+            rows, positions = train_mod._distinct_rows(40, *indices[:arrays])
+            want_rows, want_inverse = np.unique(
+                np.concatenate(indices[:arrays]), return_inverse=True
+            )
+            assert np.array_equal(rows, want_rows)
+            assert np.array_equal(np.concatenate(positions), want_inverse)
+            assert [len(p) for p in positions] == [len(i) for i in indices[:arrays]]
+            assert rows.size < 40
 
     def test_each_distinct_row_is_embedded_once(self, monkeypatch):
         model, ft = self.integer_model_and_table(np.random.default_rng(36))
@@ -396,6 +400,59 @@ class TestPairDistances:
         assert len(ps) % train_mod._EVAL_CHUNK != 0
         got = train_mod._pair_distances(model, ps)
         assert np.array_equal(got, pair_distances_row_chunks(model, ps))
+
+
+class TestSharedEmbedding:
+    def test_shared_embedding_gives_the_stand_alone_bits(self):
+        # test rows no pair touches, pair rows outside the test split and
+        # rows in both; every embed block holds at least 128 rows, so BLAS
+        # rounds each row alike in the union and stand-alone forwards
+        rng = np.random.default_rng(39)
+        spec = siamese_network_spec(15)
+        model = SiameseModel(spec, init_params(spec, 40))
+        n = 700
+        ft = FeatureTable(rng.normal(size=(n, 15)), rng.integers(0, 2, n))
+        perm = rng.permutation(n)
+        test_idx = perm[:300]
+        left = np.concatenate((perm[100:], rng.choice(perm[100:], 300)))
+        right = rng.choice(perm[100:], left.size)
+        ps = PairSet(ft, left, right, rng.random(left.size) < 0.5, (left.size, 0, 0))
+        test_ft = take_rows(ft, test_idx)
+        bank = ReferenceBank(rng.normal(size=(10, 15)), rng.normal(size=(10, 15)) + 0.5, 10)
+
+        shared = train_mod.embed_rows(model, ft.features, left, right, test_idx)
+        assert len(shared.vectors) == n
+        assert not np.isin(perm[:100], np.concatenate((left, right))).any()
+        assert np.isin(perm[100:300], left).all() and not np.isin(perm[300:], test_idx).any()
+
+        got = train_mod._pair_distances(model, ps, shared)
+        assert np.array_equal(got, train_mod._pair_distances(model, ps))
+        labels, d0, d1 = classify_table(
+            model, bank, test_ft, shared.vectors[shared.positions[-1]]
+        )
+        want_labels, want0, want1 = classify_table(model, bank, test_ft)
+        assert np.array_equal(d0, want0) and np.array_equal(d1, want1)
+        assert np.array_equal(labels, want_labels)
+        for with_shared, alone in (
+            (evaluate_pairs(model, ps, shared), evaluate_pairs(model, ps)),
+            (
+                evaluate_classifier(model, test_ft, bank, shared),
+                evaluate_classifier(model, test_ft, bank),
+            ),
+        ):
+            assert with_shared.kv() == alone.kv()
+
+    def test_embedding_of_other_rows_rejected(self):
+        spec = siamese_network_spec(4)
+        model = SiameseModel(spec, init_params(spec, 41))
+        ft = FeatureTable(np.ones((6, 4)), np.array([0, 1] * 3))
+        ps = PairSet(ft, np.array([0, 1]), np.array([2, 3]), np.ones(2, dtype=bool), (2, 0, 0))
+        other = train_mod.embed_rows(model, ft.features, np.arange(3), np.arange(3))
+        with pytest.raises(ValueError, match="positions for 3/3 members, not 2"):
+            evaluate_pairs(model, ps, other)
+        bank = ReferenceBank(np.ones((1, 4)), np.zeros((1, 4)), 1)
+        with pytest.raises(ValueError, match=r"embedding shape \(3, 256\) is not \(6, 256\)"):
+            evaluate_classifier(model, ft, bank, other)
 
 
 class TestEvaluateClassifier:
