@@ -9,15 +9,23 @@ the layer's final activations.
 
 Shape conventions: inputs are row batches (n, in_size); a weight matrix is
 (out_size, in_size); z = x @ W.T + b.
+
+Inference kernels split their rows over the usable cores (`over_rows`). Each
+row is computed by the same numpy and BLAS calls as on one core, so results
+do not depend on the core count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 import zipfile
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +34,6 @@ ACTIVATIONS = ("relu", "sigmoid", "linear")
 # Floors keeping log() and the distance gradient finite.
 PRED_EPS = 1e-7
 DIST_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -133,6 +140,76 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamSet:
     return ParamSet(weights, biases)
 
 
+# Most rows per piece of a split inference forward. A batch of more rows
+# splits into pieces of at least half as many: OpenBLAS computes a GEMM of a
+# few rows on another path, which rounds differently.
+_FORWARD_PIECE_ROWS = 256
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+CORES = _usable_cores()
+_helpers: ThreadPoolExecutor | None = None
+
+
+def _forget_helpers():
+    # a forked child has none of its parent's threads
+    global _helpers
+    _helpers = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def over_rows(n: int, fn: Callable[[int, int], None], rows: int) -> None:
+    """Call fn(start, stop) once on each piece of range(n): ceil(n / rows)
+    contiguous near-equal pieces (np.array_split bounds), so a piece holds
+    at most `rows` rows and, when there are several, more than rows / 2.
+
+    The calling thread and up to CORES - 1 helper threads, from a pool built
+    on first use, each take the next unclaimed piece until none is left:
+    one join per call. A helper that has not begun when the calling thread
+    runs out of pieces is called off, so a helper whose core is busy
+    elsewhere holds the call up by at most the piece it is on. A call off
+    the main thread runs every piece itself, so a nested call never waits on
+    a helper. If a piece raises, its thread takes no further pieces, and the
+    error is raised here once every piece that has begun has ended.
+
+    fn should run numpy kernels only. It must not call forward or the
+    distance and eval functions: the benchmark's tracer records their spans
+    on one stack, which only the main thread may touch.
+    """
+    global _helpers
+    pieces = max(1, -(-n // rows))
+    size, extra = divmod(n, pieces)
+    bounds = [i * size + min(i, extra) for i in range(pieces + 1)]
+    unclaimed = iter(range(pieces))
+
+    def work():
+        for i in unclaimed:  # next() on a range iterator is atomic under the GIL
+            fn(bounds[i], bounds[i + 1])
+
+    helpers = min(CORES, pieces) - 1
+    if threading.current_thread() is not threading.main_thread():
+        helpers = 0
+    if helpers and _helpers is None:
+        _helpers = ThreadPoolExecutor(CORES - 1, thread_name_prefix="siamtab-rows")
+    rest = [_helpers.submit(work) for _ in range(helpers)]
+    try:
+        work()
+    finally:
+        begun = [future for future in rest if not future.cancel()]
+        wait(begun)
+    for future in begun:
+        future.result()
+
+
 @dataclass
 class ForwardTrace:
     """Per-layer bookkeeping retained for the backward pass."""
@@ -155,6 +232,26 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def infer_rows(
+    params: ParamSet, layers: tuple[LayerSpec, ...], x: np.ndarray, outs: list[np.ndarray]
+) -> None:
+    """Infer-mode arithmetic of forward's first len(layers) layers on the
+    rows of x, layer k into outs[k] (preallocated, len(x) rows each).
+
+    No checks, no trace and no threads: the kernel that over_rows pieces of
+    forward and of blocked inference run, on any thread.
+    """
+    h = x
+    for k, (layer, z) in enumerate(zip(layers, outs)):
+        np.matmul(h, params.weights[k].T, out=z)
+        z += params.biases[k]
+        if layer.activation == "relu":
+            np.maximum(z, 0.0, out=z)
+        elif layer.activation == "sigmoid":
+            z[...] = _sigmoid(z)
+        h = z
+
+
 def forward(
     params: ParamSet,
     spec: NetworkSpec,
@@ -167,6 +264,13 @@ def forward(
     In train mode dropout is inverted: surviving units scale by 1/(1-rate),
     so inference applies no correction. The trace accumulates the activity
     penalty sum(l2 * a^2) over regularized layers and the whole batch.
+
+    In infer mode the leading run of ReLU layers is computed over_rows: each
+    piece takes its rows through all of them (infer_rows), into whole-batch
+    layer arrays.
+    The layers after that run (the base net's 256->1 sigmoid head, a GEMV
+    that rounds differently in row blocks) and the penalty sums are computed
+    whole on the calling thread, so every output keeps its bits.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -179,8 +283,22 @@ def forward(
         raise ValueError("train mode with dropout requires an rng")
 
     trace = ForwardTrace()
-    penalty = 0.0
-    for k, layer in enumerate(spec.layers):
+    split = 0
+    if mode == "infer":
+        while split < len(spec.layers) and spec.layers[split].activation == "relu":
+            split += 1
+    if split:
+        outs = [np.empty((len(h), layer.out_size)) for layer in spec.layers[:split]]
+
+        def pieces(start: int, stop: int):
+            infer_rows(params, spec.layers[:split], h[start:stop], [o[start:stop] for o in outs])
+
+        over_rows(len(h), pieces, _FORWARD_PIECE_ROWS)
+        trace.inputs = [h, *outs[:-1]]
+        trace.masks = [None] * split
+        trace.outputs = outs
+        h = outs[-1]
+    for k, layer in enumerate(spec.layers[split:], split):
         # z is the matmul's fresh result, so bias, dropout and ReLU write it
         # in place; the caller's x is never written
         z = h @ params.weights[k].T
@@ -199,11 +317,11 @@ def forward(
             a = _sigmoid(z)
         else:
             a = z
-        if layer.activity_l2 > 0.0:
-            penalty += layer.activity_l2 * float(np.sum(a * a))
         trace.outputs.append(a)
         h = a
-    trace.penalty = penalty
+    for layer, a in zip(spec.layers, trace.outputs):
+        if layer.activity_l2 > 0.0:
+            trace.penalty += layer.activity_l2 * float(np.sum(a * a))
     return h, trace
 
 

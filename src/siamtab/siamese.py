@@ -7,11 +7,13 @@ one batch, so a pair step stacks both members into a (2B, d) batch and makes
 one forward and one backward pass. The weight GEMM of that backward pass sums
 the two branches' gradients into the shared store.
 
-Inference embeds a large batch in blocks of at most EMBED_BLOCK rows, so each
-layer's temporaries stay cache-sized, and reference distances are built one
-reference column at a time through one reused buffer. `eval siamese` embeds
-its held-out pair and test rows once and hands classify_table the test rows'
-embeddings. The reference banks keep their own embed calls: a forward of k
+Inference embeds a large batch in blocks of at most EMBED_BLOCK rows, which
+the usable cores take one at a time (nn.over_rows), so each core's layer
+temporaries stay cache-sized. Reference distances are built one reference
+column at a time through one reused buffer, in row pieces that the cores
+take the same way. Neither split changes a bit of the results. `eval
+siamese` embeds its held-out pair and test rows once and hands
+classify_table the test rows' embeddings. The reference banks keep their own embed calls: a forward of k
 rows can round differently from a block of the table, and their distances
 decide the labels.
 """
@@ -25,6 +27,7 @@ import numpy as np
 
 from .data import FeatureTable
 from .nn import (
+    CORES,
     ForwardTrace,
     NetworkSpec,
     ParamSet,
@@ -32,13 +35,17 @@ from .nn import (
     euclidean_distance,
     floored_sqrt,
     forward,
+    infer_rows,
+    over_rows,
 )
 
 DEFAULT_MARGIN = 1.0
 DEFAULT_PAIR_THRESHOLD = 0.5  # margin / 2
-# Rows per inference forward: a 256-row block keeps each (rows, 256) float64
-# layer temporary at 512 KB.
+# Most rows per inference block: a 256-row block keeps each (rows, 256)
+# float64 layer temporary at 512 KB.
 EMBED_BLOCK = 256
+# Most rows per piece of the reference distance loop.
+_REF_PIECE_ROWS = 256
 
 
 def require_positive(name: str, value: float):
@@ -66,20 +73,31 @@ class SiameseModel:
         """Inference-mode embedding of an (n, d) row batch.
 
         A batch of n > EMBED_BLOCK rows runs as ceil(n / EMBED_BLOCK)
-        near-equal blocks (np.array_split boundaries) into one output array.
-        Every block then holds at least EMBED_BLOCK / 2 rows, which keeps
-        each GEMM off the BLAS path for tiny batches that rounds differently,
-        so the rows come out bitwise as from one forward over the batch.
+        near-equal blocks (np.array_split boundaries) into one output array,
+        the cores taking one block at a time (over_rows, infer_rows). Every
+        block then holds 128 to 256 rows, which keeps each GEMM off the BLAS
+        path for tiny batches that rounds differently, so the rows come out
+        bitwise as from one forward over the batch. Each core's layer
+        temporaries are made once per call, on the calling thread.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.in_size:
             raise ValueError(f"input shape {x.shape} is not (n, {self.spec.in_size})")
-        n_blocks = -(-len(x) // EMBED_BLOCK)
-        if n_blocks <= 1:
+        if len(x) <= EMBED_BLOCK:
             return forward(self.params, self.spec, x)[0]
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite input")
+        layers = self.spec.layers
         out = np.empty((len(x), self.embedding_size))
-        for block, dest in zip(np.array_split(x, n_blocks), np.array_split(out, n_blocks)):
-            dest[...] = forward(self.params, self.spec, block)[0]
+        temps = [[np.empty((EMBED_BLOCK, l.out_size)) for l in layers[:-1]] for _ in range(CORES)]
+
+        def blocks(start: int, stop: int):
+            temp = temps.pop()  # list.pop and append are atomic
+            infer_rows(self.params, layers, x[start:stop],
+                       [t[: stop - start] for t in temp] + [out[start:stop]])
+            temps.append(temp)
+
+        over_rows(len(x), blocks, EMBED_BLOCK)
         return out
 
 
@@ -165,20 +183,27 @@ def _mean_ref_distances(model: SiameseModel, bank: ReferenceBank, e_x: np.ndarra
     """Mean embedding distance from each embedded row of e_x to each class's
     references.
 
-    Each bank is embedded on its own. Its (n, k) distance matrix is filled one
-    reference column at a time through one reused (n, emb) buffer.
+    Each bank is embedded on its own. Both (n, k) distance matrices are
+    filled over_rows: each piece fills its rows one reference column at a
+    time through its rows of one reused (n, emb) buffer, which is made on
+    the calling thread (what a helper allocates stays in its own malloc
+    arena).
     """
-    buf = np.empty_like(e_x)
-    means = []
-    for refs in (bank.refs0, bank.refs1):
-        e_r = model.embed(refs)  # (k, emb)
-        dist = np.empty((len(e_x), len(e_r)))
-        for j, e in enumerate(e_r):
-            np.subtract(e_x, e, out=buf)
-            buf *= buf
-            np.sum(buf, axis=-1, out=dist[:, j])
-        means.append(floored_sqrt(dist, out=dist).mean(axis=1))
-    return means[0], means[1]
+    e_refs = [model.embed(refs) for refs in (bank.refs0, bank.refs1)]  # (k, emb) each
+    dists = [np.empty((len(e_x), len(e_r))) for e_r in e_refs]
+    bufs = np.empty_like(e_x)
+
+    def fill(start: int, stop: int):
+        rows, buf = e_x[start:stop], bufs[start:stop]
+        for e_r, dist in zip(e_refs, dists):
+            for j, e in enumerate(e_r):
+                np.subtract(rows, e, out=buf)
+                buf *= buf
+                np.add.reduce(buf, axis=-1, out=dist[start:stop, j])  # np.sum's bits
+
+    over_rows(len(e_x), fill, _REF_PIECE_ROWS)
+    d0, d1 = (floored_sqrt(dist, out=dist).mean(axis=1) for dist in dists)
+    return d0, d1
 
 
 def classify_table(

@@ -26,6 +26,7 @@ import numpy as np
 
 from .data import FeatureTable, read_grid_csv, stratified_split
 from .nn import (
+    CORES,
     LayerSpec,
     NetworkSpec,
     ParamSet,
@@ -37,6 +38,7 @@ from .nn import (
     forward,
     init_optimizer,
     init_params,
+    over_rows,
     rmsprop_step,
 )
 from .pairs import PairSet, split_pairs
@@ -397,10 +399,10 @@ def _pair_distances(
 
     The members' embeddings are read from `embedded` (its first two index
     arrays were ps.left and ps.right), or from one embed_rows call over the
-    pairs. The distances are taken _EVAL_CHUNK pairs at a time: both
-    members' embeddings are gathered into two reused buffers, differenced
-    and squared in place and summed into the result, which is floored and
-    rooted at the end.
+    pairs. The distances are taken over_rows in pieces of at most
+    _EVAL_CHUNK pairs: both members' embeddings are gathered into two
+    buffers of the thread's, differenced and squared in place and summed
+    into the result, which is floored and rooted at the end.
     """
     if embedded is None:
         embedded = embed_rows(model, ps.source.features, ps.left, ps.right)
@@ -409,18 +411,25 @@ def _pair_distances(
     if len(left) != n or len(right) != n:
         raise ValueError(f"embedding positions for {len(left)}/{len(right)} members, not {n}")
     out = np.empty(n)
-    buf_a = np.empty((min(n, _EVAL_CHUNK), emb.shape[1]))
-    buf_b = np.empty_like(buf_a)
-    for start in range(0, n, _EVAL_CHUNK):
-        stop = min(start + _EVAL_CHUNK, n)
-        a, b = buf_a[: stop - start], buf_b[: stop - start]
-        # every index comes from _distinct_rows, so no bounds check is needed;
-        # mode="raise" would also gather through a temporary copy
+    # a buffer pair per thread, made on this one: what a helper allocates
+    # stays in its own malloc arena and raises the peak RSS
+    bufs = [np.empty((2, min(n, _EVAL_CHUNK), emb.shape[1])) for _ in range(CORES)]
+
+    def chunk(start: int, stop: int):
+        pair = bufs.pop()  # list.pop and append are atomic
+        a, b = pair[0, : stop - start], pair[1, : stop - start]
+        # every index comes from _distinct_rows, so no bounds check is
+        # needed; mode="raise" would also gather through a temporary copy
         np.take(emb, left[start:stop], axis=0, out=a, mode="clip")
         np.take(emb, right[start:stop], axis=0, out=b, mode="clip")
         a -= b
         a *= a
-        np.sum(a, axis=-1, out=out[start:stop])
+        # np.sum's bits; np.sum's Python wrapper would add a GIL hand-off
+        # per chunk between the threads
+        np.add.reduce(a, axis=-1, out=out[start:stop])
+        bufs.append(pair)
+
+    over_rows(n, chunk, _EVAL_CHUNK)
     return floored_sqrt(out, out=out)
 
 

@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,6 +26,19 @@ needs_framingham = pytest.mark.skipif(
     framingham_path() is None,
     reason=f"Framingham CSV not found; set {FRAMINGHAM_ENV} or add data/framingham.csv",
 )
+
+
+@pytest.fixture
+def set_cores(monkeypatch):
+    """set_cores(c) makes every loaded siamtab module see c usable cores,
+    for the test's duration."""
+
+    def set_(cores: int):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "siamtab" and hasattr(module, "CORES"):
+                monkeypatch.setattr(module, "CORES", cores)
+
+    return set_
 
 
 @pytest.fixture(scope="session")

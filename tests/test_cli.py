@@ -1,12 +1,14 @@
 import argparse
 import json
 import shutil
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from siamtab import cli
+from siamtab import cli, nn, siamese, train
 from siamtab.cli import main, read_config_file, stage_seed
 from siamtab.siamese import SiameseModel
 
@@ -698,6 +700,59 @@ class TestEndToEndDeterminism:
         pipeline(a, seed=21)
         pipeline(b, seed=22)
         assert (a / "siamese_history.csv").read_bytes() != (b / "siamese_history.csv").read_bytes()
+
+
+# Functions the benchmark tracer wraps that eval and training reach; its
+# spans nest on one stack, so none may run off the main thread.
+MAIN_THREAD_ONLY = (
+    (nn, "forward"), (nn, "euclidean_distance"), (siamese, "pair_forward"),
+    (siamese, "classify_table"), (train, "evaluate_pairs"), (train, "evaluate_classifier"),
+)
+
+
+class TestHelperThreads:
+    def test_traced_functions_run_on_the_main_thread_only(self, tmp_path, monkeypatch, set_cores):
+        set_cores(4)
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "siamtab"]
+        calls, off_main, splits = [], [], []
+
+        def patch_everywhere(original, wrapper):
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+
+        def watched(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        over_rows = nn.over_rows
+
+        def counting_over_rows(n, fn, rows):
+            splits.append(min(nn.CORES, -(-n // rows)))  # threads asked to take pieces
+            return over_rows(n, fn, rows)
+
+        patch_everywhere(over_rows, counting_over_rows)
+        for module, name in MAIN_THREAD_ONLY:
+            original = getattr(module, name)
+            patch_everywhere(original, watched(name, original))
+        out = tmp_path / "run"
+        assert run("prepare", "--synthetic", "1200,15,0.15", "--out", out, "--seed", 5) == 0
+        assert run(
+            "pairs", "--out", out, "--seed", 5,
+            "--pairs-diff", 4000, "--pairs-same0", 2000, "--pairs-same1", 2000,
+        ) == 0
+        assert run("train", "siamese", "--out", out, "--seed", 5, "--epochs", 1) == 0
+        assert run("eval", "siamese", "--out", out, "--seed", 5) == 0
+        assert {"forward", "pair_forward", "evaluate_pairs", "classify_table"} <= set(calls)
+        assert off_main == []
+        # validation and eval took the split path: some call split four ways
+        assert max(splits) == 4
 
 
 class TestExportCmd:

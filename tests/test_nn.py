@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from oracles import (
     random_small_spec,
     rel_error_array,
 )
+from siamtab import nn
 from siamtab.nn import (
     LayerSpec,
     NetworkSpec,
@@ -27,6 +33,7 @@ from siamtab.nn import (
     init_optimizer,
     init_params,
     load_checkpoint,
+    over_rows,
     rmsprop_step,
     save_checkpoint,
 )
@@ -200,6 +207,138 @@ class TestForward:
         ref, _ = forward(params, spec, x[:1], mode="infer")
         mc = out.mean(axis=0)
         assert np.all(np.abs(mc - ref[0]) / ref[0] < 0.01)
+
+
+class TestOverRows:
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 255, 256, 257, 4240])
+    def test_pieces_cover_the_rows_once(self, set_cores, n, cores):
+        set_cores(cores)
+        pieces = []
+        over_rows(n, lambda start, stop: pieces.append((start, stop, threading.get_ident())), 128)
+        # np.array_split's bounds, each piece run once on some thread
+        want = np.array_split(np.arange(n), max(1, -(-n // 128)))
+        assert sorted((start, stop) for start, stop, _ in pieces) == [
+            (int(p[0]), int(p[-1]) + 1) if len(p) else (0, 0) for p in want
+        ]
+        assert all(stop - start <= 128 for start, stop, _ in pieces)
+        if len(pieces) > 1:
+            assert all(stop - start > 64 for start, stop, _ in pieces)
+        if cores == 1:
+            assert {ident for _, _, ident in pieces} == {threading.get_ident()}
+
+    def test_a_helper_that_has_not_begun_is_called_off(self, set_cores, monkeypatch):
+        set_cores(2)
+        monkeypatch.setattr(nn, "_helpers", None)
+        over_rows(256, lambda start, stop: None, 128)  # a pool of one helper
+        gate = threading.Event()
+        blocker = nn._helpers.submit(gate.wait, 10.0)  # the helper is busy
+        pieces = []
+        try:
+            over_rows(256, lambda start, stop: pieces.append((start, stop, threading.get_ident())), 128)
+            # both pieces ran here, and the call did not wait for the helper
+            assert pieces == [(0, 128, threading.get_ident()), (128, 256, threading.get_ident())]
+            assert not blocker.done()
+        finally:
+            gate.set()
+            nn._helpers.shutdown()
+        assert blocker.result(timeout=10.0)
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_an_error_is_raised_once_every_begun_piece_has_ended(self, set_cores, failing):
+        set_cores(3)
+        begun, ended = [], []
+
+        def piece(start, stop):
+            begun.append(start)
+            if start == 100 * failing:
+                raise RuntimeError(f"piece {start}")
+            time.sleep(0.2)
+            ended.append(start)
+
+        with pytest.raises(RuntimeError, match="piece"):
+            over_rows(300, piece, 100)
+        assert 100 * failing in begun
+        assert sorted(ended) == sorted(set(begun) - {100 * failing})
+
+    def test_every_piece_runs_once_under_frequent_thread_switches(self, set_cores, monkeypatch):
+        # more threads than this machine has cores, switching every microsecond
+        set_cores(8)
+        monkeypatch.setattr(nn, "_helpers", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                runs = [0] * 1000
+
+                def piece(start, stop):
+                    for i in range(start, stop):
+                        runs[i] += 1  # only the piece's own thread touches i
+
+                over_rows(1000, piece, 7)
+                assert runs == [1] * 1000
+        finally:
+            sys.setswitchinterval(interval)
+            nn._helpers.shutdown()
+
+    def test_a_call_off_the_main_thread_runs_serially(self, set_cores):
+        set_cores(4)
+        pieces = []
+
+        def call():
+            over_rows(4240, lambda start, stop: pieces.append((start, stop, threading.get_ident())), 128)
+
+        worker = threading.Thread(target=call)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        bounds = np.cumsum([0] + [len(p) for p in np.array_split(np.arange(4240), 34)])
+        assert pieces == [(lo, hi, worker.ident) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    # forking a process that has threads is what this test checks; Python
+    # 3.12+ warns of it
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_runs_its_pieces_on_its_own_helpers(self, set_cores):
+        set_cores(2)
+        over_rows(256, lambda start, stop: None, 128)  # the parent's helpers exist
+        pid = os.fork()
+        if pid == 0:  # the parent's helper threads are gone here
+            code = 1
+            try:
+                over_rows(256, lambda start, stop: None, 128)
+                code = 0
+            finally:
+                os._exit(code)  # never back into the test runner
+        deadline = time.monotonic() + 10.0
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child waited on a helper that does not exist")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    @pytest.mark.parametrize("spec_of", [base_network_spec, siamese_network_spec])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 300, 511, 848, 4240])
+    def test_split_forward_matches_one_core_bitwise(self, set_cores, spec_of, n):
+        # the base spec covers the sigmoid head and the activity penalty
+        spec = spec_of(15)
+        params = init_params(spec, seed=9)
+        x = np.random.default_rng(n).normal(size=(n, 15))
+        set_cores(1)
+        want, want_trace = forward(params, spec, x)
+        for cores in (2, 3, 4):
+            set_cores(cores)
+            out, trace = forward(params, spec, x)
+            assert np.array_equal(out, want)
+            for got, ref in zip(
+                (trace.inputs, trace.outputs), (want_trace.inputs, want_trace.outputs)
+            ):
+                assert len(got) == len(ref) == len(spec.layers)
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+            assert trace.masks == [None] * len(spec.layers)
+            assert trace.penalty == want_trace.penalty
 
 
 class TestBackward:

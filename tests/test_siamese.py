@@ -18,6 +18,7 @@ from siamtab.nn import (
     contrastive_loss,
     euclidean_distance,
     forward,
+    infer_rows,
     init_params,
 )
 from siamtab.pairs import PairSet
@@ -333,24 +334,37 @@ def float_model(seed, in_size=15):
 
 class TestBlockedInference:
     @pytest.mark.parametrize("n", [1, 5, 256, 257, 300, 848, 4240])
-    def test_embed_matches_one_forward_bitwise(self, monkeypatch, n):
+    def test_embed_matches_one_forward_bitwise(self, monkeypatch, set_cores, n):
         model = float_model(40)
         x = np.random.default_rng(n).normal(size=(n, 15))
         want, _ = forward(model.params, model.spec, x)
         blocks = []
 
-        def recording_forward(params, spec, xb, *args, **kwargs):
+        def recording_infer_rows(params, layers, xb, outs):
             blocks.append(len(xb))
-            return forward(params, spec, xb, *args, **kwargs)
+            return infer_rows(params, layers, xb, outs)
 
-        monkeypatch.setattr(siamese_mod, "forward", recording_forward)
-        got = model.embed(x)
-        assert np.array_equal(got, want)
-        n_blocks = -(-n // siamese_mod.EMBED_BLOCK)
-        assert blocks == [len(b) for b in np.array_split(np.arange(n), n_blocks)]
-        assert max(blocks) <= siamese_mod.EMBED_BLOCK
-        if n > siamese_mod.EMBED_BLOCK:
+        monkeypatch.setattr(siamese_mod, "infer_rows", recording_infer_rows)
+        for cores in (1, 2, 4):
+            set_cores(cores)
+            blocks.clear()
+            got = model.embed(x)
+            assert np.array_equal(got, want)
+            # one forward up to EMBED_BLOCK rows; past that, the cores take
+            # the np.array_split blocks of 128 to 256 rows, in any order
+            if n <= siamese_mod.EMBED_BLOCK:
+                assert blocks == []
+                continue
+            n_blocks = -(-n // siamese_mod.EMBED_BLOCK)
+            assert sorted(blocks) == sorted(len(b) for b in np.array_split(np.arange(n), n_blocks))
             assert min(blocks) >= siamese_mod.EMBED_BLOCK // 2
+
+    def test_embed_rejects_a_non_finite_input_as_forward_does(self):
+        model = float_model(41)
+        x = np.zeros((600, 15))
+        x[555, 3] = np.nan
+        with pytest.raises(ValueError, match="^non-finite input$"):
+            model.embed(x)
 
     @pytest.mark.parametrize("shape", [(300,), (300, 15, 1), (300, 14)])
     def test_bad_input_shape_names_the_whole_input(self, shape):
@@ -361,17 +375,19 @@ class TestBlockedInference:
         assert str(err.value) == f"input shape {shape} is not (n, 15)"
 
     @pytest.mark.parametrize("n", [1, 848])
-    def test_reference_distances_match_the_broadcast_bitwise(self, n):
+    def test_reference_distances_match_the_broadcast_bitwise(self, set_cores, n):
         model = float_model(43)
         rng = np.random.default_rng(44)
         bank = ReferenceBank(rng.normal(size=(10, 15)), rng.normal(size=(10, 15)) + 0.5, 10)
         x = rng.normal(size=(n, 15))
-        d0, d1 = siamese_mod._mean_ref_distances(model, bank, model.embed(x))
         want0, want1 = mean_ref_distances_broadcast(model, bank, x)
-        assert np.array_equal(d0, want0) and np.array_equal(d1, want1)
-        labels, t0, t1 = classify_table(model, bank, FeatureTable(x, np.zeros(n, dtype=int)))
-        assert np.array_equal(t0, want0) and np.array_equal(t1, want1)
-        assert np.array_equal(labels, (want1 <= want0).astype(np.int64))
+        for cores in (1, 2, 4):
+            set_cores(cores)
+            d0, d1 = siamese_mod._mean_ref_distances(model, bank, model.embed(x))
+            assert np.array_equal(d0, want0) and np.array_equal(d1, want1)
+            labels, t0, t1 = classify_table(model, bank, FeatureTable(x, np.zeros(n, dtype=int)))
+            assert np.array_equal(t0, want0) and np.array_equal(t1, want1)
+            assert np.array_equal(labels, (want1 <= want0).astype(np.int64))
 
 
 class TestTrainedClassification:

@@ -384,22 +384,26 @@ class TestPairDistances:
 
 
     @pytest.mark.parametrize("chunk", [7, None])
-    def test_blocked_distances_match_the_row_chunk_evaluator(self, monkeypatch, chunk):
-        # float weights; 600 distinct rows embed in 3 blocks, and 1000 pairs
-        # are no multiple of either distance block size
+    def test_blocked_distances_match_the_row_chunk_evaluator(self, monkeypatch, set_cores, chunk):
+        # float weights; 600 distinct rows embed in blocks, and 2500 pairs
+        # are no multiple of either distance block size, and split into
+        # pieces for four cores
         rng = np.random.default_rng(37)
         spec = siamese_network_spec(15)
         model = SiameseModel(spec, init_params(spec, 38))
         ft = FeatureTable(rng.normal(size=(600, 15)), rng.integers(0, 2, 600))
-        left = np.concatenate((np.arange(600), rng.integers(0, 600, 400)))
-        right = rng.integers(0, 600, 1000)
+        left = np.concatenate((np.arange(600), rng.integers(0, 600, 1900)))
+        right = rng.integers(0, 600, 2500)
         right[:2] = left[:2]
-        ps = PairSet(ft, left, right, np.zeros(1000, dtype=bool), (1000, 0, 0))
+        ps = PairSet(ft, left, right, np.zeros(2500, dtype=bool), (2500, 0, 0))
         if chunk is not None:
             monkeypatch.setattr(train_mod, "_EVAL_CHUNK", chunk)
         assert len(ps) % train_mod._EVAL_CHUNK != 0
-        got = train_mod._pair_distances(model, ps)
-        assert np.array_equal(got, pair_distances_row_chunks(model, ps))
+        assert len(ps) // train_mod._EVAL_CHUNK >= 4
+        want = pair_distances_row_chunks(model, ps)
+        for cores in (1, 4):
+            set_cores(cores)
+            assert np.array_equal(train_mod._pair_distances(model, ps), want)
 
 
 class TestSharedEmbedding:
