@@ -26,8 +26,8 @@ import numpy as np
 
 from . import data as dt
 from . import pairs as pr
-from .nn import load_checkpoint, save_checkpoint
-from .siamese import ReferenceBank, SiameseModel, build_reference_bank, require_positive
+from .nn import load_checkpoint, require_positive, save_checkpoint
+from .siamese import ReferenceBank, SiameseModel, build_reference_bank
 from .train import (
     base_config,
     base_network_spec,
@@ -302,17 +302,13 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
         export_history(history, cfg.out / "base_history.csv")
     else:
         pairs_train = pr.load_pairs_csv(cfg.out / "pairs_train.csv", ft)
-        tc = siamese_config(
-            seed=stage_seed(cfg.seed, _STAGE_TRAIN_SIAMESE),
-            margin=cfg.margin,
-            **overrides,
-        )
+        tc = siamese_config(seed=stage_seed(cfg.seed, _STAGE_TRAIN_SIAMESE), **overrides)
         # The bank draws from its own stage stream, so building it first
         # changes no model; a k the training split cannot fill fails before
         # any epoch runs.
         bank = build_reference_bank(train_ft, cfg.k_refs, stage_seed(cfg.seed, _STAGE_BANK))
         model, history = train_siamese(
-            tc, pairs_train, pair_threshold=cfg.threshold, progress=print
+            tc, pairs_train, margin=cfg.margin, pair_threshold=cfg.threshold, progress=print
         )
         save_checkpoint(
             cfg.out / "siamese_model.npz",

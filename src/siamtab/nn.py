@@ -365,6 +365,12 @@ def backward(
     return grads, g
 
 
+def require_positive(name: str, value: float):
+    """Refuse a margin or threshold that is not a finite positive number."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a finite positive number, got {value}")
+
+
 def bce_loss(pred, label, class_weights=(1.0, 1.0)):
     """Class-weighted binary cross-entropy, elementwise.
 
@@ -386,8 +392,7 @@ def contrastive_loss(d, similar, margin: float = 1.0):
     Returns (loss, d loss / d distance); the dissimilar gradient is
     -2*max(0, margin - d).
     """
-    if margin <= 0.0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    require_positive("margin", margin)
     d = np.asarray(d, dtype=np.float64)
     if np.any(d < 0.0):
         raise ValueError("distances must be nonnegative")
@@ -429,19 +434,15 @@ class OptimizerState:
     """Moment buffers for Adam or RMSProp, plus two scratch buffers the size
     of the parameter store that hold an update's intermediates."""
 
-    kind: str
     step_count: int = 0
-    m: ParamSet | None = None  # first moment (adam only)
+    m: ParamSet | None = None  # first moment, made by the first adam_step
     v: ParamSet | None = None  # second moment / running square cache
     scratch: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def init_optimizer(kind: str, params: ParamSet) -> OptimizerState:
-    if kind not in ("adam", "rmsprop"):
-        raise ValueError(f"unknown optimizer kind {kind!r}")
-    m = ParamSet.zeros_like(params) if kind == "adam" else None
+def init_optimizer(params: ParamSet) -> OptimizerState:
     scratch = (np.empty_like(params.flat), np.empty_like(params.flat))
-    return OptimizerState(kind, 0, m, ParamSet.zeros_like(params), scratch)
+    return OptimizerState(v=ParamSet.zeros_like(params), scratch=scratch)
 
 
 ADAM_BETA1 = 0.9
@@ -450,9 +451,7 @@ RMSPROP_RHO = 0.9
 OPT_EPS = 1e-8
 
 
-def _check_step(params: ParamSet, grads: ParamSet, state: OptimizerState, kind: str):
-    if state.kind != kind:
-        raise ValueError(f"optimizer state is {state.kind!r}, expected {kind}")
+def _check_step(params: ParamSet, grads: ParamSet):
     if grads.shapes != params.shapes:
         raise ValueError(f"gradient shapes {grads.shapes} != parameter shapes {params.shapes}")
 
@@ -460,14 +459,17 @@ def _check_step(params: ParamSet, grads: ParamSet, state: OptimizerState, kind: 
 def adam_step(
     params: ParamSet, grads: ParamSet, state: OptimizerState, lr: float
 ) -> tuple[ParamSet, OptimizerState]:
-    """One Adam update with bias correction. Mutates params/state in place.
+    """One Adam update with bias correction. Mutates params/state in place;
+    the first step makes the first-moment store.
 
     The in-place sequence performs the same float operations, in the same
     order, as m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
     p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), so results are bitwise those of
     the plain expressions.
     """
-    _check_step(params, grads, state, "adam")
+    _check_step(params, grads)
+    if state.m is None:
+        state.m = ParamSet.zeros_like(params)
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1**t
@@ -497,7 +499,7 @@ def rmsprop_step(
     """One RMSProp update: cache = rho*cache + ((1-rho)*g)*g, then
     p -= (lr*g) / (sqrt(cache) + eps). In place, bitwise equal to those
     expressions."""
-    _check_step(params, grads, state, "rmsprop")
+    _check_step(params, grads)
     state.step_count += 1
     p, g, v = params.flat, grads.flat, state.v.flat
     s1, s2 = state.scratch

@@ -20,7 +20,6 @@ decide the labels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +36,7 @@ from .nn import (
     forward,
     infer_rows,
     over_rows,
+    require_positive,
 )
 
 DEFAULT_MARGIN = 1.0
@@ -46,12 +46,6 @@ DEFAULT_PAIR_THRESHOLD = 0.5  # margin / 2
 EMBED_BLOCK = 256
 # Most rows per piece of the reference distance loop.
 _REF_PIECE_ROWS = 256
-
-
-def require_positive(name: str, value: float):
-    """Refuse a margin or threshold that is not a finite positive number."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be a finite positive number, got {value}")
 
 
 @dataclass

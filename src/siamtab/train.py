@@ -29,6 +29,7 @@ from .nn import (
     CORES,
     LayerSpec,
     NetworkSpec,
+    OptimizerState,
     ParamSet,
     adam_step,
     backward,
@@ -50,7 +51,6 @@ from .siamese import (
     classify_table,
     pair_backward,
     pair_forward,
-    require_positive,
 )
 
 _EVAL_CHUNK = 128  # pairs per distance block: two (128, 256) float64 buffers
@@ -82,59 +82,38 @@ def siamese_network_spec(in_size: int = 15) -> NetworkSpec:
     )
 
 
+VAL_FRACTION = 0.25  # share of the training rows or pairs held for validation
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """The values a caller varies per run; each trainer fixes the rest of its
+    recipe (optimizer, loss settings, validation share)."""
+
     epochs: int
     batch_size: int
     learning_rate: float
-    optimizer: str  # "adam" | "rmsprop"
-    class_weights: tuple[float, float] | None = None
-    val_fraction: float = 0.25
-    margin: float = DEFAULT_MARGIN
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.optimizer not in ("adam", "rmsprop"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
-        require_positive("margin", self.margin)
 
 
 def base_config(seed: int = 0, **overrides) -> TrainConfig:
-    """Baseline defaults: Adam lr 0.001, weighted BCE (1, 5), batch 16,
-    250 epochs, 25% validation."""
-    cfg = TrainConfig(
-        epochs=250,
-        batch_size=16,
-        learning_rate=0.001,
-        optimizer="adam",
-        class_weights=(1.0, 5.0),
-        val_fraction=0.25,
-        seed=seed,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    """Baseline defaults: lr 0.001, batch 16, 250 epochs."""
+    return replace(TrainConfig(250, 16, 0.001, seed), **overrides)
 
 
 def siamese_config(seed: int = 0, **overrides) -> TrainConfig:
-    """Pair-model defaults: RMSProp lr 0.001, contrastive loss, batch 64,
-    10 epochs, 25% validation on pairs, margin 1.0."""
-    cfg = TrainConfig(
-        epochs=10,
-        batch_size=64,
-        learning_rate=0.001,
-        optimizer="rmsprop",
-        class_weights=None,
-        val_fraction=0.25,
-        seed=seed,
-    )
-    return replace(cfg, **overrides) if overrides else cfg
+    """Pair-model defaults: lr 0.001, batch 64, 10 epochs."""
+    return replace(TrainConfig(10, 64, 0.001, seed), **overrides)
 
 
 @dataclass
@@ -240,6 +219,7 @@ def _fit(
     params: ParamSet,
     n: int,
     batch_step: Callable[[np.ndarray, np.random.Generator], tuple[float, int, ParamSet]],
+    step: Callable[[ParamSet, ParamSet, OptimizerState, float], object],
     validate: Callable[[], tuple[float, float]] | None,
     loop_seed: int,
     progress: Progress | None,
@@ -248,11 +228,11 @@ def _fit(
 
     Each epoch draws a permutation of the n training items from the loop
     stream, then calls batch_step(indices, rng) on each batch for its summed
-    loss, correct count and gradients. The same stream feeds the dropout
+    loss, correct count and gradients, and applies them with the optimizer
+    step(params, grads, state, lr). The same stream feeds the dropout
     masks, so a run is fixed by (data, config, seed).
     """
-    state = init_optimizer(cfg.optimizer, params)
-    step = adam_step if cfg.optimizer == "adam" else rmsprop_step
+    state = init_optimizer(params)
     rng = np.random.default_rng(loop_seed)
     history = History()
     for epoch in range(cfg.epochs):
@@ -284,35 +264,39 @@ def _fit(
 
 
 def train_base(
-    cfg: TrainConfig, data: FeatureTable, progress: Progress | None = None
+    cfg: TrainConfig,
+    data: FeatureTable,
+    *,
+    class_weights: tuple[float, float] = (1.0, 5.0),
+    progress: Progress | None = None,
 ) -> tuple[ParamSet, History]:
-    """Train the baseline classifier; returns its parameters and history."""
+    """Train the baseline classifier with class-weighted BCE and Adam;
+    returns its parameters and history."""
     if data.n == 0:
         raise ValueError("empty data")
     if len(np.unique(data.labels)) < 2:
         raise ValueError("training data contains a single class")
     s_init, s_split, s_loop = _seeds(cfg.seed, 3)
-    train_ft, val_ft = data, None
-    if cfg.val_fraction > 0.0:
-        train_ft, val_ft = stratified_split(data, cfg.val_fraction, s_split)
+    train_ft, val_ft = stratified_split(data, VAL_FRACTION, s_split)
 
     spec = base_network_spec(data.d)
     params = init_params(spec, s_init)
-    weights = cfg.class_weights if cfg.class_weights is not None else (1.0, 1.0)
 
     def batch_step(sel, rng):
         y = train_ft.labels[sel]
         out, trace = forward(params, spec, train_ft.features[sel], mode="train", rng=rng)
         p = out[:, 0]
-        losses, dldp = bce_loss(p, y, weights)
+        losses, dldp = bce_loss(p, y, class_weights)
         grads, _ = backward(trace, params, spec, (dldp / sel.size)[:, None])
         correct = int(((p >= 0.5).astype(np.int64) == y).sum())
         return float(losses.sum()) + trace.penalty, correct, grads
 
-    validate = None
-    if val_ft is not None and val_ft.n > 0:
-        validate = partial(_eval_base, params, spec, val_ft, weights)
-    return params, _fit(cfg, params, train_ft.n, batch_step, validate, s_loop, progress)
+    validate = partial(_eval_base, params, spec, val_ft, class_weights) if val_ft.n else None
+    # the step is looked up here, at call time, in each trainer: the
+    # benchmark tracer patches adam_step and rmsprop_step by name
+    return params, _fit(
+        cfg, params, train_ft.n, batch_step, adam_step, validate, s_loop, progress
+    )
 
 
 def _eval_base(params, spec, ft: FeatureTable, weights) -> tuple[float, float]:
@@ -327,35 +311,36 @@ def _eval_base(params, spec, ft: FeatureTable, weights) -> tuple[float, float]:
 def train_siamese(
     cfg: TrainConfig,
     pairs: PairSet,
+    *,
+    margin: float = DEFAULT_MARGIN,
     pair_threshold: float = DEFAULT_PAIR_THRESHOLD,
     progress: Progress | None = None,
 ) -> tuple[SiameseModel, History]:
-    """Train the shared-weight pair model on a pair corpus."""
+    """Train the shared-weight pair model on a pair corpus with contrastive
+    loss and RMSProp."""
     if len(pairs) == 0:
         raise ValueError("empty pair set")
     s_init, s_split, s_loop = _seeds(cfg.seed, 3)
-    train_ps, val_ps = pairs, None
-    if cfg.val_fraction > 0.0:
-        train_ps, val_ps = split_pairs(pairs, 1.0 - cfg.val_fraction, s_split)
+    train_ps, val_ps = split_pairs(pairs, 1.0 - VAL_FRACTION, s_split)
 
     features = pairs.source.features
     spec = siamese_network_spec(pairs.source.d)
     params = init_params(spec, s_init)
-    model = SiameseModel(spec, params, margin=cfg.margin, pair_threshold=pair_threshold)
+    model = SiameseModel(spec, params, margin=margin, pair_threshold=pair_threshold)
 
     def batch_step(sel, rng):
         sim = train_ps.similar[sel]
         a = features[train_ps.left[sel]]
         b = features[train_ps.right[sel]]
         d, pair_trace = pair_forward(model, a, b, mode="train", rng=rng)
-        losses, dldd = contrastive_loss(d, sim, cfg.margin)
+        losses, dldd = contrastive_loss(d, sim, model.margin)
         grads = pair_backward(model, pair_trace, dldd / sel.size)
         return float(losses.sum()), int(((d < pair_threshold) == sim).sum()), grads
 
-    validate = None
-    if val_ps is not None and len(val_ps) > 0:
-        validate = partial(_eval_pairs_loss, model, val_ps)
-    return model, _fit(cfg, params, len(train_ps), batch_step, validate, s_loop, progress)
+    validate = partial(_eval_pairs_loss, model, val_ps) if len(val_ps) else None
+    return model, _fit(
+        cfg, params, len(train_ps), batch_step, rmsprop_step, validate, s_loop, progress
+    )
 
 
 def _distinct_rows(n: int, *indices: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -211,14 +211,14 @@ def test_criterion_5_loss_and_optimizer_unit_oracles():
 
         params = ParamSet([np.array([[0.0]])], [np.array([0.0])])
         grads = ParamSet([np.array([[1.0]])], [np.array([0.0])])
-        adam_step(params, grads, init_optimizer("adam", params), lr=0.001)
+        adam_step(params, grads, init_optimizer(params), lr=0.001)
         m_hat = (1 - 0.9) / (1 - 0.9)
         v_hat = (1 - 0.999) / (1 - 0.999)
         expected = -0.001 * m_hat / (math.sqrt(v_hat) + 1e-8)
         assert abs(params.weights[0][0, 0] - expected) < 1e-9
 
         params = ParamSet([np.array([[0.0]])], [np.array([0.0])])
-        rmsprop_step(params, grads, init_optimizer("rmsprop", params), lr=0.001)
+        rmsprop_step(params, grads, init_optimizer(params), lr=0.001)
         expected = -0.001 / (math.sqrt((1 - 0.9) * 1.0) + 1e-8)
         assert abs(params.weights[0][0, 0] - expected) < 1e-9
 
@@ -273,9 +273,7 @@ def test_criterion_8_synthetic_separation():
         siam_acc = float((preds == test_ft.labels).mean())
         siam_recall1 = float((preds[test_ft.labels == 1] == 1).mean())
 
-        params, _ = train_base(
-            base_config(seed=86, class_weights=(1.0, 1.0)), train_ft
-        )
+        params, _ = train_base(base_config(seed=86), train_ft, class_weights=(1.0, 1.0))
         base_report = evaluate_classifier((base_network_spec(test_ft.d), params), test_ft)
         print(
             f"[acceptance] criterion 8 detail: siam_acc={siam_acc:.4f} "

@@ -473,9 +473,10 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError, match="nonnegative"):
             contrastive_one(-0.1, True)
 
-    def test_bad_margin(self):
-        with pytest.raises(ValueError, match="margin"):
-            contrastive_one(0.5, True, 0.0)
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_margin(self, margin):
+        with pytest.raises(ValueError, match="^margin must be a finite positive number, got "):
+            contrastive_one(0.5, False, margin)
 
 
 class TestEuclideanDistance:
@@ -533,7 +534,7 @@ class TestAdam:
     def test_first_step_hand_case(self):
         params = scalar_params(0.0, 0.0)
         grads = ParamSet([np.array([[1.0]])], [np.array([0.0])])
-        state = init_optimizer("adam", params)
+        state = init_optimizer(params)
         adam_step(params, grads, state, lr=0.001)
         # hand evaluation with bias correction at t=1
         m_hat = (1 - 0.9) * 1.0 / (1 - 0.9)
@@ -545,14 +546,14 @@ class TestAdam:
 
     def test_zero_gradient_no_move(self):
         params = scalar_params(0.7, -0.2)
-        state = init_optimizer("adam", params)
+        state = init_optimizer(params)
         adam_step(params, ParamSet.zeros_like(params), state, lr=0.001)
         assert params.weights[0][0, 0] == 0.7
         assert params.biases[0][0] == -0.2
 
     def test_identical_parameters_stay_identical(self):
         params = ParamSet([np.array([[0.3], [0.3]])], [np.zeros(2)])
-        state = init_optimizer("adam", params)
+        state = init_optimizer(params)
         rng = np.random.default_rng(16)
         for _ in range(25):
             g = float(rng.normal())
@@ -560,15 +561,16 @@ class TestAdam:
             adam_step(params, grads, state, lr=0.01)
             assert params.weights[0][0, 0] == params.weights[0][1, 0]
 
-    def test_kind_checked(self):
+    def test_first_moment_made_by_the_first_step(self):
         params = scalar_params(0.0, 0.0)
-        state = init_optimizer("rmsprop", params)
-        with pytest.raises(ValueError, match="adam"):
-            adam_step(params, ParamSet.zeros_like(params), state, lr=0.001)
+        state = init_optimizer(params)
+        assert state.m is None
+        adam_step(params, ParamSet([np.array([[1.0]])], [np.array([0.0])]), state, lr=0.001)
+        assert state.m.weights[0][0, 0] == (1 - 0.9) * 1.0
 
     def test_shape_mismatch(self):
         params = scalar_params(0.0, 0.0)
-        state = init_optimizer("adam", params)
+        state = init_optimizer(params)
         bad = ParamSet([np.ones((2, 2))], [np.zeros(1)])
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, bad, state, lr=0.001)
@@ -586,12 +588,12 @@ class TestFlatOptimizersMatchPerArrayReference:
     below, the form the optimizers had before the flat store: that is what
     keeps fixed-seed base-model training byte-identical."""
 
-    def run(self, kind, step, reference, lr=0.003, steps=6):
+    def run(self, step, reference, lr=0.003, steps=6):
         params = init_params(THREE_LAYERS, seed=50)
         ref_p = [a.copy() for a in params.arrays()]
         ref_m = [np.zeros_like(a) for a in ref_p]
         ref_v = [np.zeros_like(a) for a in ref_p]
-        state = init_optimizer(kind, params)
+        state = init_optimizer(params)
         rng = np.random.default_rng(51)
         for t in range(1, steps + 1):
             grads = random_grads(params, rng)
@@ -611,21 +613,21 @@ class TestFlatOptimizersMatchPerArrayReference:
             c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
             return p - lr * (m / c1) / (np.sqrt(v / c2) + 1e-8), m, v
 
-        self.run("adam", adam_step, reference)
+        self.run(adam_step, reference)
 
     def test_rmsprop(self):
         def reference(p, g, m, v, t, lr):
             v = v * 0.9 + (1.0 - 0.9) * g * g
             return p - lr * g / (np.sqrt(v) + 1e-8), m, v
 
-        self.run("rmsprop", rmsprop_step, reference)
+        self.run(rmsprop_step, reference)
 
 
 class TestRmsprop:
     def test_first_step_hand_case(self):
         params = scalar_params(0.0, 0.0)
         grads = ParamSet([np.array([[1.0]])], [np.array([0.0])])
-        state = init_optimizer("rmsprop", params)
+        state = init_optimizer(params)
         rmsprop_step(params, grads, state, lr=0.001)
         cache = (1 - 0.9) * 1.0
         expected = -0.001 * 1.0 / (math.sqrt(cache) + 1e-8)
@@ -635,18 +637,24 @@ class TestRmsprop:
 
     def test_zero_gradient_no_move(self):
         params = scalar_params(1.5, 0.0)
-        state = init_optimizer("rmsprop", params)
+        state = init_optimizer(params)
         rmsprop_step(params, ParamSet.zeros_like(params), state, lr=0.001)
         assert params.weights[0][0, 0] == 1.5
+
+    def test_no_first_moment(self):
+        params = scalar_params(0.0, 0.0)
+        state = init_optimizer(params)
+        rmsprop_step(params, ParamSet([np.array([[1.0]])], [np.array([0.0])]), state, lr=0.001)
+        assert state.m is None
 
     def test_update_magnitude_sign_symmetric(self):
         for g in (0.25, 2.0):
             up = scalar_params(0.0, 0.0)
             down = scalar_params(0.0, 0.0)
             rmsprop_step(up, ParamSet([np.array([[g]])], [np.zeros(1)]),
-                         init_optimizer("rmsprop", up), lr=0.01)
+                         init_optimizer(up), lr=0.01)
             rmsprop_step(down, ParamSet([np.array([[-g]])], [np.zeros(1)]),
-                         init_optimizer("rmsprop", down), lr=0.01)
+                         init_optimizer(down), lr=0.01)
             assert abs(up.weights[0][0, 0]) == abs(down.weights[0][0, 0])
 
     def test_bitwise_deterministic_sequence(self):
@@ -655,7 +663,7 @@ class TestRmsprop:
         results = []
         for _ in range(2):
             params = ParamSet([np.zeros((3, 2))], [np.zeros(3)])
-            state = init_optimizer("rmsprop", params)
+            state = init_optimizer(params)
             for g in gs:
                 rmsprop_step(params, ParamSet([g.copy()], [np.zeros(3)]), state, lr=0.005)
             results.append(params.weights[0].copy())

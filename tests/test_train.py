@@ -1,3 +1,7 @@
+import dataclasses
+import inspect
+import math
+
 import numpy as np
 import pytest
 
@@ -29,32 +33,54 @@ def normed_synth(n, d, imbalance, seed):
     return apply_norm(ft, fit_norm(ft))
 
 
+def recipe_defaults(trainer) -> dict:
+    """The trainer's settings after cfg and its data; all keyword-only, so a
+    positional call written for an older signature cannot set the wrong one."""
+    params = list(inspect.signature(trainer).parameters.values())[2:]
+    assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in params)
+    return {p.name: p.default for p in params}
+
+
 class TestConfigs:
     def test_base_defaults(self):
         cfg = base_config()
         assert cfg.epochs == 250
         assert cfg.batch_size == 16
         assert cfg.learning_rate == 0.001
-        assert cfg.optimizer == "adam"
-        assert cfg.class_weights == (1.0, 5.0)
-        assert cfg.val_fraction == 0.25
+        assert recipe_defaults(train_base) == {"class_weights": (1.0, 5.0), "progress": None}
+        assert train_mod.VAL_FRACTION == 0.25
 
     def test_siamese_defaults(self):
         cfg = siamese_config()
         assert cfg.epochs == 10
         assert cfg.batch_size == 64
-        assert cfg.optimizer == "rmsprop"
-        assert cfg.margin == 1.0
+        assert recipe_defaults(train_siamese) == {
+            "margin": 1.0,
+            "pair_threshold": 0.5,
+            "progress": None,
+        }
+
+    def test_only_the_values_a_caller_varies(self):
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "epochs", "batch_size", "learning_rate", "seed"
+        ]
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             base_config(epochs=0)
         with pytest.raises(ValueError):
             base_config(batch_size=0)
-        with pytest.raises(ValueError):
-            siamese_config(val_fraction=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(1, 1, 0.1, "sgd")
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_counts_must_be_integers(self, field, value):
+        # 2.5 would fail later in range(); True would train one epoch
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            base_config(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = base_config(epochs=np.int64(3), batch_size=np.int32(8))
+        assert (cfg.epochs, cfg.batch_size) == (3, 8)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1])
     def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
@@ -63,8 +89,9 @@ class TestConfigs:
 
     @pytest.mark.parametrize("margin", [float("nan"), float("inf"), 0.0, -1.0])
     def test_margin_must_be_finite_and_positive(self, margin):
+        ps = generate_pairs(normed_synth(20, 3, 0.5, seed=17), 8, 4, 4, seed=18)
         with pytest.raises(ValueError, match="margin must be a finite positive number"):
-            siamese_config(margin=margin)
+            train_siamese(siamese_config(epochs=1), ps, margin=margin)
 
     def test_network_shapes(self):
         base = base_network_spec(15)
@@ -183,8 +210,7 @@ class TestTrainBase:
         # with equal class weights on balanced separable data, the two
         # per-class recalls should come out close
         data = normed_synth(400, 6, 0.5, seed=7)
-        cfg = base_config(seed=8, epochs=40, class_weights=(1.0, 1.0))
-        params, _ = train_base(cfg, data)
+        params, _ = train_base(base_config(seed=8, epochs=40), data, class_weights=(1.0, 1.0))
         report = evaluate_classifier((base_network_spec(6), params), data)
         assert abs(report.recall[0] - report.recall[1]) < 0.1
 
@@ -203,31 +229,47 @@ class TestTrainBase:
         assert "epoch 1/2" in out and "epoch 2/2" in out
 
 
-def fit_base(progress=None, **overrides):
-    data = normed_synth(60, 3, 0.4, seed=37)
+def fit_base(progress=None, tiny=False, **overrides):
+    # 2 rows per class: the validation split holds round(0.25 * 2) = 0 of each
+    data = normed_synth(4, 3, 0.5, seed=37) if tiny else normed_synth(60, 3, 0.4, seed=37)
     _, hist = train_base(base_config(seed=38, **overrides), data, progress=progress)
     return hist, data.n
 
 
-def fit_siamese(progress=None, **overrides):
-    ps = generate_pairs(normed_synth(60, 3, 0.4, seed=39), 80, 40, 40, seed=40)
+def fit_siamese(progress=None, tiny=False, **overrides):
+    # 2 pairs: the training split keeps round(0.75 * 2) = 2 of them
+    counts = (1, 1, 0) if tiny else (80, 40, 40)
+    ps = generate_pairs(normed_synth(60, 3, 0.4, seed=39), *counts, seed=40)
     _, hist = train_siamese(siamese_config(seed=41, **overrides), ps, progress=progress)
     return hist, len(ps)
 
 
+def count_batches(monkeypatch) -> list[int]:
+    """Patch the loop's loss check to log the epoch of each batch."""
+    batches = []
+    check = train_mod._check_loss
+
+    def counting_check(batch_loss, epoch, start, batch_size):
+        batches.append(epoch)
+        return check(batch_loss, epoch, start, batch_size)
+
+    monkeypatch.setattr(train_mod, "_check_loss", counting_check)
+    return batches
+
+
 @pytest.mark.parametrize("fit", [fit_base, fit_siamese], ids=["base", "siamese"])
 class TestSharedLoop:
-    def test_no_validation_trains_on_every_item(self, fit, monkeypatch):
+    def test_trains_on_the_share_not_held_for_validation(self, fit, monkeypatch):
         # at batch 1 the loop checks one loss per training item
-        batches = []
-        check = train_mod._check_loss
+        batches = count_batches(monkeypatch)
+        hist, n = fit(epochs=2, batch_size=1)
+        n_train = round((1.0 - train_mod.VAL_FRACTION) * n)
+        assert batches == [0] * n_train + [1] * n_train
+        assert not any(np.isnan(v) for v in hist.val_loss + hist.val_acc)
 
-        def counting_check(batch_loss, epoch, start, batch_size):
-            batches.append(epoch)
-            return check(batch_loss, epoch, start, batch_size)
-
-        monkeypatch.setattr(train_mod, "_check_loss", counting_check)
-        hist, n = fit(epochs=2, val_fraction=0.0, batch_size=1)
+    def test_empty_validation_split_trains_on_every_item(self, fit, monkeypatch):
+        batches = count_batches(monkeypatch)
+        hist, n = fit(tiny=True, epochs=2, batch_size=1)
         assert batches == [0] * n + [1] * n
         assert len(hist) == 2
         assert all(np.isnan(v) for v in hist.val_loss + hist.val_acc)
@@ -239,6 +281,27 @@ class TestSharedLoop:
             ["epoch", f"{i}/3"] for i in (1, 2, 3)
         ]
         assert all(" val_loss=" in line and " val_acc=" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "fit,used,unused",
+    [(fit_base, "adam_step", "rmsprop_step"), (fit_siamese, "rmsprop_step", "adam_step")],
+    ids=["base", "siamese"],
+)
+def test_each_trainer_steps_its_own_optimizer(fit, used, unused, monkeypatch):
+    # patched by name in the train module, as the benchmark tracer does: the
+    # trainers must look the step up when they run
+    calls = {"adam_step": 0, "rmsprop_step": 0}
+    for name in calls:
+
+        def counting(*args, name=name, step=getattr(train_mod, name)):
+            calls[name] += 1
+            return step(*args)
+
+        monkeypatch.setattr(train_mod, name, counting)
+    _, n = fit(epochs=3, batch_size=7)
+    n_train = round((1.0 - train_mod.VAL_FRACTION) * n)
+    assert calls == {used: 3 * math.ceil(n_train / 7), unused: 0}
 
 
 class TestTrainSiamese:
