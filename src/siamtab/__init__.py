@@ -26,6 +26,7 @@ from .nn import (
     contrastive_loss,
     euclidean_distance,
     forward,
+    infer,
     init_optimizer,
     init_params,
     rmsprop_step,

@@ -153,6 +153,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         values["synthetic"] = _parse_synthetic(values["synthetic"])
     for key in ("margin", "threshold"):
         require_positive(key, values[key])
+    floors = {"seed": 0, "k-refs": 1, "pairs-diff": 0, "pairs-same0": 0, "pairs-same1": 0}
+    for key, low in floors.items():
+        if values[key] < low:
+            raise ValueError(f"{key} must be >= {low}, got {values[key]}")
     fields = {key.replace("-", "_"): value for key, value in values.items()}
     return RunConfig(**fields, explicit=frozenset(explicit))
 
@@ -259,11 +263,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
 def cmd_pairs(cfg: RunConfig) -> int:
     ft = _load_prepared(cfg)
     ps = pr.generate_pairs(
-        ft,
-        cfg.pairs_diff,
-        cfg.pairs_same0,
-        cfg.pairs_same1,
-        stage_seed(cfg.seed, _STAGE_PAIRS),
+        ft, cfg.pairs_diff, cfg.pairs_same0, cfg.pairs_same1, stage_seed(cfg.seed, _STAGE_PAIRS)
     )
     train_ps, test_ps = pr.split_pairs(
         ps, PAIR_TRAIN_FRACTION, stage_seed(cfg.seed, _STAGE_PAIR_SPLIT)
@@ -282,13 +282,8 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
     ft = _load_prepared(cfg)
     train_idx, _ = _load_split_indices(cfg, ft.n)
     train_ft = dt.take_rows(ft, train_idx)
-    overrides = {}
-    if cfg.epochs is not None:
-        overrides["epochs"] = cfg.epochs
-    if cfg.batch_size is not None:
-        overrides["batch_size"] = cfg.batch_size
-    if cfg.lr is not None:
-        overrides["learning_rate"] = cfg.lr
+    chosen = {"epochs": cfg.epochs, "batch_size": cfg.batch_size, "learning_rate": cfg.lr}
+    overrides = {key: value for key, value in chosen.items() if value is not None}
 
     if which == "base":
         tc = base_config(seed=stage_seed(cfg.seed, _STAGE_TRAIN_BASE), **overrides)
@@ -402,14 +397,8 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
         _write_report(cfg, "base", lines, kv)
     else:
         spec, params, extra, bank = _load_model(cfg, "siamese")
-        model = SiameseModel(
-            spec,
-            params,
-            margin=extra["margin"],
-            pair_threshold=(
-                cfg.threshold if "threshold" in cfg.explicit else extra["pair_threshold"]
-            ),
-        )
+        threshold = cfg.threshold if "threshold" in cfg.explicit else extra["pair_threshold"]
+        model = SiameseModel(spec, params, margin=extra["margin"], pair_threshold=threshold)
         pairs_test = pr.load_pairs_csv(cfg.out / "pairs_test.csv", ft)
         held_out = embed_rows(model, ft.features, pairs_test.left, pairs_test.right, test_idx)
         pair_report = evaluate_pairs(model, pairs_test, held_out)

@@ -10,9 +10,11 @@ the layer's final activations.
 Shape conventions: inputs are row batches (n, in_size); a weight matrix is
 (out_size, in_size); z = x @ W.T + b.
 
-Inference kernels split their rows over the usable cores (`over_rows`). Each
-row is computed by the same numpy and BLAS calls as on one core, so results
-do not depend on the core count.
+`forward` keeps a trace and the activity penalty (training, base validation,
+the gradient oracles); `infer` returns the output alone (eval, every embed).
+Rows split over the usable cores (`over_rows`) in the leading ReLU layers of
+`infer` and infer-mode `forward` and in eval's pair and reference distances,
+each row computed by the same numpy and BLAS calls as on one core.
 """
 
 from __future__ import annotations
@@ -140,10 +142,11 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamSet:
     return ParamSet(weights, biases)
 
 
-# Most rows per piece of a split inference forward. A batch of more rows
-# splits into pieces of at least half as many: OpenBLAS computes a GEMM of a
-# few rows on another path, which rounds differently.
-_FORWARD_PIECE_ROWS = 256
+# Most rows per piece of split inference: each (rows, 256) float64 layer
+# temporary stays at 512 KB. A batch of more rows splits into pieces of at
+# least half as many: OpenBLAS computes a GEMM of a few rows on another path,
+# which rounds differently.
+INFER_PIECE_ROWS = 256
 
 
 def _usable_cores() -> int:
@@ -232,24 +235,68 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def infer_rows(
-    params: ParamSet, layers: tuple[LayerSpec, ...], x: np.ndarray, outs: list[np.ndarray]
-) -> None:
-    """Infer-mode arithmetic of forward's first len(layers) layers on the
-    rows of x, layer k into outs[k] (preallocated, len(x) rows each).
+def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+    """The activation of z; ReLU writes z in place."""
+    if activation == "relu":
+        return np.maximum(z, 0.0, out=z)
+    return _sigmoid(z) if activation == "sigmoid" else z
 
-    No checks, no trace and no threads: the kernel that over_rows pieces of
-    forward and of blocked inference run, on any thread.
-    """
+
+def infer_rows(params: ParamSet, x: np.ndarray, outs: list[np.ndarray]) -> None:
+    """Forward's first len(outs) layers, which must all be ReLU layers, on
+    the rows of x: layer k into outs[k] (preallocated, len(x) rows each).
+    No checks, no trace and no threads: the kernel of each over_rows piece
+    of inference, on any thread."""
     h = x
-    for k, (layer, z) in enumerate(zip(layers, outs)):
+    for k, z in enumerate(outs):
         np.matmul(h, params.weights[k].T, out=z)
         z += params.biases[k]
-        if layer.activation == "relu":
-            np.maximum(z, 0.0, out=z)
-        elif layer.activation == "sigmoid":
-            z[...] = _sigmoid(z)
+        np.maximum(z, 0.0, out=z)
         h = z
+
+
+def _input_batch(spec: NetworkSpec, x) -> np.ndarray:
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != spec.in_size:
+        raise ValueError(f"input shape {h.shape} is not (n, {spec.in_size})")
+    if not np.isfinite(h).all():
+        raise ValueError("non-finite input")
+    return h
+
+
+def _relu_run(
+    params: ParamSet, spec: NetworkSpec, h: np.ndarray, whole: bool
+) -> tuple[int, list[np.ndarray]]:
+    """(length, outputs) of the spec's leading run of ReLU layers on h.
+
+    Pieces of at most INFER_PIECE_ROWS rows go over_rows through the whole
+    run (infer_rows). With `whole`, every layer's output is a whole-batch
+    array. Otherwise only the last one is, and each thread takes piece-sized
+    hidden layers from a stock made on the calling thread (what a helper
+    allocates stays in its own malloc arena).
+    """
+    split = 0
+    while split < len(spec.layers) and spec.layers[split].activation == "relu":
+        split += 1
+    if not split:
+        return 0, []
+    run, n = spec.layers[:split], len(h)
+    outs = [np.empty((n, layer.out_size)) for layer in (run if whole else run[-1:])]
+    if whole:  # one set of whole-batch arrays, which each piece writes at its rows
+        stock = [outs[:-1]] * CORES
+    else:
+        rows = min(n, INFER_PIECE_ROWS)
+        stock = [[np.empty((rows, layer.out_size)) for layer in run[:-1]] for _ in range(CORES)]
+
+    def piece(start: int, stop: int):
+        temps = stock.pop()  # list.pop and append are atomic
+        at = start if whole else 0
+        views = [t[at : at + stop - start] for t in temps] + [outs[-1][start:stop]]
+        infer_rows(params, h[start:stop], views)
+        stock.append(temps)
+
+    over_rows(n, piece, INFER_PIECE_ROWS)
+    return split, outs
 
 
 def forward(
@@ -259,45 +306,28 @@ def forward(
     mode: str = "infer",
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the network on an (n, in_size) row batch.
+    """Run the network on an (n, in_size) row batch, keeping the trace that
+    backward needs.
 
     In train mode dropout is inverted: surviving units scale by 1/(1-rate),
     so inference applies no correction. The trace accumulates the activity
     penalty sum(l2 * a^2) over regularized layers and the whole batch.
 
-    In infer mode the leading run of ReLU layers is computed over_rows: each
-    piece takes its rows through all of them (infer_rows), into whole-batch
-    layer arrays.
-    The layers after that run (the base net's 256->1 sigmoid head, a GEMV
-    that rounds differently in row blocks) and the penalty sums are computed
-    whole on the calling thread, so every output keeps its bits.
+    In infer mode the leading run of ReLU layers is computed over_rows into
+    whole-batch arrays (_relu_run). The layers after it (the base net's
+    256->1 sigmoid head, a GEMV that rounds differently in row blocks) and
+    the penalty sums are computed whole on the calling thread, so every
+    output keeps its bits.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != spec.in_size:
-        raise ValueError(f"input shape {h.shape} is not (n, {spec.in_size})")
-    if not np.isfinite(h).all():
-        raise ValueError("non-finite input")
+    h = _input_batch(spec, x)
     if mode == "train" and rng is None and any(l.dropout_rate > 0 for l in spec.layers):
         raise ValueError("train mode with dropout requires an rng")
 
-    trace = ForwardTrace()
-    split = 0
-    if mode == "infer":
-        while split < len(spec.layers) and spec.layers[split].activation == "relu":
-            split += 1
-    if split:
-        outs = [np.empty((len(h), layer.out_size)) for layer in spec.layers[:split]]
-
-        def pieces(start: int, stop: int):
-            infer_rows(params, spec.layers[:split], h[start:stop], [o[start:stop] for o in outs])
-
-        over_rows(len(h), pieces, _FORWARD_PIECE_ROWS)
-        trace.inputs = [h, *outs[:-1]]
-        trace.masks = [None] * split
-        trace.outputs = outs
-        h = outs[-1]
+    split, outs = _relu_run(params, spec, h, whole=True) if mode == "infer" else (0, [])
+    trace = ForwardTrace([h, *outs][:split], [None] * split, outs)  # inputs: x, outs[:-1]
+    h = outs[-1] if split else h
     for k, layer in enumerate(spec.layers[split:], split):
         # z is the matmul's fresh result, so bias, dropout and ReLU write it
         # in place; the caller's x is never written
@@ -311,18 +341,28 @@ def forward(
             trace.masks.append(mask)
         else:
             trace.masks.append(None)
-        if layer.activation == "relu":
-            a = np.maximum(z, 0.0, out=z)
-        elif layer.activation == "sigmoid":
-            a = _sigmoid(z)
-        else:
-            a = z
-        trace.outputs.append(a)
-        h = a
+        h = _activate(z, layer.activation)
+        trace.outputs.append(h)
     for layer, a in zip(spec.layers, trace.outputs):
         if layer.activity_l2 > 0.0:
             trace.penalty += layer.activity_l2 * float(np.sum(a * a))
     return h, trace
+
+
+def infer(params: ParamSet, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
+    """forward(params, spec, x)[0], bit for bit and with its errors, but with
+    no trace and no activity penalty: eval's and every embed's path. Only
+    the leading ReLU run's last layer is made whole (_relu_run); the layers
+    after the run are computed whole on the calling thread, as in forward.
+    """
+    h = _input_batch(spec, x)
+    split, outs = _relu_run(params, spec, h, whole=False)
+    h = outs[-1] if split else h
+    for k, layer in enumerate(spec.layers[split:], split):
+        z = h @ params.weights[k].T
+        z += params.biases[k]
+        h = _activate(z, layer.activation)
+    return h
 
 
 def backward(

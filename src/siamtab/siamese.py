@@ -7,15 +7,15 @@ one batch, so a pair step stacks both members into a (2B, d) batch and makes
 one forward and one backward pass. The weight GEMM of that backward pass sums
 the two branches' gradients into the shared store.
 
-Inference embeds a large batch in blocks of at most EMBED_BLOCK rows, which
-the usable cores take one at a time (nn.over_rows), so each core's layer
-temporaries stay cache-sized. Reference distances are built one reference
-column at a time through one reused buffer, in row pieces that the cores
-take the same way. Neither split changes a bit of the results. `eval
-siamese` embeds its held-out pair and test rows once and hands
-classify_table the test rows' embeddings. The reference banks keep their own embed calls: a forward of k
-rows can round differently from a block of the table, and their distances
-decide the labels.
+Embedding is trace-free inference (nn.infer): the usable cores take its
+rows in pieces of at most nn.INFER_PIECE_ROWS (nn.over_rows), so each core's
+layer temporaries stay cache-sized. Reference distances are built one
+reference column at a time through one reused buffer, in row pieces that
+the cores take the same way. Neither split changes a bit of the results.
+`eval siamese` embeds its held-out pair and test rows once and hands
+classify_table the test rows' embeddings. The reference banks keep their
+own embed calls: an embed of k rows can round differently from a piece of
+the table, and their distances decide the labels.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 from .data import FeatureTable
 from .nn import (
-    CORES,
     ForwardTrace,
     NetworkSpec,
     ParamSet,
@@ -34,16 +33,13 @@ from .nn import (
     euclidean_distance,
     floored_sqrt,
     forward,
-    infer_rows,
+    infer,
     over_rows,
     require_positive,
 )
 
 DEFAULT_MARGIN = 1.0
 DEFAULT_PAIR_THRESHOLD = 0.5  # margin / 2
-# Most rows per inference block: a 256-row block keeps each (rows, 256)
-# float64 layer temporary at 512 KB.
-EMBED_BLOCK = 256
 # Most rows per piece of the reference distance loop.
 _REF_PIECE_ROWS = 256
 
@@ -64,35 +60,9 @@ class SiameseModel:
         return self.spec.out_size
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        """Inference-mode embedding of an (n, d) row batch.
-
-        A batch of n > EMBED_BLOCK rows runs as ceil(n / EMBED_BLOCK)
-        near-equal blocks (np.array_split boundaries) into one output array,
-        the cores taking one block at a time (over_rows, infer_rows). Every
-        block then holds 128 to 256 rows, which keeps each GEMM off the BLAS
-        path for tiny batches that rounds differently, so the rows come out
-        bitwise as from one forward over the batch. Each core's layer
-        temporaries are made once per call, on the calling thread.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.spec.in_size:
-            raise ValueError(f"input shape {x.shape} is not (n, {self.spec.in_size})")
-        if len(x) <= EMBED_BLOCK:
-            return forward(self.params, self.spec, x)[0]
-        if not np.isfinite(x).all():
-            raise ValueError("non-finite input")
-        layers = self.spec.layers
-        out = np.empty((len(x), self.embedding_size))
-        temps = [[np.empty((EMBED_BLOCK, l.out_size)) for l in layers[:-1]] for _ in range(CORES)]
-
-        def blocks(start: int, stop: int):
-            temp = temps.pop()  # list.pop and append are atomic
-            infer_rows(self.params, layers, x[start:stop],
-                       [t[: stop - start] for t in temp] + [out[start:stop]])
-            temps.append(temp)
-
-        over_rows(len(x), blocks, EMBED_BLOCK)
-        return out
+        """Inference-mode embedding of an (n, d) row batch (nn.infer): bitwise
+        forward's output, whatever the batch size and core count."""
+        return infer(self.params, self.spec, x)
 
 
 @dataclass

@@ -37,6 +37,7 @@ from .nn import (
     contrastive_loss,
     floored_sqrt,
     forward,
+    infer,
     init_optimizer,
     init_params,
     over_rows,
@@ -96,12 +97,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
@@ -370,8 +371,8 @@ def embed_rows(model: SiameseModel, features: np.ndarray, *indices: np.ndarray) 
 
     `eval siamese` embeds the union of its test pairs' rows and test-split
     rows this way, once, for both of its reports. The reference banks keep
-    their own embed calls: a forward of k rows can round differently from a
-    block of the table, and their distances decide the labels.
+    their own embed calls: an embed of k rows can round differently from a
+    piece of the table, and their distances decide the labels.
     """
     rows, positions = _distinct_rows(len(features), *indices)
     return RowEmbedding(model.embed(features[rows]), tuple(positions))
@@ -460,8 +461,7 @@ def evaluate_classifier(
         preds, _, _ = classify_table(model, bank, data, emb)
     else:
         spec, params = model
-        out, _ = forward(params, spec, data.features, mode="infer")
-        preds = (out[:, 0] >= 0.5).astype(np.int64)
+        preds = (infer(params, spec, data.features)[:, 0] >= 0.5).astype(np.int64)
     return EvalReport.from_predictions(data.labels, preds)
 
 

@@ -702,10 +702,11 @@ class TestEndToEndDeterminism:
         assert (a / "siamese_history.csv").read_bytes() != (b / "siamese_history.csv").read_bytes()
 
 
-# Functions the benchmark tracer wraps that eval and training reach; its
-# spans nest on one stack, so none may run off the main thread.
+# Functions the benchmark tracer wraps (or, for nn.infer, may wrap) that eval
+# and training reach; its spans nest on one stack, so none may run off the
+# main thread.
 MAIN_THREAD_ONLY = (
-    (nn, "forward"), (nn, "euclidean_distance"), (siamese, "pair_forward"),
+    (nn, "forward"), (nn, "infer"), (nn, "euclidean_distance"), (siamese, "pair_forward"),
     (siamese, "classify_table"), (train, "evaluate_pairs"), (train, "evaluate_classifier"),
 )
 
@@ -749,7 +750,7 @@ class TestHelperThreads:
         ) == 0
         assert run("train", "siamese", "--out", out, "--seed", 5, "--epochs", 1) == 0
         assert run("eval", "siamese", "--out", out, "--seed", 5) == 0
-        assert {"forward", "pair_forward", "evaluate_pairs", "classify_table"} <= set(calls)
+        assert {"forward", "infer", "pair_forward", "evaluate_pairs", "classify_table"} <= set(calls)
         assert off_main == []
         # validation and eval took the split path: some call split four ways
         assert max(splits) == 4
@@ -835,6 +836,30 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: out must name a run directory, got an empty value"]
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize(
+        "stage,key,value,low",
+        [
+            ("prepare", "seed", -1, 0),
+            ("pairs", "pairs-diff", -5, 0),
+            ("pairs", "pairs-same0", -1, 0),
+            ("pairs", "pairs-same1", -1, 0),
+            ("train siamese", "k-refs", 0, 1),
+        ],
+    )
+    @pytest.mark.parametrize("form", ["flag", "config file"])
+    def test_integer_below_its_range_names_the_setting(
+        self, tmp_path, capsys, stage, key, value, low, form
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        where = [f"--{key}", value] if form == "flag" else ["--config", cfg]
+        out = tmp_path / "run"
+        extra = ["--synthetic", "100,3,0.3"] if stage == "prepare" else []
+        assert run(*stage.split(), "--out", out, *extra, *where) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {key} must be >= {low}, got {value}"]
+        assert captured.out == "" and not out.exists()
 
     def test_bad_synthetic_spec_exits_nonzero(self, tmp_path, capsys):
         assert run("prepare", "--synthetic", "1,2", "--out", tmp_path / "x") == 1

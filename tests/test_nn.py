@@ -30,6 +30,8 @@ from siamtab.nn import (
     contrastive_loss,
     euclidean_distance,
     forward,
+    infer,
+    infer_rows,
     init_optimizer,
     init_params,
     load_checkpoint,
@@ -339,6 +341,74 @@ class TestOverRows:
                 assert all(np.array_equal(a, b) for a, b in zip(got, ref))
             assert trace.masks == [None] * len(spec.layers)
             assert trace.penalty == want_trace.penalty
+
+
+class TestInfer:
+    @pytest.mark.parametrize("spec_of", [base_network_spec, siamese_network_spec])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 848, 3392])
+    def test_matches_forward_bitwise_on_any_core_count(self, set_cores, spec_of, n):
+        # the base spec covers the sigmoid head after the ReLU run
+        spec = spec_of(15)
+        params = init_params(spec, seed=10)
+        x = np.random.default_rng(n).normal(size=(n, 15))
+        x_before = x.copy()
+        for cores in (1, 2, 3):
+            set_cores(cores)
+            want, _ = forward(params, spec, x)
+            got = infer(params, spec, x)
+            assert got.shape == (n, spec.out_size)
+            assert np.array_equal(got, want)
+        assert np.array_equal(x, x_before)
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            ((3, 4, "sigmoid"), (4, 2, "relu")),  # no leading ReLU run
+            ((3, 4, "relu"), (4, 5, "linear"), (5, 2, "relu")),  # a ReLU after the run
+            ((3, 1, "linear"),),
+        ],
+    )
+    def test_any_layer_order_matches_forward(self, layers):
+        spec = NetworkSpec(tuple(LayerSpec(*layer) for layer in layers))
+        params = init_params(spec, seed=11)
+        x = np.random.default_rng(12).normal(size=(600, 3))
+        assert np.array_equal(infer(params, spec, x), forward(params, spec, x)[0])
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.ones(15), np.ones((300, 15, 1)), np.ones((300, 14)), np.full((300, 15), np.inf)],
+        ids=["vector", "3-d", "width", "non-finite"],
+    )
+    def test_refuses_what_forward_refuses_with_its_message(self, x):
+        spec = base_network_spec(15)
+        params = init_params(spec, seed=13)
+        with pytest.raises(ValueError) as want:
+            forward(params, spec, x)
+        with pytest.raises(ValueError) as got:
+            infer(params, spec, x)
+        assert str(got.value) == str(want.value)
+
+    def test_hidden_layers_stay_piece_sized(self, monkeypatch, set_cores):
+        # forward keeps every layer whole for its trace; infer keeps only
+        # the run's last layer whole, each piece's hidden layer in a
+        # temporary of at most INFER_PIECE_ROWS rows
+        set_cores(2)
+        spec = siamese_network_spec(15)
+        params = init_params(spec, seed=14)
+        x = np.random.default_rng(15).normal(size=(848, 15))
+        bases = []
+
+        def recording_infer_rows(params, xb, outs):
+            bases.append([o.base.shape for o in outs])
+            return infer_rows(params, xb, outs)
+
+        monkeypatch.setattr(nn, "infer_rows", recording_infer_rows)
+        forward(params, spec, x)
+        assert bases and all(shapes == [(848, 256)] * 3 for shapes in bases)
+        bases.clear()
+        infer(params, spec, x)
+        assert len(bases) == 4
+        assert all(shapes == [(256, 256)] * 2 + [(848, 256)] for shapes in bases)
 
 
 class TestBackward:

@@ -8,6 +8,7 @@ from oracles import (
     numeric_gradient,
     param_sum,
 )
+from siamtab import nn
 from siamtab import siamese as siamese_mod
 from siamtab.data import FeatureTable
 from siamtab.nn import (
@@ -338,26 +339,24 @@ class TestBlockedInference:
         model = float_model(40)
         x = np.random.default_rng(n).normal(size=(n, 15))
         want, _ = forward(model.params, model.spec, x)
-        blocks = []
+        pieces = []
 
-        def recording_infer_rows(params, layers, xb, outs):
-            blocks.append(len(xb))
-            return infer_rows(params, layers, xb, outs)
+        def recording_infer_rows(params, xb, outs):
+            pieces.append(len(xb))
+            return infer_rows(params, xb, outs)
 
-        monkeypatch.setattr(siamese_mod, "infer_rows", recording_infer_rows)
+        monkeypatch.setattr(nn, "infer_rows", recording_infer_rows)
         for cores in (1, 2, 4):
             set_cores(cores)
-            blocks.clear()
+            pieces.clear()
             got = model.embed(x)
             assert np.array_equal(got, want)
-            # one forward up to EMBED_BLOCK rows; past that, the cores take
-            # the np.array_split blocks of 128 to 256 rows, in any order
-            if n <= siamese_mod.EMBED_BLOCK:
-                assert blocks == []
-                continue
-            n_blocks = -(-n // siamese_mod.EMBED_BLOCK)
-            assert sorted(blocks) == sorted(len(b) for b in np.array_split(np.arange(n), n_blocks))
-            assert min(blocks) >= siamese_mod.EMBED_BLOCK // 2
+            # the cores take the np.array_split pieces in any order: one
+            # piece up to INFER_PIECE_ROWS rows, past that 128 to 256 rows each
+            n_pieces = -(-n // nn.INFER_PIECE_ROWS)
+            assert sorted(pieces) == sorted(len(b) for b in np.array_split(np.arange(n), n_pieces))
+            if n_pieces > 1:
+                assert min(pieces) >= nn.INFER_PIECE_ROWS // 2
 
     def test_embed_rejects_a_non_finite_input_as_forward_does(self):
         model = float_model(41)

@@ -1,11 +1,13 @@
 import dataclasses
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from oracles import count_confusion, pair_distances_row_chunks
+from siamtab import nn
 from siamtab import train as train_mod
 from siamtab.data import FeatureTable, apply_norm, fit_norm, synth_generate, take_rows
 from siamtab.nn import LayerSpec, NetworkSpec, ParamSet, init_params
@@ -77,6 +79,17 @@ class TestConfigs:
         # 2.5 would fail later in range(); True would train one epoch
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             base_config(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", None])
+    def test_seed_must_be_an_integer(self, value):
+        # 2.5 and None would fail when training starts; True would train as seed 1
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            siamese_config(seed=value)
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+            base_config(seed=-3)
+        assert base_config(seed=0).seed == 0 and base_config(seed=np.uint32(7)).seed == 7
 
     def test_numpy_integer_counts_accepted(self):
         cfg = base_config(epochs=np.int64(3), batch_size=np.int32(8))
@@ -536,3 +549,28 @@ class TestEvaluateClassifier:
         empty = FeatureTable(np.empty((0, 10)), np.empty(0, dtype=np.int64))
         with pytest.raises(ValueError, match="empty"):
             evaluate_classifier(synth_trained.model, empty, synth_trained.bank)
+
+    def test_base_eval_and_every_embed_bypass_forward(self, monkeypatch, synth_trained):
+        spec = base_network_spec(10)
+        params = init_params(spec, 42)
+        test = synth_trained.test
+        want = EvalReport.from_predictions(
+            test.labels, (nn.forward(params, spec, test.features)[0][:, 0] >= 0.5).astype(int)
+        )
+        entered = []
+
+        def spy(*args, **kwargs):
+            entered.append(kwargs.get("mode", args[3] if len(args) > 3 else "infer"))
+            return forward(*args, **kwargs)
+
+        forward = nn.forward
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "siamtab" and getattr(module, "forward", None) is forward:
+                monkeypatch.setattr(module, "forward", spy)
+        assert evaluate_classifier((spec, params), test).kv() == want.kv()
+        evaluate_classifier(synth_trained.model, test, synth_trained.bank)
+        evaluate_pairs(synth_trained.model, synth_trained.pairs)
+        synth_trained.model.embed(test.features[:3])
+        assert entered == []
+        pair_forward(synth_trained.model, test.features[:2], test.features[2:4])
+        assert entered == ["infer"]  # the spy is in place
