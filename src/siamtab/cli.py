@@ -364,9 +364,8 @@ def _load_bank(path: Path, in_size: int, arrays: dict[str, np.ndarray]) -> Refer
     for name in ("refs0", "refs1"):
         if name not in arrays:
             raise ValueError(f"{path}: checkpoint has no array {name}")
-    refs0 = arrays["refs0"]
     try:
-        bank = ReferenceBank(refs0, arrays["refs1"], refs0.shape[0] if refs0.ndim else 0)
+        bank = ReferenceBank(arrays["refs0"], arrays["refs1"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if bank.refs0.shape[1] != in_size:

@@ -11,10 +11,11 @@ Shape conventions: inputs are row batches (n, in_size); a weight matrix is
 (out_size, in_size); z = x @ W.T + b.
 
 `forward` keeps a trace and the activity penalty (training, base validation,
-the gradient oracles); `infer` returns the output alone (eval, every embed).
-Rows split over the usable cores (`over_rows`) in the leading ReLU layers of
-`infer` and infer-mode `forward` and in eval's pair and reference distances,
-each row computed by the same numpy and BLAS calls as on one core.
+the gradient oracles) and runs on the calling thread; `infer` returns the
+output alone (eval, every embed). Rows split over the usable cores
+(`over_rows`) in the leading ReLU layers of `infer` and in eval's pair and
+reference distances, each row computed by the same numpy and BLAS calls as
+on one core.
 """
 
 from __future__ import annotations
@@ -264,41 +265,6 @@ def _input_batch(spec: NetworkSpec, x) -> np.ndarray:
     return h
 
 
-def _relu_run(
-    params: ParamSet, spec: NetworkSpec, h: np.ndarray, whole: bool
-) -> tuple[int, list[np.ndarray]]:
-    """(length, outputs) of the spec's leading run of ReLU layers on h.
-
-    Pieces of at most INFER_PIECE_ROWS rows go over_rows through the whole
-    run (infer_rows). With `whole`, every layer's output is a whole-batch
-    array. Otherwise only the last one is, and each thread takes piece-sized
-    hidden layers from a stock made on the calling thread (what a helper
-    allocates stays in its own malloc arena).
-    """
-    split = 0
-    while split < len(spec.layers) and spec.layers[split].activation == "relu":
-        split += 1
-    if not split:
-        return 0, []
-    run, n = spec.layers[:split], len(h)
-    outs = [np.empty((n, layer.out_size)) for layer in (run if whole else run[-1:])]
-    if whole:  # one set of whole-batch arrays, which each piece writes at its rows
-        stock = [outs[:-1]] * CORES
-    else:
-        rows = min(n, INFER_PIECE_ROWS)
-        stock = [[np.empty((rows, layer.out_size)) for layer in run[:-1]] for _ in range(CORES)]
-
-    def piece(start: int, stop: int):
-        temps = stock.pop()  # list.pop and append are atomic
-        at = start if whole else 0
-        views = [t[at : at + stop - start] for t in temps] + [outs[-1][start:stop]]
-        infer_rows(params, h[start:stop], views)
-        stock.append(temps)
-
-    over_rows(n, piece, INFER_PIECE_ROWS)
-    return split, outs
-
-
 def forward(
     params: ParamSet,
     spec: NetworkSpec,
@@ -312,12 +278,6 @@ def forward(
     In train mode dropout is inverted: surviving units scale by 1/(1-rate),
     so inference applies no correction. The trace accumulates the activity
     penalty sum(l2 * a^2) over regularized layers and the whole batch.
-
-    In infer mode the leading run of ReLU layers is computed over_rows into
-    whole-batch arrays (_relu_run). The layers after it (the base net's
-    256->1 sigmoid head, a GEMV that rounds differently in row blocks) and
-    the penalty sums are computed whole on the calling thread, so every
-    output keeps its bits.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -325,10 +285,8 @@ def forward(
     if mode == "train" and rng is None and any(l.dropout_rate > 0 for l in spec.layers):
         raise ValueError("train mode with dropout requires an rng")
 
-    split, outs = _relu_run(params, spec, h, whole=True) if mode == "infer" else (0, [])
-    trace = ForwardTrace([h, *outs][:split], [None] * split, outs)  # inputs: x, outs[:-1]
-    h = outs[-1] if split else h
-    for k, layer in enumerate(spec.layers[split:], split):
+    trace = ForwardTrace()
+    for k, layer in enumerate(spec.layers):
         # z is the matmul's fresh result, so bias, dropout and ReLU write it
         # in place; the caller's x is never written
         z = h @ params.weights[k].T
@@ -351,13 +309,35 @@ def forward(
 
 def infer(params: ParamSet, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     """forward(params, spec, x)[0], bit for bit and with its errors, but with
-    no trace and no activity penalty: eval's and every embed's path. Only
-    the leading ReLU run's last layer is made whole (_relu_run); the layers
-    after the run are computed whole on the calling thread, as in forward.
+    no trace and no activity penalty: eval's and every embed's path.
+
+    The leading run of ReLU layers goes over_rows, each piece of at most
+    INFER_PIECE_ROWS rows through the whole run (infer_rows). Only the run's
+    last layer is a whole-batch array; each thread takes piece-sized hidden
+    layers from a stock made on the calling thread (what a helper allocates
+    stays in its own malloc arena). The layers after the run (the base net's
+    256->1 sigmoid head, a GEMV that rounds differently in row blocks) are
+    computed whole on the calling thread, as in forward.
     """
-    h = _input_batch(spec, x)
-    split, outs = _relu_run(params, spec, h, whole=False)
-    h = outs[-1] if split else h
+    h = x = _input_batch(spec, x)
+    split = 0
+    while split < len(spec.layers) and spec.layers[split].activation == "relu":
+        split += 1
+    if split:
+        run, n = spec.layers[:split], len(x)
+        # out before the stock: the other order raised a 40k-pair eval's peak RSS 5 MB
+        out = np.empty((n, run[-1].out_size))
+        rows = min(n, INFER_PIECE_ROWS)
+        stock = [[np.empty((rows, layer.out_size)) for layer in run[:-1]] for _ in range(CORES)]
+
+        def piece(start: int, stop: int):
+            temps = stock.pop()  # list.pop and append are atomic
+            views = [t[: stop - start] for t in temps] + [out[start:stop]]
+            infer_rows(params, x[start:stop], views)
+            stock.append(temps)
+
+        over_rows(n, piece, INFER_PIECE_ROWS)
+        h = out
     for k, layer in enumerate(spec.layers[split:], split):
         z = h @ params.weights[k].T
         z += params.biases[k]

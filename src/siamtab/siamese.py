@@ -113,19 +113,14 @@ class ReferenceBank:
 
     refs0: np.ndarray  # (k, d)
     refs1: np.ndarray  # (k, d)
-    k: int
 
     def __post_init__(self):
         self.refs0 = np.asarray(self.refs0, dtype=np.float64)
         self.refs1 = np.asarray(self.refs1, dtype=np.float64)
-        if self.k < 1:
-            raise ValueError("need at least one reference per class")
-        if (
-            self.refs0.ndim != 2
-            or self.refs0.shape[0] != self.k
-            or self.refs1.shape != self.refs0.shape
-        ):
+        if self.refs0.ndim != 2 or self.refs1.shape != self.refs0.shape:
             raise ValueError("reference banks must both be (k, d)")
+        if len(self.refs0) < 1:
+            raise ValueError("need at least one reference per class")
 
 
 def build_reference_bank(train: FeatureTable, k: int, seed: int) -> ReferenceBank:
@@ -140,7 +135,7 @@ def build_reference_bank(train: FeatureTable, k: int, seed: int) -> ReferenceBan
             raise ValueError(f"class {c} has {idx_c.size} samples, need k={k}")
         pick = rng.choice(idx_c, size=k, replace=False)
         refs.append(train.features[pick])
-    return ReferenceBank(refs[0], refs[1], k)
+    return ReferenceBank(*refs)
 
 
 def _mean_ref_distances(model: SiameseModel, bank: ReferenceBank, e_x: np.ndarray):

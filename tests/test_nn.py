@@ -200,6 +200,22 @@ class TestForward:
         assert (penalty > 0.0) == (spec_of is base_network_spec)
         assert np.array_equal(x, x_before) and np.array_equal(params.flat, flat_before)
 
+    def test_infer_mode_runs_on_the_calling_thread(self, monkeypatch, set_cores):
+        # only nn.infer splits rows; forward's trace and penalty are one
+        # thread's whole-batch layers
+        set_cores(2)
+        spec = siamese_network_spec(15)
+        params = init_params(spec, seed=16)
+        x = np.random.default_rng(17).normal(size=(848, 15))
+
+        def no_split(n, fn, rows):
+            raise AssertionError("forward called over_rows")
+
+        monkeypatch.setattr(nn, "over_rows", no_split)
+        out, trace = forward(params, spec, x)
+        assert out.shape == (848, spec.out_size)
+        assert len(trace) == len(spec.layers)
+
     def test_inverted_dropout_expectation(self):
         # Monte Carlo over 1e5 masks: E[dropout(z)] == z within 1%
         spec = NetworkSpec((LayerSpec(2, 2, "relu", dropout_rate=0.3),))
@@ -389,9 +405,8 @@ class TestInfer:
         assert str(got.value) == str(want.value)
 
     def test_hidden_layers_stay_piece_sized(self, monkeypatch, set_cores):
-        # forward keeps every layer whole for its trace; infer keeps only
-        # the run's last layer whole, each piece's hidden layer in a
-        # temporary of at most INFER_PIECE_ROWS rows
+        # infer keeps only the run's last layer whole, each piece's hidden
+        # layer in a temporary of at most INFER_PIECE_ROWS rows
         set_cores(2)
         spec = siamese_network_spec(15)
         params = init_params(spec, seed=14)
@@ -403,9 +418,6 @@ class TestInfer:
             return infer_rows(params, xb, outs)
 
         monkeypatch.setattr(nn, "infer_rows", recording_infer_rows)
-        forward(params, spec, x)
-        assert bases and all(shapes == [(848, 256)] * 3 for shapes in bases)
-        bases.clear()
         infer(params, spec, x)
         assert len(bases) == 4
         assert all(shapes == [(256, 256)] * 2 + [(848, 256)] for shapes in bases)

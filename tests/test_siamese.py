@@ -261,7 +261,7 @@ class TestClassify:
         model = random_model(28)
         x = np.random.default_rng(29).normal(size=6)
         far = np.random.default_rng(30).normal(size=(3, 6)) + 5.0
-        bank = ReferenceBank(np.tile(x, (3, 1)), far, 3)
+        bank = ReferenceBank(np.tile(x, (3, 1)), far)
         label, d0, d1 = classify_one(model, bank, x)
         assert label == 0
         assert d0 < d1
@@ -269,10 +269,10 @@ class TestClassify:
     def test_swapping_banks_flips_label(self):
         model = random_model(31)
         rng = np.random.default_rng(32)
-        bank = ReferenceBank(rng.normal(size=(4, 6)), rng.normal(size=(4, 6)) + 3.0, 4)
+        bank = ReferenceBank(rng.normal(size=(4, 6)), rng.normal(size=(4, 6)) + 3.0)
         x = rng.normal(size=6)
         label, d0, d1 = classify_one(model, bank, x)
-        flipped = ReferenceBank(bank.refs1, bank.refs0, 4)
+        flipped = ReferenceBank(bank.refs1, bank.refs0)
         label2, d0_2, d1_2 = classify_one(model, flipped, x)
         assert label2 == 1 - label
         assert d0_2 == d1 and d1_2 == d0
@@ -280,7 +280,7 @@ class TestClassify:
     def test_exact_tie_goes_to_class_1(self):
         model = identity_model()
         refs = np.array([[1.0]])
-        bank = ReferenceBank(refs, refs.copy(), 1)
+        bank = ReferenceBank(refs, refs.copy())
         label, d0, d1 = classify_one(model, bank, np.array([0.0]))
         assert d0 == d1
         assert label == 1
@@ -291,9 +291,9 @@ class TestClassify:
         refs0 = rng.normal(size=(6, 6))
         refs1 = rng.normal(size=(6, 6))
         x = rng.normal(size=6)
-        base = classify_one(model, ReferenceBank(refs0, refs1, 6), x)
+        base = classify_one(model, ReferenceBank(refs0, refs1), x)
         perm = rng.permutation(6)
-        shuffled = classify_one(model, ReferenceBank(refs0[perm], refs1[perm], 6), x)
+        shuffled = classify_one(model, ReferenceBank(refs0[perm], refs1[perm]), x)
         assert base[0] == shuffled[0]
         assert base[1] == pytest.approx(shuffled[1], rel=1e-12)
 
@@ -303,7 +303,7 @@ class TestClassify:
         scaled = identity_model(width=3)
         scaled.params.weights[0] *= 2.0
         rng = np.random.default_rng(35)
-        bank = ReferenceBank(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), 5)
+        bank = ReferenceBank(rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
         for _ in range(10):
             x = rng.normal(size=3)
             l1, d0a, d1a = classify_one(model, bank, x)
@@ -315,7 +315,7 @@ class TestClassify:
     def test_classify_table_agrees_with_singles(self):
         model = random_model(36)
         rng = np.random.default_rng(37)
-        bank = ReferenceBank(rng.normal(size=(4, 6)), rng.normal(size=(4, 6)), 4)
+        bank = ReferenceBank(rng.normal(size=(4, 6)), rng.normal(size=(4, 6)))
         ft = FeatureTable(rng.normal(size=(12, 6)), rng.integers(0, 2, 12))
         labels, d0, d1 = classify_table(model, bank, ft)
         for i in range(12):
@@ -377,7 +377,7 @@ class TestBlockedInference:
     def test_reference_distances_match_the_broadcast_bitwise(self, set_cores, n):
         model = float_model(43)
         rng = np.random.default_rng(44)
-        bank = ReferenceBank(rng.normal(size=(10, 15)), rng.normal(size=(10, 15)) + 0.5, 10)
+        bank = ReferenceBank(rng.normal(size=(10, 15)), rng.normal(size=(10, 15)) + 0.5)
         x = rng.normal(size=(n, 15))
         want0, want1 = mean_ref_distances_broadcast(model, bank, x)
         for cores in (1, 2, 4):
@@ -398,8 +398,8 @@ class TestTrainedClassification:
         assert acc > 0.95
 
         # oracle 1: plain-loop recomputation of the mean-distance protocol
-        e0 = [model.embed(bank.refs0[j : j + 1]) for j in range(bank.k)]
-        e1 = [model.embed(bank.refs1[j : j + 1]) for j in range(bank.k)]
+        e0 = [model.embed(bank.refs0[j : j + 1]) for j in range(len(bank.refs0))]
+        e1 = [model.embed(bank.refs1[j : j + 1]) for j in range(len(bank.refs0))]
         for i in range(test.n):
             ex = model.embed(test.features[i : i + 1])
             d0 = np.mean([euclidean_distance(ex, e)[0][0] for e in e0])

@@ -498,7 +498,7 @@ class TestSharedEmbedding:
         right = rng.choice(perm[100:], left.size)
         ps = PairSet(ft, left, right, rng.random(left.size) < 0.5, (left.size, 0, 0))
         test_ft = take_rows(ft, test_idx)
-        bank = ReferenceBank(rng.normal(size=(10, 15)), rng.normal(size=(10, 15)) + 0.5, 10)
+        bank = ReferenceBank(rng.normal(size=(10, 15)), rng.normal(size=(10, 15)) + 0.5)
 
         shared = train_mod.embed_rows(model, ft.features, left, right, test_idx)
         assert len(shared.vectors) == n
@@ -530,7 +530,7 @@ class TestSharedEmbedding:
         other = train_mod.embed_rows(model, ft.features, np.arange(3), np.arange(3))
         with pytest.raises(ValueError, match="positions for 3/3 members, not 2"):
             evaluate_pairs(model, ps, other)
-        bank = ReferenceBank(np.ones((1, 4)), np.zeros((1, 4)), 1)
+        bank = ReferenceBank(np.ones((1, 4)), np.zeros((1, 4)))
         with pytest.raises(ValueError, match=r"embedding shape \(3, 256\) is not \(6, 256\)"):
             evaluate_classifier(model, ft, bank, other)
 
