@@ -576,14 +576,28 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path):
     """Read a checkpoint back: (spec, params, extra, named arrays).
 
-    A file that is no zip archive, or whose meta entry is not the JSON
-    save_checkpoint writes, is a ValueError naming the file.
+    A file that is no zip archive, an entry numpy cannot read (a pickled
+    object array, say), a meta entry that is not the JSON save_checkpoint
+    writes, or any other array that is not float64 is a ValueError naming
+    the file.
     """
+
+    def read(data, name: str) -> np.ndarray:
+        try:
+            entry = data[name]
+        except ValueError as exc:  # numpy's own, raised while reading the entry
+            raise ValueError(f"{path}: not a readable checkpoint (ValueError: {exc})") from None
+        if name != "meta" and entry.dtype != np.float64:
+            # ParamSet and ReferenceBank would cast it: a complex value would
+            # lose its imaginary part, a numeric string be parsed
+            raise ValueError(f"{path}: array {name} has dtype {entry.dtype}, expected float64")
+        return entry
+
     try:
         # opened as a zip archive whatever it holds: np.load would return a
         # bare array for an .npy file
         with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
+            meta = json.loads(str(read(data, "meta")))
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
             if not isinstance(meta["extra"], dict):
@@ -602,14 +616,16 @@ def load_checkpoint(path: str | Path):
             for name, shape in expected.items():
                 if name not in data.files:
                     raise ValueError(f"{path}: checkpoint has no array {name}")
-                stored[name] = data[name]
+                stored[name] = read(data, name)
                 if stored[name].shape != shape:
                     raise ValueError(
                         f"{path}: array {name} has shape {stored[name].shape}, "
                         f"layer spec needs {shape}"
                     )
             arrays = {
-                name: data[name] for name in data.files if name not in expected and name != "meta"
+                name: read(data, name)
+                for name in data.files
+                if name not in expected and name != "meta"
             }
     except (
         zipfile.BadZipFile, EOFError, json.JSONDecodeError, KeyError, TypeError, AttributeError

@@ -56,11 +56,12 @@ def split_by_label(ft: FeatureTable, seed: int) -> tuple[np.ndarray, np.ndarray]
     return idx0, idx1
 
 
-def _counts_from(ft: FeatureTable, left, right, similar) -> tuple[int, int, int]:
-    n_diff = int((~similar).sum())
-    same0 = int((similar & (ft.labels[left] == 0)).sum())
-    same1 = int((similar & (ft.labels[left] == 1)).sum())
-    return n_diff, same0, same1
+def _counts_from(ft: FeatureTable, left, similar) -> tuple[int, int, int]:
+    """Pair counts by one bincount: 0 codes a cross-class pair, label + 1 a same-class one."""
+    code = ft.labels[left]
+    code += 1
+    code *= similar
+    return tuple(np.bincount(code, minlength=3)[:3].tolist())
 
 
 def generate_pairs(
@@ -70,7 +71,8 @@ def generate_pairs(
 
     Cross-class pairs take their left row from class 0 and right row from
     class 1. Same-class pairs draw two distinct positions from the shuffled
-    class index list (an offset draw, so no rejection loop is needed).
+    class index list (an offset draw, so no rejection loop is needed). Each
+    part is gathered straight into its slice of the final left/right arrays.
     """
     for name, v in (("n_diff", n_diff), ("n_same0", n_same0), ("n_same1", n_same1)):
         if v < 0:
@@ -85,26 +87,23 @@ def generate_pairs(
         if n_same > 0 and idx.size < 2:
             raise ValueError(f"class {c} needs >= 2 samples for same-class pairs")
 
-    left_parts, right_parts = [], []
+    left = np.empty(n_diff + n_same0 + n_same1, dtype=np.int64)
+    right = np.empty_like(left)
+    # every drawn position is in range: "clip" changes none and skips "raise"'s temporary copy
     if n_diff > 0:
-        left_parts.append(idx0[rng.integers(0, idx0.size, n_diff)])
-        right_parts.append(idx1[rng.integers(0, idx1.size, n_diff)])
-    for n_same, idx in ((n_same0, idx0), (n_same1, idx1)):
+        np.take(idx0, rng.integers(0, idx0.size, n_diff), out=left[:n_diff], mode="clip")
+        np.take(idx1, rng.integers(0, idx1.size, n_diff), out=right[:n_diff], mode="clip")
+    for start, n_same, idx in ((n_diff, n_same0, idx0), (n_diff + n_same0, n_same1, idx1)):
         if n_same > 0:
             p = rng.integers(0, idx.size, n_same)
-            q = (p + 1 + rng.integers(0, idx.size - 1, n_same)) % idx.size
-            left_parts.append(idx[p])
-            right_parts.append(idx[q])
-
-    if left_parts:
-        left = np.concatenate(left_parts)
-        right = np.concatenate(right_parts)
-    else:
-        left = np.empty(0, dtype=np.int64)
-        right = np.empty(0, dtype=np.int64)
-    similar = np.concatenate(
-        [np.zeros(n_diff, dtype=bool), np.ones(n_same0 + n_same1, dtype=bool)]
-    )
+            q = rng.integers(0, idx.size - 1, n_same)
+            q += p  # (p + 1 + offset) % size, in place
+            q += 1
+            q %= idx.size
+            np.take(idx, p, out=left[start : start + n_same], mode="clip")
+            np.take(idx, q, out=right[start : start + n_same], mode="clip")
+    similar = np.zeros(left.size, dtype=bool)
+    similar[n_diff:] = True
     return PairSet(ft, left, right, similar, (n_diff, n_same0, n_same1))
 
 
@@ -118,7 +117,7 @@ def split_pairs(ps: PairSet, fraction: float, seed: int) -> tuple[PairSet, PairS
     parts = []
     for sel in (perm[:n_first], perm[n_first:]):
         left, right, similar = ps.left[sel], ps.right[sel], ps.similar[sel]
-        counts = _counts_from(ps.source, left, right, similar)
+        counts = _counts_from(ps.source, left, similar)
         parts.append(PairSet(ps.source, left, right, similar, counts))
     return parts[0], parts[1]
 
@@ -200,5 +199,5 @@ def load_pairs_csv(path: str | Path, ft: FeatureTable) -> PairSet:
     similar = flags != 0
     if not np.array_equal(similar, ft.labels[left] == ft.labels[right]):
         raise ValueError(f"{path}: similarity flags do not match the table labels")
-    counts = _counts_from(ft, left, right, similar)
+    counts = _counts_from(ft, left, similar)
     return PairSet(ft, left, right, similar, counts)

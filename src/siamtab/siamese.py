@@ -10,8 +10,8 @@ the two branches' gradients into the shared store.
 Embedding is trace-free inference (nn.infer): the usable cores take its
 rows in pieces of at most nn.INFER_PIECE_ROWS (nn.over_rows), so each core's
 layer temporaries stay cache-sized. Reference distances are built one
-reference column at a time through one reused buffer, in row pieces that
-the cores take the same way. Neither split changes a bit of the results.
+reference column at a time, in row pieces the cores take the same way, each
+through a piece-sized buffer. Neither split changes a bit of the results.
 `eval siamese` embeds its held-out pair and test rows once and hands
 classify_table the test rows' embeddings. The reference banks keep their
 own embed calls: an embed of k rows can round differently from a piece of
@@ -26,6 +26,7 @@ import numpy as np
 
 from .data import FeatureTable
 from .nn import (
+    CORES,
     ForwardTrace,
     NetworkSpec,
     ParamSet,
@@ -144,25 +145,25 @@ def _mean_ref_distances(model: SiameseModel, bank: ReferenceBank, e_x: np.ndarra
 
     Each bank is embedded on its own. Both (n, k) distance matrices are
     filled over_rows: each piece fills its rows one reference column at a
-    time through its rows of one reused (n, emb) buffer, which is made on
-    the calling thread (what a helper allocates stays in its own malloc
-    arena).
+    time through its thread's piece-sized scratch buffer, made on the
+    calling thread (what a helper allocates stays in its own malloc arena).
     """
     e_refs = [model.embed(refs) for refs in (bank.refs0, bank.refs1)]  # (k, emb) each
     dists = [np.empty((len(e_x), len(e_r))) for e_r in e_refs]
-    bufs = np.empty_like(e_x)
+    bufs = [np.empty((min(len(e_x), _REF_PIECE_ROWS), e_x.shape[1])) for _ in range(CORES)]
 
     def fill(start: int, stop: int):
-        rows, buf = e_x[start:stop], bufs[start:stop]
+        rows, buf = e_x[start:stop], bufs.pop()  # list.pop and append are atomic
+        scratch = buf[: stop - start]
         for e_r, dist in zip(e_refs, dists):
             for j, e in enumerate(e_r):
-                np.subtract(rows, e, out=buf)
-                buf *= buf
-                np.add.reduce(buf, axis=-1, out=dist[start:stop, j])  # np.sum's bits
+                np.subtract(rows, e, out=scratch)
+                scratch *= scratch
+                np.add.reduce(scratch, axis=-1, out=dist[start:stop, j])  # np.sum's bits
+        bufs.append(buf)
 
     over_rows(len(e_x), fill, _REF_PIECE_ROWS)
-    d0, d1 = (floored_sqrt(dist, out=dist).mean(axis=1) for dist in dists)
-    return d0, d1
+    return tuple(floored_sqrt(dist, out=dist).mean(axis=1) for dist in dists)
 
 
 def classify_table(

@@ -54,7 +54,7 @@ from .siamese import (
     pair_forward,
 )
 
-_EVAL_CHUNK = 128  # pairs per distance block: two (128, 256) float64 buffers
+_EVAL_CHUNK = 256  # pairs per block: a thread's two (256, 256) buffers fill half a 2 MB L2
 
 
 def base_network_spec(in_size: int = 15) -> NetworkSpec:

@@ -278,6 +278,37 @@ def mean_ref_distances_broadcast(model, bank, x) -> tuple[np.ndarray, np.ndarray
     )
 
 
+def generate_pairs_parts(ft, n_diff: int, n_same0: int, n_same1: int, seed: int):
+    """generate_pairs the per-part way: each part's left and right indices
+    gathered into new arrays, then all parts joined by np.concatenate. Draws
+    from the same streams in the same order. Takes valid counts only."""
+    from siamtab.pairs import PairSet, split_by_label
+
+    child = np.random.SeedSequence(seed).generate_state(2)
+    idx0, idx1 = split_by_label(ft, int(child[0]))
+    rng = np.random.default_rng(int(child[1]))
+    left_parts, right_parts = [], []
+    if n_diff > 0:
+        left_parts.append(idx0[rng.integers(0, idx0.size, n_diff)])
+        right_parts.append(idx1[rng.integers(0, idx1.size, n_diff)])
+    for n_same, idx in ((n_same0, idx0), (n_same1, idx1)):
+        if n_same > 0:
+            p = rng.integers(0, idx.size, n_same)
+            q = (p + 1 + rng.integers(0, idx.size - 1, n_same)) % idx.size
+            left_parts.append(idx[p])
+            right_parts.append(idx[q])
+    if left_parts:
+        left = np.concatenate(left_parts)
+        right = np.concatenate(right_parts)
+    else:
+        left = np.empty(0, dtype=np.int64)
+        right = np.empty(0, dtype=np.int64)
+    similar = np.concatenate(
+        [np.zeros(n_diff, dtype=bool), np.ones(n_same0 + n_same1, dtype=bool)]
+    )
+    return PairSet(ft, left, right, similar, (n_diff, n_same0, n_same1))
+
+
 def forward_new_arrays(params, spec, x, mode="infer", rng=None):
     """The engine's forward with three new arrays per layer, as it was before
     it wrote each layer in place: z = h @ W.T + b, dropout z * mask, ReLU

@@ -324,6 +324,31 @@ class TestEvalCmd:
         assert err == [f"error: {path}: not a readable checkpoint ({fault})"]
         assert not (out / "eval_siamese.txt").exists()
 
+    @pytest.mark.parametrize(
+        "name,convert,message",
+        [
+            ("b1", lambda b: b + 1j, "array b1 has dtype complex128, expected float64"),
+            ("refs0", lambda r: r.astype(object),
+             "not a readable checkpoint "
+             "(ValueError: Object arrays cannot be loaded when allow_pickle=False)"),
+        ],
+        ids=["complex bias", "pickled reference bank"],
+    )
+    def test_checkpoint_array_of_another_dtype_fails_with_one_error_line(
+        self, trained_run, tmp_path, capsys, name, convert, message
+    ):
+        out = copy_run(trained_run, tmp_path)
+        path = out / "siamese_model.npz"
+        with np.load(path) as data:
+            stored = dict(data)
+        stored[name] = convert(stored[name])
+        np.savez(path, **stored)
+        capsys.readouterr()
+        assert run("eval", "siamese", "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: {message}"]
+        assert not (out / "eval_siamese.txt").exists()
+
     @pytest.mark.parametrize("entry", ["seed", "margin", "pair_threshold"])
     @pytest.mark.parametrize("value", ["1.0", float("nan"), True])
     def test_checkpoint_extra_that_is_not_a_finite_number_rejected(

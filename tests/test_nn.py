@@ -5,6 +5,7 @@ import signal
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -835,6 +836,50 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: not a readable checkpoint ({fault})"
+
+    @staticmethod
+    def saved_with(tmp_path, name, value):
+        """A saved checkpoint with member `name` replaced by value(member)."""
+        spec = NetworkSpec((LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "linear")))
+        path = tmp_path / "model.npz"
+        arrays = {"refs0": np.ones((2, 3)), "refs1": np.zeros((2, 3))}
+        save_checkpoint(path, spec, init_params(spec, seed=22), {"kind": "test"}, arrays)
+        with np.load(path) as data:
+            stored = dict(data)
+        stored[name] = value(stored[name])
+        np.savez(path, **stored)
+        return path
+
+    def test_pickled_object_array_names_the_file(self, tmp_path):
+        path = self.saved_with(tmp_path, "b1", lambda b: b.astype(object))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (
+            f"{path}: not a readable checkpoint "
+            "(ValueError: Object arrays cannot be loaded when allow_pickle=False)"
+        )
+
+    def test_complex_bias_refused_without_a_warning(self, tmp_path):
+        path = self.saved_with(tmp_path, "b1", lambda b: b + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning: nothing is cast
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(path)
+        assert str(err.value) == f"{path}: array b1 has dtype complex128, expected float64"
+
+    def test_numeric_string_weights_refused(self, tmp_path):
+        path = self.saved_with(tmp_path, "w0", lambda w: w.astype(str))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: array w0 has dtype <U")
+        assert str(err.value).endswith(", expected float64")
+
+    @pytest.mark.parametrize("dtype", ["float32", "int64"])
+    def test_reference_array_of_another_dtype_refused(self, tmp_path, dtype):
+        path = self.saved_with(tmp_path, "refs1", lambda r: r.astype(dtype))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: array refs1 has dtype {dtype}, expected float64"
 
     def test_extra_that_is_not_an_object_names_the_file(self, tmp_path):
         path = tmp_path / "model.npz"

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import load_pairs_csv_rows, save_pairs_csv_rows
+from oracles import generate_pairs_parts, load_pairs_csv_rows, save_pairs_csv_rows
 from siamtab import pairs
 from siamtab.data import FeatureTable, synth_generate
 from siamtab.pairs import (
@@ -100,6 +100,21 @@ class TestGeneratePairs:
         with pytest.raises(ValueError, match=">= 0"):
             generate_pairs(ft, -1, 0, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 6, 41])
+    @pytest.mark.parametrize(
+        "counts",
+        [(0, 0, 0), (0, 30, 20), (40, 0, 20), (40, 30, 0), (40, 0, 0), (0, 0, 25), (700, 350, 90)],
+    )
+    def test_matches_the_per_part_generator_bitwise(self, seed, counts):
+        # classes of unequal sizes, so every part's draws have their own bound
+        ft = small_table([0] * 23 + [1] * 9)
+        got = generate_pairs(ft, *counts, seed=seed)
+        want = generate_pairs_parts(ft, *counts, seed=seed)
+        for name in ("left", "right", "similar"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.counts == want.counts == counts
+
 
 class TestSplitPairs:
     def test_sizes(self):
@@ -143,6 +158,28 @@ class TestSplitPairs:
         ps = generate_pairs(ft, 4, 0, 0, seed=0)
         with pytest.raises(ValueError, match="fraction"):
             split_pairs(ps, fraction, seed=0)
+
+
+class TestCounts:
+    @pytest.mark.parametrize(
+        "labels,left,similar,counts",
+        [
+            ([0, 1], [], [], (0, 0, 0)),
+            ([0, 1, 1], [0, 0, 1, 2], [False] * 4, (4, 0, 0)),
+            ([0, 1, 1, 0], [0, 1, 2, 3, 3, 1, 0], [True, True, False, True, False, True, True],
+             (2, 3, 2)),
+            ([1, 1, 1], [0, 2, 1], [True, True, True], (0, 0, 3)),
+            ([0, 0], [1, 0, 1], [True, True, True], (0, 3, 0)),
+        ],
+        ids=["empty", "all cross-class", "mixed", "class-1 table", "class-0 table"],
+    )
+    def test_counts_by_hand(self, labels, left, similar, counts):
+        ft = small_table(labels)
+        left = np.array(left, dtype=np.int64)
+        got = pairs._counts_from(ft, left, np.array(similar, dtype=bool))
+        assert got == counts and all(type(c) is int for c in got)
+        # the codes are worked out in a gathered copy, not in the table
+        assert np.array_equal(ft.labels, labels)
 
 
 class TestPairSetContainer:

@@ -373,14 +373,16 @@ class TestBlockedInference:
             model.embed(np.ones(shape))
         assert str(err.value) == f"input shape {shape} is not (n, 15)"
 
-    @pytest.mark.parametrize("n", [1, 848])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 848])
     def test_reference_distances_match_the_broadcast_bitwise(self, set_cores, n):
+        # one piece up to _REF_PIECE_ROWS rows, past it several, each through
+        # its thread's piece-sized buffer
         model = float_model(43)
         rng = np.random.default_rng(44)
         bank = ReferenceBank(rng.normal(size=(10, 15)), rng.normal(size=(10, 15)) + 0.5)
         x = rng.normal(size=(n, 15))
         want0, want1 = mean_ref_distances_broadcast(model, bank, x)
-        for cores in (1, 2, 4):
+        for cores in (1, 2, 3, 4):
             set_cores(cores)
             d0, d1 = siamese_mod._mean_ref_distances(model, bank, model.embed(x))
             assert np.array_equal(d0, want0) and np.array_equal(d1, want1)

@@ -481,6 +481,21 @@ class TestPairDistances:
             set_cores(cores)
             assert np.array_equal(train_mod._pair_distances(model, ps), want)
 
+    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    def test_distances_at_block_boundaries_match_the_row_chunk_evaluator(self, set_cores, n):
+        # one block up to _EVAL_CHUNK pairs, then two and three; the pairs
+        # name more distinct rows than one embed block
+        rng = np.random.default_rng(n)
+        spec = siamese_network_spec(15)
+        model = SiameseModel(spec, init_params(spec, 42))
+        ft = FeatureTable(rng.normal(size=(400, 15)), rng.integers(0, 2, 400))
+        ps = PairSet(ft, rng.integers(0, 400, n), rng.integers(0, 400, n),
+                     np.zeros(n, dtype=bool), (n, 0, 0))
+        want = pair_distances_row_chunks(model, ps)
+        for cores in (1, 2, 3):
+            set_cores(cores)
+            assert np.array_equal(train_mod._pair_distances(model, ps), want)
+
 
 class TestSharedEmbedding:
     def test_shared_embedding_gives_the_stand_alone_bits(self):
