@@ -206,6 +206,14 @@ def _load_split_indices(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]
     return idx[in_train], idx[~in_train]
 
 
+def _load_pairs(cfg: RunConfig, ft: dt.FeatureTable, part: str) -> pr.PairSet:
+    path = cfg.out / f"pairs_{part}.csv"
+    ps = pr.load_pairs_csv(path, ft)
+    if len(ps) == 0:
+        raise ValueError(f"{path} holds no pairs; re-run siamtab pairs with larger counts")
+    return ps
+
+
 def cmd_prepare(cfg: RunConfig) -> int:
     if cfg.synthetic is None and cfg.data is None:
         raise ValueError("prepare needs --data or --synthetic")
@@ -296,7 +304,7 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
         )
         export_history(history, cfg.out / "base_history.csv")
     else:
-        pairs_train = pr.load_pairs_csv(cfg.out / "pairs_train.csv", ft)
+        pairs_train = _load_pairs(cfg, ft, "train")
         tc = siamese_config(seed=stage_seed(cfg.seed, _STAGE_TRAIN_SIAMESE), **overrides)
         # The bank draws from its own stage stream, so building it first
         # changes no model; a k the training split cannot fill fails before
@@ -398,7 +406,7 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
         spec, params, extra, bank = _load_model(cfg, "siamese")
         threshold = cfg.threshold if "threshold" in cfg.explicit else extra["pair_threshold"]
         model = SiameseModel(spec, params, margin=extra["margin"], pair_threshold=threshold)
-        pairs_test = pr.load_pairs_csv(cfg.out / "pairs_test.csv", ft)
+        pairs_test = _load_pairs(cfg, ft, "test")
         held_out = embed_rows(model, ft.features, pairs_test.left, pairs_test.right, test_idx)
         pair_report = evaluate_pairs(model, pairs_test, held_out)
         sample_report = evaluate_classifier(model, test_ft, bank, held_out)

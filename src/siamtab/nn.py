@@ -28,7 +28,7 @@ import zipfile
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -158,6 +158,7 @@ def _usable_cores() -> int:
 
 
 CORES = _usable_cores()
+T = TypeVar("T")
 _helpers: ThreadPoolExecutor | None = None
 
 
@@ -171,18 +172,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helpers)
 
 
-def over_rows(n: int, fn: Callable[[int, int], None], rows: int) -> None:
-    """Call fn(start, stop) once on each piece of range(n): ceil(n / rows)
+def over_rows(n: int, fn: Callable[[int, int, T], None], rows: int, scratch: Callable[[], T]):
+    """Call fn(start, stop, buf) once on each piece of range(n): ceil(n / rows)
     contiguous near-equal pieces (np.array_split bounds), so a piece holds
     at most `rows` rows and, when there are several, more than rows / 2.
 
     The calling thread and up to CORES - 1 helper threads, from a pool built
     on first use, each take the next unclaimed piece until none is left:
-    one join per call. A helper that has not begun when the calling thread
-    runs out of pieces is called off, so a helper whose core is busy
-    elsewhere holds the call up by at most the piece it is on. A call off
-    the main thread runs every piece itself, so a nested call never waits on
-    a helper. If a piece raises, its thread takes no further pieces, and the
+    one join per call. A call off the main thread takes every piece itself,
+    so a nested call never waits on a helper. Each thread hands fn one
+    buffer for all its pieces, made by scratch() on the calling thread: what
+    a helper allocates stays in its own malloc arena and raises the peak
+    RSS. A helper that has not begun when the calling thread runs out of
+    pieces is called off, so a busy core holds the call up by at most one
+    piece. If a piece raises, its thread takes no further pieces, and the
     error is raised here once every piece that has begun has ended.
 
     fn should run numpy kernels only. It must not call forward or the
@@ -195,18 +198,17 @@ def over_rows(n: int, fn: Callable[[int, int], None], rows: int) -> None:
     bounds = [i * size + min(i, extra) for i in range(pieces + 1)]
     unclaimed = iter(range(pieces))
 
-    def work():
+    def work(buf):
         for i in unclaimed:  # next() on a range iterator is atomic under the GIL
-            fn(bounds[i], bounds[i + 1])
+            fn(bounds[i], bounds[i + 1], buf)
 
-    helpers = min(CORES, pieces) - 1
-    if threading.current_thread() is not threading.main_thread():
-        helpers = 0
-    if helpers and _helpers is None:
+    threads = min(CORES, pieces) if threading.current_thread() is threading.main_thread() else 1
+    bufs = [scratch() for _ in range(threads)]
+    if threads > 1 and _helpers is None:
         _helpers = ThreadPoolExecutor(CORES - 1, thread_name_prefix="siamtab-rows")
-    rest = [_helpers.submit(work) for _ in range(helpers)]
+    rest = [_helpers.submit(work, buf) for buf in bufs[1:]]
     try:
-        work()
+        work(bufs[0])
     finally:
         begun = [future for future in rest if not future.cancel()]
         wait(begun)
@@ -313,11 +315,11 @@ def infer(params: ParamSet, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
 
     The leading run of ReLU layers goes over_rows, each piece of at most
     INFER_PIECE_ROWS rows through the whole run (infer_rows). Only the run's
-    last layer is a whole-batch array; each thread takes piece-sized hidden
-    layers from a stock made on the calling thread (what a helper allocates
-    stays in its own malloc arena). The layers after the run (the base net's
-    256->1 sigmoid head, a GEMV that rounds differently in row blocks) are
-    computed whole on the calling thread, as in forward.
+    last layer is a whole-batch array, made before over_rows makes each
+    thread's piece-sized hidden layers (the other order raised a 40k-pair
+    eval's peak RSS 5 MB). The layers after the run (the base net's 256->1
+    sigmoid head, a GEMV that rounds differently in row blocks) are computed
+    whole on the calling thread, as in forward.
     """
     h = x = _input_batch(spec, x)
     split = 0
@@ -325,18 +327,16 @@ def infer(params: ParamSet, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
         split += 1
     if split:
         run, n = spec.layers[:split], len(x)
-        # out before the stock: the other order raised a 40k-pair eval's peak RSS 5 MB
         out = np.empty((n, run[-1].out_size))
         rows = min(n, INFER_PIECE_ROWS)
-        stock = [[np.empty((rows, layer.out_size)) for layer in run[:-1]] for _ in range(CORES)]
 
-        def piece(start: int, stop: int):
-            temps = stock.pop()  # list.pop and append are atomic
+        def piece(start: int, stop: int, temps: list[np.ndarray]):
             views = [t[: stop - start] for t in temps] + [out[start:stop]]
             infer_rows(params, x[start:stop], views)
-            stock.append(temps)
 
-        over_rows(n, piece, INFER_PIECE_ROWS)
+        over_rows(
+            n, piece, INFER_PIECE_ROWS, lambda: [np.empty((rows, l.out_size)) for l in run[:-1]]
+        )
         h = out
     for k, layer in enumerate(spec.layers[split:], split):
         z = h @ params.weights[k].T
@@ -350,14 +350,11 @@ def backward(
     params: ParamSet,
     spec: NetworkSpec,
     grad_out: np.ndarray,
-) -> tuple[ParamSet, np.ndarray]:
-    """Backpropagate grad_out (d loss / d output) through a traced forward.
-
-    The activity-penalty gradient 2*l2*a is injected at each regularized
-    activation, so the returned gradients are those of
-    caller_loss(output) + trace.penalty. Also returns the gradient w.r.t.
-    the network input (the second branch of a shared-weight pair needs it).
-    """
+) -> ParamSet:
+    """Backpropagate grad_out (d loss / d output) through a traced forward to
+    the parameter gradients, those of caller_loss(output) + trace.penalty:
+    the activity-penalty gradient 2*l2*a is injected at each regularized
+    activation. No gradient w.r.t. the network input is formed."""
     if len(trace) != len(spec.layers):
         raise ValueError("trace depth does not match the network spec")
     g = np.asarray(grad_out, dtype=np.float64)
@@ -381,8 +378,9 @@ def backward(
             gz = gz * trace.masks[k]
         np.matmul(gz.T, trace.inputs[k], out=grads.weights[k])
         np.sum(gz, axis=0, out=grads.biases[k])
-        g = gz @ params.weights[k]
-    return grads, g
+        if k:
+            g = gz @ params.weights[k]
+    return grads
 
 
 def require_positive(name: str, value: float):
@@ -431,11 +429,11 @@ def floored_sqrt(sq_norms: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 
 
 def euclidean_distance(e1: np.ndarray, e2: np.ndarray):
-    """Floored euclidean distance and its gradients w.r.t. both embeddings.
+    """Floored euclidean distance d and g = d d / d e1; d d / d e2 is -g.
 
-    d = sqrt(max(sum((e1-e2)^2), 1e-12)); the floor keeps the gradient
-    (e1-e2)/d finite when the embeddings coincide. Takes two (n, emb) row
-    batches; d is (n,) and the gradients come back row-aligned.
+    d = sqrt(max(sum((e1-e2)^2), 1e-12)); the floor keeps g = (e1-e2)/d
+    finite when the embeddings coincide. Takes two (n, emb) row batches; d
+    is (n,) and g comes back row-aligned.
     """
     e1 = np.asarray(e1, dtype=np.float64)
     e2 = np.asarray(e2, dtype=np.float64)
@@ -445,8 +443,8 @@ def euclidean_distance(e1: np.ndarray, e2: np.ndarray):
         )
     diff = e1 - e2
     d = floored_sqrt(np.sum(diff * diff, axis=-1))
-    g1 = diff / d[:, None]
-    return d, g1, -g1
+    diff /= d[:, None]
+    return d, diff
 
 
 @dataclass

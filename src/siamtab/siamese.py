@@ -4,14 +4,14 @@ classification of samples.
 Both branches read the one ParamSet held by the model; weight sharing is
 structural, never copied. A twin with tied weights is one network applied to
 one batch, so a pair step stacks both members into a (2B, d) batch and makes
-one forward and one backward pass. The weight GEMM of that backward pass sums
-the two branches' gradients into the shared store.
+one forward and one backward pass (the second members' distance gradient is
+the first's negated). Its weight GEMM sums both branches into the shared store.
 
 Embedding is trace-free inference (nn.infer): the usable cores take its
 rows in pieces of at most nn.INFER_PIECE_ROWS (nn.over_rows), so each core's
 layer temporaries stay cache-sized. Reference distances are built one
 reference column at a time, in row pieces the cores take the same way, each
-through a piece-sized buffer. Neither split changes a bit of the results.
+through its thread's buffer. Neither split changes a bit of the results.
 `eval siamese` embeds its held-out pair and test rows once and hands
 classify_table the test rows' embeddings. The reference banks keep their
 own embed calls: an embed of k rows can round differently from a piece of
@@ -26,7 +26,6 @@ import numpy as np
 
 from .data import FeatureTable
 from .nn import (
-    CORES,
     ForwardTrace,
     NetworkSpec,
     ParamSet,
@@ -69,11 +68,10 @@ class SiameseModel:
 @dataclass
 class PairTrace:
     """One stacked twin forward, kept for the backward pass: the trace over
-    the (2B, d) batch and d distance / d embedding for each pair member."""
+    the (2B, d) batch and d distance / d first member (the second's is -grad)."""
 
     trace: ForwardTrace
-    grad_a: np.ndarray
-    grad_b: np.ndarray
+    grad: np.ndarray
 
 
 def pair_forward(
@@ -95,17 +93,19 @@ def pair_forward(
         )
     emb, trace = forward(model.params, model.spec, np.vstack((a, b)), mode=mode, rng=rng)
     half = emb.shape[0] // 2
-    d, grad_a, grad_b = euclidean_distance(emb[:half], emb[half:])
-    return d, PairTrace(trace, grad_a, grad_b)
+    d, grad = euclidean_distance(emb[:half], emb[half:])
+    return d, PairTrace(trace, grad)
 
 
 def pair_backward(model: SiameseModel, pair_trace: PairTrace, dloss_dd) -> ParamSet:
     """Gradients over the shared ParamSet for both pair members, from one
-    backward pass. dloss_dd is d loss / d distance, one value per pair."""
-    scale = np.asarray(dloss_dd, dtype=np.float64).reshape(-1, 1)
-    grad_out = np.vstack((scale * pair_trace.grad_a, scale * pair_trace.grad_b))
-    grads, _ = backward(pair_trace.trace, model.params, model.spec, grad_out)
-    return grads
+    backward pass. dloss_dd is d loss / d distance, one value per pair; the
+    second members get -(s * g), which is s * -g bit for bit."""
+    g = pair_trace.grad
+    grad_out = np.empty((2, *g.shape))  # the two halves of the stacked batch
+    np.multiply(np.asarray(dloss_dd, dtype=np.float64).reshape(-1, 1), g, out=grad_out[0])
+    np.negative(grad_out[0], out=grad_out[1])
+    return backward(pair_trace.trace, model.params, model.spec, grad_out.reshape(-1, g.shape[1]))
 
 
 @dataclass
@@ -144,25 +144,22 @@ def _mean_ref_distances(model: SiameseModel, bank: ReferenceBank, e_x: np.ndarra
     references.
 
     Each bank is embedded on its own. Both (n, k) distance matrices are
-    filled over_rows: each piece fills its rows one reference column at a
-    time through its thread's piece-sized scratch buffer, made on the
-    calling thread (what a helper allocates stays in its own malloc arena).
+    made first, then filled over_rows: each piece fills its rows one
+    reference column at a time through its thread's piece-sized buffer.
     """
     e_refs = [model.embed(refs) for refs in (bank.refs0, bank.refs1)]  # (k, emb) each
     dists = [np.empty((len(e_x), len(e_r))) for e_r in e_refs]
-    bufs = [np.empty((min(len(e_x), _REF_PIECE_ROWS), e_x.shape[1])) for _ in range(CORES)]
 
-    def fill(start: int, stop: int):
-        rows, buf = e_x[start:stop], bufs.pop()  # list.pop and append are atomic
-        scratch = buf[: stop - start]
+    def fill(start: int, stop: int, buf: np.ndarray):
+        rows, scratch = e_x[start:stop], buf[: stop - start]
         for e_r, dist in zip(e_refs, dists):
             for j, e in enumerate(e_r):
                 np.subtract(rows, e, out=scratch)
                 scratch *= scratch
                 np.add.reduce(scratch, axis=-1, out=dist[start:stop, j])  # np.sum's bits
-        bufs.append(buf)
 
-    over_rows(len(e_x), fill, _REF_PIECE_ROWS)
+    piece_rows = min(len(e_x), _REF_PIECE_ROWS)
+    over_rows(len(e_x), fill, _REF_PIECE_ROWS, lambda: np.empty((piece_rows, e_x.shape[1])))
     return tuple(floored_sqrt(dist, out=dist).mean(axis=1) for dist in dists)
 
 

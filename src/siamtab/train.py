@@ -26,7 +26,6 @@ import numpy as np
 
 from .data import FeatureTable, read_grid_csv, stratified_split
 from .nn import (
-    CORES,
     LayerSpec,
     NetworkSpec,
     OptimizerState,
@@ -288,7 +287,7 @@ def train_base(
         out, trace = forward(params, spec, train_ft.features[sel], mode="train", rng=rng)
         p = out[:, 0]
         losses, dldp = bce_loss(p, y, class_weights)
-        grads, _ = backward(trace, params, spec, (dldp / sel.size)[:, None])
+        grads = backward(trace, params, spec, (dldp / sel.size)[:, None])
         correct = int(((p >= 0.5).astype(np.int64) == y).sum())
         return float(losses.sum()) + trace.penalty, correct, grads
 
@@ -386,9 +385,9 @@ def _pair_distances(
     The members' embeddings are read from `embedded` (its first two index
     arrays were ps.left and ps.right), or from one embed_rows call over the
     pairs. The distances are taken over_rows in pieces of at most
-    _EVAL_CHUNK pairs: both members' embeddings are gathered into two
-    buffers of the thread's, differenced and squared in place and summed
-    into the result, which is floored and rooted at the end.
+    _EVAL_CHUNK pairs, after the result is made: both members' embeddings
+    are gathered into the thread's buffer pair, differenced and squared in
+    place and summed into the result, which is floored and rooted last.
     """
     if embedded is None:
         embedded = embed_rows(model, ps.source.features, ps.left, ps.right)
@@ -397,12 +396,8 @@ def _pair_distances(
     if len(left) != n or len(right) != n:
         raise ValueError(f"embedding positions for {len(left)}/{len(right)} members, not {n}")
     out = np.empty(n)
-    # a buffer pair per thread, made on this one: what a helper allocates
-    # stays in its own malloc arena and raises the peak RSS
-    bufs = [np.empty((2, min(n, _EVAL_CHUNK), emb.shape[1])) for _ in range(CORES)]
 
-    def chunk(start: int, stop: int):
-        pair = bufs.pop()  # list.pop and append are atomic
+    def chunk(start: int, stop: int, pair: np.ndarray):
         a, b = pair[0, : stop - start], pair[1, : stop - start]
         # every index comes from _distinct_rows, so no bounds check is
         # needed; mode="raise" would also gather through a temporary copy
@@ -413,9 +408,8 @@ def _pair_distances(
         # np.sum's bits; np.sum's Python wrapper would add a GIL hand-off
         # per chunk between the threads
         np.add.reduce(a, axis=-1, out=out[start:stop])
-        bufs.append(pair)
 
-    over_rows(n, chunk, _EVAL_CHUNK)
+    over_rows(n, chunk, _EVAL_CHUNK, lambda: np.empty((2, min(n, _EVAL_CHUNK), emb.shape[1])))
     return floored_sqrt(out, out=out)
 
 

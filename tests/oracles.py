@@ -338,3 +338,15 @@ def forward_new_arrays(params, spec, x, mode="infer", rng=None):
         outputs.append(a)
         h = a
     return h, inputs, masks, outputs, penalty
+
+
+def pair_backward_vstack(model, pair_trace, dloss_dd):
+    """pair_backward as it was while euclidean_distance returned a negated
+    copy for the second member: each member's gradient scaled on its own,
+    the two stacked by np.vstack, then one backward pass."""
+    from siamtab.nn import backward
+
+    scale = np.asarray(dloss_dd, dtype=np.float64).reshape(-1, 1)
+    grad_a, grad_b = pair_trace.grad, -pair_trace.grad
+    grad_out = np.vstack((scale * grad_a, scale * grad_b))
+    return backward(pair_trace.trace, model.params, model.spec, grad_out)

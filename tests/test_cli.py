@@ -175,6 +175,19 @@ class TestTrainCmd:
         run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 7)
         assert run("train", "siamese", "--out", out) == 1
 
+    def test_siamese_on_an_empty_pair_file_names_it(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run("prepare", "--synthetic", "150,4,0.3", "--out", out, "--seed", 7)
+        assert run(
+            "pairs", "--out", out, "--seed", 7, "--pairs-diff", 0, "--pairs-same0", 0, "--pairs-same1", 0
+        ) == 0
+        capsys.readouterr()
+        assert run("train", "siamese", "--out", out, "--seed", 7) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out / 'pairs_train.csv'} holds no pairs; re-run siamtab pairs with larger counts"
+        ]
+        assert not (out / "siamese_model.npz").exists()
+
 
 def read_splits(path, n):
     """(train, test) index lists of a splits file for a table of n rows, or
@@ -399,6 +412,18 @@ class TestEvalCmd:
         assert not [line for line in captured.out.splitlines() if line.startswith("epoch ")]
         assert not (out / "eval_siamese.txt").exists()
         assert model.exists() == (stage == "eval")
+
+    def test_siamese_on_an_empty_pair_file_names_it(self, trained_run, tmp_path, capsys):
+        out = copy_run(trained_run, tmp_path)
+        assert run(
+            "pairs", "--out", out, "--seed", 23, "--pairs-diff", 1, "--pairs-same0", 0, "--pairs-same1", 0
+        ) == 0
+        assert "-> train=1, test=0" in capsys.readouterr().out
+        assert run("eval", "siamese", "--out", out, "--seed", 23) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out / 'pairs_test.csv'} holds no pairs; re-run siamtab pairs with larger counts"
+        ]
+        assert not (out / "eval_siamese.txt").exists()
 
     def test_eval_before_train_fails(self, tmp_path):
         out = tmp_path / "run"
@@ -759,9 +784,9 @@ class TestHelperThreads:
 
         over_rows = nn.over_rows
 
-        def counting_over_rows(n, fn, rows):
+        def counting_over_rows(n, fn, rows, scratch):
             splits.append(min(nn.CORES, -(-n // rows)))  # threads asked to take pieces
-            return over_rows(n, fn, rows)
+            return over_rows(n, fn, rows, scratch)
 
         patch_everywhere(over_rows, counting_over_rows)
         for module, name in MAIN_THREAD_ONLY:

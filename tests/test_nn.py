@@ -209,7 +209,7 @@ class TestForward:
         params = init_params(spec, seed=16)
         x = np.random.default_rng(17).normal(size=(848, 15))
 
-        def no_split(n, fn, rows):
+        def no_split(n, fn, rows, scratch):
             raise AssertionError("forward called over_rows")
 
         monkeypatch.setattr(nn, "over_rows", no_split)
@@ -228,13 +228,18 @@ class TestForward:
         assert np.all(np.abs(mc - ref[0]) / ref[0] < 0.01)
 
 
+def record(pieces):
+    """An over_rows fn that appends (start, stop, thread) for each piece."""
+    return lambda start, stop, buf: pieces.append((start, stop, threading.get_ident()))
+
+
 class TestOverRows:
     @pytest.mark.parametrize("cores", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 127, 128, 255, 256, 257, 4240])
     def test_pieces_cover_the_rows_once(self, set_cores, n, cores):
         set_cores(cores)
         pieces = []
-        over_rows(n, lambda start, stop: pieces.append((start, stop, threading.get_ident())), 128)
+        over_rows(n, record(pieces), 128, list)
         # np.array_split's bounds, each piece run once on some thread
         want = np.array_split(np.arange(n), max(1, -(-n // 128)))
         assert sorted((start, stop) for start, stop, _ in pieces) == [
@@ -249,12 +254,12 @@ class TestOverRows:
     def test_a_helper_that_has_not_begun_is_called_off(self, set_cores, monkeypatch):
         set_cores(2)
         monkeypatch.setattr(nn, "_helpers", None)
-        over_rows(256, lambda start, stop: None, 128)  # a pool of one helper
+        over_rows(256, lambda start, stop, buf: None, 128, list)  # a pool of one helper
         gate = threading.Event()
         blocker = nn._helpers.submit(gate.wait, 10.0)  # the helper is busy
         pieces = []
         try:
-            over_rows(256, lambda start, stop: pieces.append((start, stop, threading.get_ident())), 128)
+            over_rows(256, record(pieces), 128, list)
             # both pieces ran here, and the call did not wait for the helper
             assert pieces == [(0, 128, threading.get_ident()), (128, 256, threading.get_ident())]
             assert not blocker.done()
@@ -268,7 +273,7 @@ class TestOverRows:
         set_cores(3)
         begun, ended = [], []
 
-        def piece(start, stop):
+        def piece(start, stop, buf):
             begun.append(start)
             if start == 100 * failing:
                 raise RuntimeError(f"piece {start}")
@@ -276,7 +281,7 @@ class TestOverRows:
             ended.append(start)
 
         with pytest.raises(RuntimeError, match="piece"):
-            over_rows(300, piece, 100)
+            over_rows(300, piece, 100, list)
         assert 100 * failing in begun
         assert sorted(ended) == sorted(set(begun) - {100 * failing})
 
@@ -290,11 +295,11 @@ class TestOverRows:
             for _ in range(20):
                 runs = [0] * 1000
 
-                def piece(start, stop):
+                def piece(start, stop, buf):
                     for i in range(start, stop):
                         runs[i] += 1  # only the piece's own thread touches i
 
-                over_rows(1000, piece, 7)
+                over_rows(1000, piece, 7, list)
                 assert runs == [1] * 1000
         finally:
             sys.setswitchinterval(interval)
@@ -302,10 +307,18 @@ class TestOverRows:
 
     def test_a_call_off_the_main_thread_runs_serially(self, set_cores):
         set_cores(4)
-        pieces = []
+        pieces, made, used = [], [], set()
+
+        def scratch():
+            made.append((threading.get_ident(), []))
+            return made[-1][1]
+
+        def piece(start, stop, buf):
+            used.add(id(buf))
+            record(pieces)(start, stop, buf)
 
         def call():
-            over_rows(4240, lambda start, stop: pieces.append((start, stop, threading.get_ident())), 128)
+            over_rows(4240, piece, 128, scratch)
 
         worker = threading.Thread(target=call)
         worker.start()
@@ -313,6 +326,42 @@ class TestOverRows:
         assert not worker.is_alive()
         bounds = np.cumsum([0] + [len(p) for p in np.array_split(np.arange(4240), 34)])
         assert pieces == [(lo, hi, worker.ident) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        # one buffer, made on the calling thread, serves every piece
+        assert [ident for ident, _ in made] == [worker.ident]
+        assert used == {id(made[0][1])}
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 128, 257, 4240])
+    def test_each_thread_gets_its_own_buffer_made_here(self, set_cores, monkeypatch, n, cores):
+        set_cores(cores)
+        monkeypatch.setattr(nn, "_helpers", None)  # a pool of cores - 1 helpers
+        made, used = [], []
+
+        def scratch():
+            made.append((threading.get_ident(), []))
+            return made[-1][1]
+
+        def piece(start, stop, buf):
+            used.append((threading.get_ident(), id(buf)))
+            time.sleep(0.001)  # so that the helpers take pieces too
+
+        try:
+            over_rows(n, piece, 128, scratch)
+        finally:
+            if nn._helpers is not None:
+                nn._helpers.shutdown()
+        # made on the calling thread, one for each thread that takes pieces
+        threads = min(cores, max(1, -(-n // 128)))
+        assert [ident for ident, _ in made] == [threading.get_ident()] * threads
+        bufs_of = {}
+        for ident, buf in used:
+            bufs_of.setdefault(ident, set()).add(buf)
+        # one buffer for all of a thread's pieces, and none shared
+        assert all(len(bufs) == 1 for bufs in bufs_of.values())
+        owned = [next(iter(bufs)) for bufs in bufs_of.values()]
+        assert len(set(owned)) == len(owned)
+        assert set(owned) <= {id(buf) for _, buf in made}
+        assert bufs_of[threading.get_ident()] == {id(made[0][1])}
 
     # forking a process that has threads is what this test checks; Python
     # 3.12+ warns of it
@@ -320,12 +369,12 @@ class TestOverRows:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_a_forked_child_runs_its_pieces_on_its_own_helpers(self, set_cores):
         set_cores(2)
-        over_rows(256, lambda start, stop: None, 128)  # the parent's helpers exist
+        over_rows(256, lambda start, stop, buf: None, 128, list)  # the parent's helpers exist
         pid = os.fork()
         if pid == 0:  # the parent's helper threads are gone here
             code = 1
             try:
-                over_rows(256, lambda start, stop: None, 128)
+                over_rows(256, lambda start, stop, buf: None, 128, list)
                 code = 0
             finally:
                 os._exit(code)  # never back into the test runner
@@ -428,19 +477,17 @@ class TestBackward:
     def test_linear_hand_case(self):
         params = scalar_params(2.0, 0.0)
         _, trace = forward(params, LINEAR1, np.array([[3.0]]))
-        grads, grad_in = backward(trace, params, LINEAR1, np.array([[1.0]]))
+        grads = backward(trace, params, LINEAR1, np.array([[1.0]]))
         assert grads.weights[0][0, 0] == 3.0
         assert grads.biases[0][0] == 1.0
-        assert grad_in[0, 0] == 2.0
 
     def test_zero_grad_out_zero_l2(self):
         spec = NetworkSpec((LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "sigmoid")))
         params = init_params(spec, seed=6)
         _, trace = forward(params, spec, np.random.default_rng(7).normal(size=(5, 3)))
-        grads, grad_in = backward(trace, params, spec, np.zeros((5, 2)))
+        grads = backward(trace, params, spec, np.zeros((5, 2)))
         for arr in grads.arrays():
             assert np.all(arr == 0.0)
-        assert np.all(grad_in == 0.0)
 
     def test_342_network_finite_differences(self):
         # functional: sum(c * output) + activity penalty, fd oracle at h=1e-5
@@ -457,25 +504,9 @@ class TestBackward:
             return float(np.sum(c * out)) + trace.penalty
 
         _, trace = forward(params, spec, x)
-        analytic, _ = backward(trace, params, spec, c)
+        analytic = backward(trace, params, spec, c)
         numeric = numeric_gradient(loss, params)
         assert max_rel_error(analytic, numeric) < 1e-4
-
-    def test_input_gradient_finite_differences(self):
-        spec = NetworkSpec((LayerSpec(4, 5, "relu"), LayerSpec(5, 3, "linear")))
-        rng = np.random.default_rng(10)
-        params = init_params(spec, seed=11)
-        x = kink_free_input(rng, spec, params, 2)
-        c = rng.normal(size=(2, 3))
-
-        def loss():
-            out, _ = forward(params, spec, x)
-            return float(np.sum(c * out))
-
-        _, trace = forward(params, spec, x)
-        _, grad_in = backward(trace, params, spec, c)
-        numeric = numeric_gradient_array(loss, x)
-        assert rel_error_array(grad_in, numeric) < 1e-4
 
     def test_trace_spec_mismatch(self):
         params = scalar_params(1.0, 0.0)
@@ -564,22 +595,21 @@ class TestContrastiveLoss:
 
 class TestEuclideanDistance:
     def test_345_triangle(self):
-        d, g1, g2 = euclidean_distance(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]]))
+        d, g = euclidean_distance(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]]))
         assert d.shape == (1,) and d[0] == 5.0
-        assert np.allclose(g1, [[0.6, 0.8]])
-        assert np.array_equal(g2, -g1)
+        assert np.allclose(g, [[0.6, 0.8]])
 
     def test_coincident_floor(self):
         e = np.array([[1.0, 2.0, 3.0]])
-        d, g1, g2 = euclidean_distance(e, e.copy())
+        d, g = euclidean_distance(e, e.copy())
         assert d[0] == 1e-6  # sqrt of the 1e-12 floor
-        assert np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))
+        assert np.all(np.isfinite(g))
 
     def test_symmetry(self):
         rng = np.random.default_rng(13)
         a, b = rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
-        da, _, _ = euclidean_distance(a, b)
-        db, _, _ = euclidean_distance(b, a)
+        da, _ = euclidean_distance(a, b)
+        db, _ = euclidean_distance(b, a)
         assert np.array_equal(da, db)
 
     def test_gradients_match_finite_differences(self):
@@ -587,22 +617,22 @@ class TestEuclideanDistance:
         for _ in range(5):
             a = rng.normal(size=(1, 8))
             b = rng.normal(size=(1, 8))
-            d, g1, g2 = euclidean_distance(a, b)
+            d, g = euclidean_distance(a, b)
             assert d[0] > 0.1
             num1 = numeric_gradient_array(lambda: euclidean_distance(a, b)[0][0], a)
             num2 = numeric_gradient_array(lambda: euclidean_distance(a, b)[0][0], b)
-            assert rel_error_array(g1, num1) < 1e-4
-            assert rel_error_array(g2, num2) < 1e-4
+            assert rel_error_array(g, num1) < 1e-4
+            assert rel_error_array(-g, num2) < 1e-4
 
     def test_batched_rows(self):
         rng = np.random.default_rng(15)
         e1, e2 = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
-        d, g1, _ = euclidean_distance(e1, e2)
+        d, g = euclidean_distance(e1, e2)
         assert d.shape == (6,)
         for i in range(6):
-            di, g1i, _ = euclidean_distance(e1[i : i + 1], e2[i : i + 1])
+            di, gi = euclidean_distance(e1[i : i + 1], e2[i : i + 1])
             assert d[i] == di[0]
-            assert np.array_equal(g1[i], g1i[0])
+            assert np.array_equal(g[i], gi[0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
@@ -910,7 +940,7 @@ class TestGradientFidelity:
 
         out, trace = forward(params, spec, x)
         _, dldp = bce_loss(out[:, 0], y, weights)
-        analytic, _ = backward(trace, params, spec, (dldp / n)[:, None])
+        analytic = backward(trace, params, spec, (dldp / n)[:, None])
         numeric = numeric_gradient(loss, params)
         assert max_rel_error(analytic, numeric) < 1e-4
 
@@ -925,24 +955,24 @@ class TestGradientFidelity:
 
         ea, _ = forward(params, spec, a)
         eb, _ = forward(params, spec, b)
-        d0, _, _ = euclidean_distance(ea, eb)
+        d0, _ = euclidean_distance(ea, eb)
         # stay off the hinge kink for clean finite differences
         similar = np.array([True if abs(d0[0] - margin) < 1e-2 else bool(rng.integers(2))])
 
         def loss():
             ea, ta = forward(params, spec, a)
             eb, tb = forward(params, spec, b)
-            d, _, _ = euclidean_distance(ea, eb)
+            d, _ = euclidean_distance(ea, eb)
             l, _ = contrastive_loss(d, similar, margin)
             return float(l[0]) + ta.penalty + tb.penalty
 
         _, ta = forward(params, spec, a)
         _, tb = forward(params, spec, b)
         e1, e2 = ta.outputs[-1], tb.outputs[-1]
-        d, g1, g2 = euclidean_distance(e1, e2)
+        d, g = euclidean_distance(e1, e2)
         _, dldd = contrastive_loss(d, similar, margin)
-        ga, _ = backward(ta, params, spec, dldd[:, None] * g1)
-        gb, _ = backward(tb, params, spec, dldd[:, None] * g2)
+        ga = backward(ta, params, spec, dldd[:, None] * g)
+        gb = backward(tb, params, spec, dldd[:, None] * -g)
         analytic = param_sum(ga, gb)
         numeric = numeric_gradient(loss, params)
         assert max_rel_error(analytic, numeric) < 1e-4

@@ -6,6 +6,7 @@ from oracles import (
     max_rel_error,
     mean_ref_distances_broadcast,
     numeric_gradient,
+    pair_backward_vstack,
     param_sum,
 )
 from siamtab import nn
@@ -151,12 +152,41 @@ class TestPairBackward:
         stacked = pair_backward(model, traces, dldd)
         ea, ta = forward(model.params, model.spec, a)
         eb, tb = forward(model.params, model.spec, b)
-        _, ga, gb = euclidean_distance(ea, eb)
-        grads_a, _ = backward(ta, model.params, model.spec, dldd[:, None] * ga)
-        grads_b, _ = backward(tb, model.params, model.spec, dldd[:, None] * gb)
+        _, g = euclidean_distance(ea, eb)
+        grads_a = backward(ta, model.params, model.spec, dldd[:, None] * g)
+        grads_b = backward(tb, model.params, model.spec, dldd[:, None] * -g)
         reference = param_sum(grads_a, grads_b)
         for x, y in zip(stacked.arrays(), reference.arrays()):
             assert np.allclose(x, y, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("upstream", ["zero", "negative", "mixed"])
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_matches_the_vstack_oracle_bitwise(self, monkeypatch, upstream, mode):
+        # the negated half must give the upstream gradient and the parameter
+        # gradients of the two scaled copies bit for bit, signed zeros too
+        spec = siamese_network_spec(6)
+        model = SiameseModel(spec, init_params(spec, 43))
+        rng = np.random.default_rng(44)
+        a, b = rng.normal(size=(2, 32, 6))
+        b[0] = a[0]  # in infer mode a pair at the distance floor: a zero gradient row
+        dldd = {
+            "zero": np.zeros(32),
+            "negative": -np.abs(rng.normal(size=32)),
+            "mixed": np.concatenate(([0.0, -0.0], rng.normal(size=30))),
+        }[upstream]
+        _, traces = pair_forward(model, a, b, mode=mode, rng=np.random.default_rng(45))
+        upstreams = []
+
+        def recording_backward(trace, params, spec, grad_out):
+            upstreams.append(grad_out.copy())
+            return backward(trace, params, spec, grad_out)
+
+        monkeypatch.setattr(nn, "backward", recording_backward)
+        monkeypatch.setattr(siamese_mod, "backward", recording_backward)
+        got = pair_backward(model, traces, dldd)
+        want = pair_backward_vstack(model, traces, dldd)
+        assert upstreams[0].tobytes() == upstreams[1].tobytes()
+        assert got.flat.tobytes() == want.flat.tobytes()
 
     def test_zero_upstream_gives_zero_grads(self):
         model = random_model(12)

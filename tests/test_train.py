@@ -8,6 +8,7 @@ import pytest
 
 from oracles import count_confusion, pair_distances_row_chunks
 from siamtab import nn
+from siamtab import siamese as siamese_mod
 from siamtab import train as train_mod
 from siamtab.data import FeatureTable, apply_norm, fit_norm, synth_generate, take_rows
 from siamtab.nn import LayerSpec, NetworkSpec, ParamSet, init_params
@@ -495,6 +496,38 @@ class TestPairDistances:
         for cores in (1, 2, 3):
             set_cores(cores)
             assert np.array_equal(train_mod._pair_distances(model, ps), want)
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_nn_cores_alone_sets_how_many_buffers_the_kernels_make(self, monkeypatch, cores):
+        # only nn.CORES is patched: the pair and reference distance kernels
+        # make one buffer for each thread nn.over_rows runs, 4 pieces each
+        rng = np.random.default_rng(39)
+        spec = siamese_network_spec(15)
+        model = SiameseModel(spec, init_params(spec, 40))
+        ft = FeatureTable(rng.normal(size=(900, 15)), rng.integers(0, 2, 900))
+        ps = PairSet(ft, rng.integers(0, 900, 1000), rng.integers(0, 900, 1000),
+                     np.zeros(1000, dtype=bool), (1000, 0, 0))
+        bank = ReferenceBank(ft.features[:10], ft.features[10:20])
+        e_x = model.embed(ft.features)
+        made = {"pairs": 0, "refs": 0}
+        over_rows = nn.over_rows
+
+        def counting(kernel):
+            def wrapper(n, fn, rows, scratch):
+                def counted():
+                    made[kernel] += 1
+                    return scratch()
+
+                return over_rows(n, fn, rows, counted)
+
+            return wrapper
+
+        monkeypatch.setattr(train_mod, "over_rows", counting("pairs"))
+        monkeypatch.setattr(siamese_mod, "over_rows", counting("refs"))
+        monkeypatch.setattr(nn, "CORES", cores)
+        train_mod._pair_distances(model, ps)
+        siamese_mod._mean_ref_distances(model, bank, e_x)
+        assert made == {"pairs": cores, "refs": cores}
 
 
 class TestSharedEmbedding:
