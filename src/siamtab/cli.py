@@ -338,14 +338,20 @@ def _write_report(cfg: RunConfig, which: str, lines: list[str], kv: dict[str, st
     print(text, end="")
 
 
-def _load_model(cfg: RunConfig, which: str):
-    """Load `<which>_model.npz` as (spec, params, extra, bank), refusing a
+def _load_model(cfg: RunConfig, which: str, ft: dt.FeatureTable):
+    """Load `<which>_model.npz` as (spec, params, extra, bank), refusing
+    first a network that does not take ft's feature columns, then a
     checkpoint of the other kind, one without an entry that eval reads, or
     one whose seed is not a finite number or whose margin or pair threshold
     is not a finite positive one. The bank is a siamese checkpoint's
     reference bank, None for base."""
     path = cfg.out / f"{which}_model.npz"
     spec, params, extra, arrays = load_checkpoint(path)
+    if spec.in_size != ft.d:
+        raise ValueError(
+            f"{path}: network takes {spec.in_size} inputs, the table has {ft.d} feature "
+            f"columns; re-run siamtab train {which}"
+        )
     if extra.get("kind") != which:
         raise ValueError(f"{path}: checkpoint kind is {extra.get('kind')!r}, expected {which!r}")
     keys = ("seed",) if which == "base" else ("seed", "margin", "pair_threshold")
@@ -392,7 +398,7 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
     test_ft = dt.take_rows(ft, test_idx)
 
     if which == "base":
-        spec, params, extra, _ = _load_model(cfg, "base")
+        spec, params, extra, _ = _load_model(cfg, "base", ft)
         report = evaluate_classifier((spec, params), test_ft)
         lines = [
             "evaluation: base network (held-out samples)",
@@ -403,7 +409,7 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
         kv.update(report.kv())
         _write_report(cfg, "base", lines, kv)
     else:
-        spec, params, extra, bank = _load_model(cfg, "siamese")
+        spec, params, extra, bank = _load_model(cfg, "siamese", ft)
         threshold = cfg.threshold if "threshold" in cfg.explicit else extra["pair_threshold"]
         model = SiameseModel(spec, params, margin=extra["margin"], pair_threshold=threshold)
         pairs_test = _load_pairs(cfg, ft, "test")

@@ -12,10 +12,10 @@ Shape conventions: inputs are row batches (n, in_size); a weight matrix is
 
 `forward` keeps a trace and the activity penalty (training, base validation,
 the gradient oracles) and runs on the calling thread; `infer` returns the
-output alone (eval, every embed). Rows split over the usable cores
-(`over_rows`) in the leading ReLU layers of `infer` and in eval's pair and
-reference distances, each row computed by the same numpy and BLAS calls as
-on one core.
+output alone (eval, every embed). `row_distances` is eval's one distance
+kernel, for the pair distances and the reference distances alike. Only
+these two split rows over the usable cores (`over_rows`), each row computed
+by the same numpy and BLAS calls as on one core.
 """
 
 from __future__ import annotations
@@ -148,6 +148,7 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamSet:
 # least half as many: OpenBLAS computes a GEMM of a few rows on another path,
 # which rounds differently.
 INFER_PIECE_ROWS = 256
+DIST_BLOCK_ROWS = 256  # pairs per row_distances block: two (256, 256) buffers, half a 2 MB L2
 
 
 def _usable_cores() -> int:
@@ -188,9 +189,9 @@ def over_rows(n: int, fn: Callable[[int, int, T], None], rows: int, scratch: Cal
     piece. If a piece raises, its thread takes no further pieces, and the
     error is raised here once every piece that has begun has ended.
 
-    fn should run numpy kernels only. It must not call forward or the
-    distance and eval functions: the benchmark's tracer records their spans
-    on one stack, which only the main thread may touch.
+    fn should run numpy kernels only. It must not call forward, infer or the
+    eval functions: the benchmark's tracer records their spans on one stack,
+    which only the main thread may touch.
     """
     global _helpers
     pieces = max(1, -(-n // rows))
@@ -428,6 +429,32 @@ def floored_sqrt(sq_norms: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return np.sqrt(floored, out=out)
 
 
+def row_distances(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Floored euclidean distance from a[ia[i]] to b[ib[i]] for each i, for
+    (rows, emb) tables a and b; np.take clips every index, it checks none.
+
+    Blocks of at most DIST_BLOCK_ROWS pairs go over_rows: both members are
+    gathered into the thread's buffer pair, differenced and squared in place
+    and summed into the result, which is floored and rooted last.
+    """
+    n = len(ia)
+    out, rows = np.empty(n), min(n, DIST_BLOCK_ROWS)
+
+    def block(start: int, stop: int, pair: np.ndarray):
+        x, y = pair[0, : stop - start], pair[1, : stop - start]
+        # mode="raise" would also gather through a temporary copy
+        np.take(a, ia[start:stop], axis=0, out=x, mode="clip")
+        np.take(b, ib[start:stop], axis=0, out=y, mode="clip")
+        x -= y
+        x *= x
+        # np.sum's bits; np.sum's Python wrapper would add a GIL hand-off
+        # per block between the threads
+        np.add.reduce(x, axis=-1, out=out[start:stop])
+
+    over_rows(n, block, DIST_BLOCK_ROWS, lambda: np.empty((2, rows, a.shape[1])))
+    return floored_sqrt(out, out=out)
+
+
 def euclidean_distance(e1: np.ndarray, e2: np.ndarray):
     """Floored euclidean distance d and g = d d / d e1; d d / d e2 is -g.
 
@@ -576,8 +603,8 @@ def load_checkpoint(path: str | Path):
 
     A file that is no zip archive, an entry numpy cannot read (a pickled
     object array, say), a meta entry that is not the JSON save_checkpoint
-    writes, or any other array that is not float64 is a ValueError naming
-    the file.
+    writes, a layer spec the engine refuses, or any other array that is not
+    float64 is a ValueError naming the file.
     """
 
     def read(data, name: str) -> np.ndarray:
@@ -600,14 +627,17 @@ def load_checkpoint(path: str | Path):
                 raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
             if not isinstance(meta["extra"], dict):
                 raise ValueError(f"{path}: checkpoint extra is not a JSON object")
-            layers = tuple(
-                LayerSpec(
-                    l["in_size"], l["out_size"], l["activation"],
-                    l["dropout_rate"], l["activity_l2"],
+            try:
+                layers = tuple(
+                    LayerSpec(
+                        l["in_size"], l["out_size"], l["activation"],
+                        l["dropout_rate"], l["activity_l2"],
+                    )
+                    for l in meta["layers"]
                 )
-                for l in meta["layers"]
-            )
-            spec = NetworkSpec(layers)
+                spec = NetworkSpec(layers)
+            except ValueError as exc:  # a layer spec the engine refuses
+                raise ValueError(f"{path}: {exc}") from None
             expected = {f"w{k}": (l.out_size, l.in_size) for k, l in enumerate(layers)}
             expected.update({f"b{k}": (l.out_size,) for k, l in enumerate(layers)})
             stored = {}

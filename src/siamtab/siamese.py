@@ -7,15 +7,13 @@ one batch, so a pair step stacks both members into a (2B, d) batch and makes
 one forward and one backward pass (the second members' distance gradient is
 the first's negated). Its weight GEMM sums both branches into the shared store.
 
-Embedding is trace-free inference (nn.infer): the usable cores take its
-rows in pieces of at most nn.INFER_PIECE_ROWS (nn.over_rows), so each core's
-layer temporaries stay cache-sized. Reference distances are built one
-reference column at a time, in row pieces the cores take the same way, each
-through its thread's buffer. Neither split changes a bit of the results.
-`eval siamese` embeds its held-out pair and test rows once and hands
-classify_table the test rows' embeddings. The reference banks keep their
-own embed calls: an embed of k rows can round differently from a piece of
-the table, and their distances decide the labels.
+Embedding is trace-free inference (nn.infer), and the reference distances
+go through nn.row_distances, eval's one distance kernel; neither changes a
+bit of the results with the core count. `eval siamese` embeds its held-out
+pair and test rows once and hands classify_table that embedding with the
+test rows' positions in it. The reference banks keep their own embed calls:
+an embed of k rows can round differently from a piece of the table, and
+their distances decide the labels.
 """
 
 from __future__ import annotations
@@ -31,17 +29,14 @@ from .nn import (
     ParamSet,
     backward,
     euclidean_distance,
-    floored_sqrt,
     forward,
     infer,
-    over_rows,
     require_positive,
+    row_distances,
 )
 
 DEFAULT_MARGIN = 1.0
 DEFAULT_PAIR_THRESHOLD = 0.5  # margin / 2
-# Most rows per piece of the reference distance loop.
-_REF_PIECE_ROWS = 256
 
 
 @dataclass
@@ -139,45 +134,34 @@ def build_reference_bank(train: FeatureTable, k: int, seed: int) -> ReferenceBan
     return ReferenceBank(*refs)
 
 
-def _mean_ref_distances(model: SiameseModel, bank: ReferenceBank, e_x: np.ndarray):
-    """Mean embedding distance from each embedded row of e_x to each class's
-    references.
-
-    Each bank is embedded on its own. Both (n, k) distance matrices are
-    made first, then filled over_rows: each piece fills its rows one
-    reference column at a time through its thread's piece-sized buffer.
-    """
-    e_refs = [model.embed(refs) for refs in (bank.refs0, bank.refs1)]  # (k, emb) each
-    dists = [np.empty((len(e_x), len(e_r))) for e_r in e_refs]
-
-    def fill(start: int, stop: int, buf: np.ndarray):
-        rows, scratch = e_x[start:stop], buf[: stop - start]
-        for e_r, dist in zip(e_refs, dists):
-            for j, e in enumerate(e_r):
-                np.subtract(rows, e, out=scratch)
-                scratch *= scratch
-                np.add.reduce(scratch, axis=-1, out=dist[start:stop, j])  # np.sum's bits
-
-    piece_rows = min(len(e_x), _REF_PIECE_ROWS)
-    over_rows(len(e_x), fill, _REF_PIECE_ROWS, lambda: np.empty((piece_rows, e_x.shape[1])))
-    return tuple(floored_sqrt(dist, out=dist).mean(axis=1) for dist in dists)
+def _mean_ref_distances(model: SiameseModel, bank: ReferenceBank, emb, rows: np.ndarray):
+    """Mean embedding distance from each emb[rows[i]] to each class's
+    references: each bank is embedded on its own, and one row_distances call
+    takes every (row, reference) pair over the two stacked banks."""
+    refs = np.vstack([model.embed(r) for r in (bank.refs0, bank.refs1)])  # (2k, emb)
+    n, k2 = len(rows), len(refs)
+    d = row_distances(emb, np.repeat(rows, k2), refs, np.tile(np.arange(k2), n))
+    return tuple(d.reshape(n, 2, -1).mean(axis=2).T)
 
 
 def classify_table(
-    model: SiameseModel, bank: ReferenceBank, ft: FeatureTable, emb: np.ndarray | None = None
+    model: SiameseModel, bank: ReferenceBank, ft: FeatureTable, embedded: tuple | None = None
 ):
     """Label each row by the class with the smaller mean reference distance.
 
-    `emb`, when given, holds ft's rows already embedded, row for row.
+    `embedded`, when given, is an embedding table and the positions of ft's
+    rows in it, in ft's order; otherwise ft's rows are embedded row for row.
     Returns (labels, mean_d0, mean_d1) arrays. An exact tie goes to class 1,
     the costlier class to miss.
     """
     if ft.n == 0:
         raise ValueError("empty table")
-    if emb is None:
-        emb = model.embed(ft.features)
-    elif emb.shape != (ft.n, model.embedding_size):
-        raise ValueError(f"embedding shape {emb.shape} is not ({ft.n}, {model.embedding_size})")
-    d0, d1 = _mean_ref_distances(model, bank, emb)
-    labels = (d1 <= d0).astype(np.int64)
-    return labels, d0, d1
+    vectors, rows = embedded or (model.embed(ft.features), np.arange(ft.n))
+    if len(rows) != ft.n:
+        raise ValueError(f"embedding positions for {len(rows)} rows, not {ft.n}")
+    if vectors.shape[1:] != (model.embedding_size,):
+        raise ValueError(f"embedding shape {vectors.shape} is not (rows, {model.embedding_size})")
+    if not ((rows >= 0) & (rows < len(vectors))).all():
+        raise ValueError(f"embedding positions out of range for {len(vectors)} rows")
+    d0, d1 = _mean_ref_distances(model, bank, vectors, rows)
+    return (d1 <= d0).astype(np.int64), d0, d1

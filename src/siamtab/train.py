@@ -11,7 +11,8 @@ deterministic for a fixed (data, config, seed).
 
 Reported losses are per-sample averages of data loss + activity penalty;
 gradients keep the raw 2*l2*a penalty injection, so the regularizer acts per
-activation exactly as the layer listings imply.
+activation exactly as the layer listings imply. Pair evaluation embeds each
+distinct row once (embed_rows) and takes its distances by nn.row_distances.
 """
 
 from __future__ import annotations
@@ -34,13 +35,12 @@ from .nn import (
     backward,
     bce_loss,
     contrastive_loss,
-    floored_sqrt,
     forward,
     infer,
     init_optimizer,
     init_params,
-    over_rows,
     rmsprop_step,
+    row_distances,
 )
 from .pairs import PairSet, split_pairs
 from .siamese import (
@@ -52,8 +52,6 @@ from .siamese import (
     pair_backward,
     pair_forward,
 )
-
-_EVAL_CHUNK = 256  # pairs per block: a thread's two (256, 256) buffers fill half a 2 MB L2
 
 
 def base_network_spec(in_size: int = 15) -> NetworkSpec:
@@ -369,9 +367,7 @@ def embed_rows(model: SiameseModel, features: np.ndarray, *indices: np.ndarray) 
     with one embed call.
 
     `eval siamese` embeds the union of its test pairs' rows and test-split
-    rows this way, once, for both of its reports. The reference banks keep
-    their own embed calls: an embed of k rows can round differently from a
-    piece of the table, and their distances decide the labels.
+    rows this way, once, for both of its reports.
     """
     rows, positions = _distinct_rows(len(features), *indices)
     return RowEmbedding(model.embed(features[rows]), tuple(positions))
@@ -384,10 +380,7 @@ def _pair_distances(
 
     The members' embeddings are read from `embedded` (its first two index
     arrays were ps.left and ps.right), or from one embed_rows call over the
-    pairs. The distances are taken over_rows in pieces of at most
-    _EVAL_CHUNK pairs, after the result is made: both members' embeddings
-    are gathered into the thread's buffer pair, differenced and squared in
-    place and summed into the result, which is floored and rooted last.
+    pairs, and go through nn.row_distances.
     """
     if embedded is None:
         embedded = embed_rows(model, ps.source.features, ps.left, ps.right)
@@ -395,22 +388,8 @@ def _pair_distances(
     n = len(ps)
     if len(left) != n or len(right) != n:
         raise ValueError(f"embedding positions for {len(left)}/{len(right)} members, not {n}")
-    out = np.empty(n)
-
-    def chunk(start: int, stop: int, pair: np.ndarray):
-        a, b = pair[0, : stop - start], pair[1, : stop - start]
-        # every index comes from _distinct_rows, so no bounds check is
-        # needed; mode="raise" would also gather through a temporary copy
-        np.take(emb, left[start:stop], axis=0, out=a, mode="clip")
-        np.take(emb, right[start:stop], axis=0, out=b, mode="clip")
-        a -= b
-        a *= a
-        # np.sum's bits; np.sum's Python wrapper would add a GIL hand-off
-        # per chunk between the threads
-        np.add.reduce(a, axis=-1, out=out[start:stop])
-
-    over_rows(n, chunk, _EVAL_CHUNK, lambda: np.empty((2, min(n, _EVAL_CHUNK), emb.shape[1])))
-    return floored_sqrt(out, out=out)
+    # every position comes from _distinct_rows, so each is in range
+    return row_distances(emb, left, emb, right)
 
 
 def _eval_pairs_loss(model: SiameseModel, ps: PairSet) -> tuple[float, float]:
@@ -444,14 +423,14 @@ def evaluate_classifier(
     or a (NetworkSpec, ParamSet) pair for a sigmoid-output classifier such
     as the baseline. For a SiameseModel, `embedded` may hold data's rows
     already embedded: an embed_rows result whose last index array named
-    them in data's order.
+    them in data's order; classify_table reads them by those positions.
     """
     if data.n == 0:
         raise ValueError("empty data")
     if isinstance(model, SiameseModel):
         if bank is None:
             raise ValueError("siamese evaluation needs a reference bank")
-        emb = None if embedded is None else embedded.vectors[embedded.positions[-1]]
+        emb = None if embedded is None else (embedded.vectors, embedded.positions[-1])
         preds, _, _ = classify_table(model, bank, data, emb)
     else:
         spec, params = model

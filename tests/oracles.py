@@ -243,6 +243,11 @@ def _floored_norm(diff) -> np.ndarray:
     return np.sqrt(np.maximum(np.sum(diff * diff, axis=-1), 1e-12))
 
 
+def row_distances_per_pair(a, ia, b, ib) -> np.ndarray:
+    """Floored distance from a[ia[i]] to b[ib[i]], one pair at a time."""
+    return np.array([_floored_norm(a[i] - b[j]) for i, j in zip(ia, ib)])
+
+
 def _embed_whole(model, x) -> np.ndarray:
     """One inference forward over the whole batch, as embed used to run."""
     from siamtab.nn import forward

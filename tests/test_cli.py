@@ -338,6 +338,47 @@ class TestEvalCmd:
         assert not (out / "eval_siamese.txt").exists()
 
     @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda meta: meta["layers"][0].update(activation="tanh"),
+             "unknown activation 'tanh'"),
+            (lambda meta: meta["layers"][1].update(in_size=255),
+             "layer chain mismatch: 256 -> 255"),
+            (lambda meta: meta.update(layers=[]), "network needs at least one layer"),
+        ],
+        ids=["unknown activation", "broken layer chain", "no layers"],
+    )
+    def test_checkpoint_layer_spec_the_engine_refuses_names_the_file(
+        self, trained_run, tmp_path, capsys, edit, message
+    ):
+        out = copy_run(trained_run, tmp_path)
+        path = out / "siamese_model.npz"
+        edit_meta(path, edit)
+        capsys.readouterr()
+        assert run("eval", "siamese", "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+        assert not (out / "eval_siamese.txt").exists()
+
+    @pytest.mark.parametrize("which", ["base", "siamese"])
+    def test_checkpoint_for_a_table_of_another_width_names_it_and_the_stage(
+        self, trained_run, tmp_path, capsys, which
+    ):
+        # trained on 6 feature columns, then the table is prepared again
+        # with 5; for the pair model the check comes before the test pairs'
+        # similarity flags are checked against the new table's labels
+        out = copy_run(trained_run, tmp_path)
+        if which == "base":
+            assert run("train", "base", "--out", out, "--seed", 23, "--epochs", 1) == 0
+        assert run("prepare", "--synthetic", "300,5,0.2", "--out", out, "--seed", 23) == 0
+        capsys.readouterr()
+        assert run("eval", which, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out / f'{which}_model.npz'}: network takes 6 inputs, the table has 5 "
+            f"feature columns; re-run siamtab train {which}"
+        ]
+        assert not (out / f"eval_{which}.txt").exists()
+
+    @pytest.mark.parametrize(
         "name,convert,message",
         [
             ("b1", lambda b: b + 1j, "array b1 has dtype complex128, expected float64"),

@@ -19,6 +19,7 @@ from oracles import (
     param_sum,
     random_small_spec,
     rel_error_array,
+    row_distances_per_pair,
 )
 from siamtab import nn
 from siamtab.nn import (
@@ -38,6 +39,7 @@ from siamtab.nn import (
     load_checkpoint,
     over_rows,
     rmsprop_step,
+    row_distances,
     save_checkpoint,
 )
 from siamtab.train import base_network_spec, siamese_network_spec
@@ -231,6 +233,27 @@ class TestForward:
 def record(pieces):
     """An over_rows fn that appends (start, stop, thread) for each piece."""
     return lambda start, stop, buf: pieces.append((start, stop, threading.get_ident()))
+
+
+class TestRowDistances:
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 2500])
+    def test_match_the_per_pair_norm_bitwise(self, set_cores, n):
+        # two tables of different heights, indices repeated and in no order;
+        # then a against itself, every third pair a self-pair at the floor
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(100, 256)), rng.normal(size=(40, 256)) + 0.5
+        ia, ib = rng.integers(0, 100, n), rng.integers(0, 40, n)
+        ja = rng.integers(0, 100, n)
+        ja[::3] = ia[::3]
+        if n > 100:
+            assert len(np.unique(ia)) < n and (np.diff(ia) < 0).any()
+        cases = [(a, ia, b, ib), (a, ia, a, ja)]
+        wants = [row_distances_per_pair(*case) for case in cases]
+        assert (wants[1][::3] == np.sqrt(1e-12)).all()
+        for cores in (1, 2, 3, 4):
+            set_cores(cores)
+            for case, want in zip(cases, wants):
+                assert np.array_equal(row_distances(*case), want)
 
 
 class TestOverRows:

@@ -342,6 +342,25 @@ class TestClassify:
             assert d0b == pytest.approx(2.0 * d0a, rel=1e-12)
             assert d1b == pytest.approx(2.0 * d1a, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "shape,positions,message",
+        [
+            ((5, 3), [0, -1], "embedding positions out of range for 5 rows"),
+            ((5, 3), [0, 5], "embedding positions out of range for 5 rows"),
+            ((5, 3), [0, 1, 2], "embedding positions for 3 rows, not 2"),
+            ((5, 2), [0, 1], r"embedding shape \(5, 2\) is not \(rows, 3\)"),
+            ((5,), [0, 1], r"embedding shape \(5,\) is not \(rows, 3\)"),
+        ],
+    )
+    def test_classify_table_refuses_an_embedding_that_does_not_hold_the_rows(
+        self, shape, positions, message
+    ):
+        model = identity_model(width=3)
+        bank = ReferenceBank(np.zeros((2, 3)), np.ones((2, 3)))
+        ft = FeatureTable(np.zeros((2, 3)), [0, 1])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classify_table(model, bank, ft, (np.zeros(shape), np.array(positions)))
+
     def test_classify_table_agrees_with_singles(self):
         model = random_model(36)
         rng = np.random.default_rng(37)
@@ -403,18 +422,19 @@ class TestBlockedInference:
             model.embed(np.ones(shape))
         assert str(err.value) == f"input shape {shape} is not (n, 15)"
 
+    @pytest.mark.parametrize("k", [1, 3, 10, 17])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 848])
-    def test_reference_distances_match_the_broadcast_bitwise(self, set_cores, n):
-        # one piece up to _REF_PIECE_ROWS rows, past it several, each through
-        # its thread's piece-sized buffer
+    def test_reference_distances_match_the_broadcast_bitwise(self, set_cores, n, k):
+        # n * 2k (row, reference) pairs: one nn.row_distances block up to
+        # 256 pairs, past that several, each thread through its own buffers
         model = float_model(43)
         rng = np.random.default_rng(44)
-        bank = ReferenceBank(rng.normal(size=(10, 15)), rng.normal(size=(10, 15)) + 0.5)
+        bank = ReferenceBank(rng.normal(size=(k, 15)), rng.normal(size=(k, 15)) + 0.5)
         x = rng.normal(size=(n, 15))
         want0, want1 = mean_ref_distances_broadcast(model, bank, x)
         for cores in (1, 2, 3, 4):
             set_cores(cores)
-            d0, d1 = siamese_mod._mean_ref_distances(model, bank, model.embed(x))
+            d0, d1 = siamese_mod._mean_ref_distances(model, bank, model.embed(x), np.arange(n))
             assert np.array_equal(d0, want0) and np.array_equal(d1, want1)
             labels, t0, t1 = classify_table(model, bank, FeatureTable(x, np.zeros(n, dtype=int)))
             assert np.array_equal(t0, want0) and np.array_equal(t1, want1)

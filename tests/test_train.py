@@ -419,7 +419,7 @@ class TestPairDistances:
         right = rng.integers(0, 30, 200)
         left[:3], right[:3] = [4, 9, 9], [4, 4, 9]
         ps = PairSet(ft, left, right, np.zeros(200, dtype=bool), (200, 0, 0))
-        monkeypatch.setattr(train_mod, "_EVAL_CHUNK", 7)
+        monkeypatch.setattr(nn, "DIST_BLOCK_ROWS", 7)
         assert len(np.unique(np.concatenate((left, right)))) > 7
         got = train_mod._pair_distances(model, ps)
         expected = [
@@ -474,9 +474,9 @@ class TestPairDistances:
         right[:2] = left[:2]
         ps = PairSet(ft, left, right, np.zeros(2500, dtype=bool), (2500, 0, 0))
         if chunk is not None:
-            monkeypatch.setattr(train_mod, "_EVAL_CHUNK", chunk)
-        assert len(ps) % train_mod._EVAL_CHUNK != 0
-        assert len(ps) // train_mod._EVAL_CHUNK >= 4
+            monkeypatch.setattr(nn, "DIST_BLOCK_ROWS", chunk)
+        assert len(ps) % nn.DIST_BLOCK_ROWS != 0
+        assert len(ps) // nn.DIST_BLOCK_ROWS >= 4
         want = pair_distances_row_chunks(model, ps)
         for cores in (1, 4):
             set_cores(cores)
@@ -484,7 +484,7 @@ class TestPairDistances:
 
     @pytest.mark.parametrize("n", [255, 256, 257, 513])
     def test_distances_at_block_boundaries_match_the_row_chunk_evaluator(self, set_cores, n):
-        # one block up to _EVAL_CHUNK pairs, then two and three; the pairs
+        # one block up to nn.DIST_BLOCK_ROWS pairs, then two and three; the pairs
         # name more distinct rows than one embed block
         rng = np.random.default_rng(n)
         spec = siamese_network_spec(15)
@@ -499,8 +499,10 @@ class TestPairDistances:
 
     @pytest.mark.parametrize("cores", [1, 3])
     def test_nn_cores_alone_sets_how_many_buffers_the_kernels_make(self, monkeypatch, cores):
-        # only nn.CORES is patched: the pair and reference distance kernels
-        # make one buffer for each thread nn.over_rows runs, 4 pieces each
+        # only nn.CORES is patched: the pair and reference distances each
+        # make one nn.row_distances call (4 and 71 blocks), which makes one
+        # buffer for each thread nn.over_rows runs; each bank's embed of 10
+        # rows is one piece, so one thread and one buffer
         rng = np.random.default_rng(39)
         spec = siamese_network_spec(15)
         model = SiameseModel(spec, init_params(spec, 40))
@@ -509,25 +511,26 @@ class TestPairDistances:
                      np.zeros(1000, dtype=bool), (1000, 0, 0))
         bank = ReferenceBank(ft.features[:10], ft.features[10:20])
         e_x = model.embed(ft.features)
-        made = {"pairs": 0, "refs": 0}
+        embedded = train_mod.embed_rows(model, ft.features, ps.left, ps.right)
+        made = []  # (rows split, buffers made) per over_rows call
         over_rows = nn.over_rows
 
-        def counting(kernel):
-            def wrapper(n, fn, rows, scratch):
-                def counted():
-                    made[kernel] += 1
-                    return scratch()
+        def counting(n, fn, rows, scratch):
+            made.append([n, 0])
 
-                return over_rows(n, fn, rows, counted)
+            def counted():
+                made[-1][1] += 1
+                return scratch()
 
-            return wrapper
+            return over_rows(n, fn, rows, counted)
 
-        monkeypatch.setattr(train_mod, "over_rows", counting("pairs"))
-        monkeypatch.setattr(siamese_mod, "over_rows", counting("refs"))
+        monkeypatch.setattr(nn, "over_rows", counting)
         monkeypatch.setattr(nn, "CORES", cores)
-        train_mod._pair_distances(model, ps)
-        siamese_mod._mean_ref_distances(model, bank, e_x)
-        assert made == {"pairs": cores, "refs": cores}
+        train_mod._pair_distances(model, ps, embedded)
+        assert made == [[1000, cores]]
+        made.clear()
+        siamese_mod._mean_ref_distances(model, bank, e_x, np.arange(900))
+        assert made == [[10, 1], [10, 1], [900 * 20, cores]]
 
 
 class TestSharedEmbedding:
@@ -556,7 +559,7 @@ class TestSharedEmbedding:
         got = train_mod._pair_distances(model, ps, shared)
         assert np.array_equal(got, train_mod._pair_distances(model, ps))
         labels, d0, d1 = classify_table(
-            model, bank, test_ft, shared.vectors[shared.positions[-1]]
+            model, bank, test_ft, (shared.vectors, shared.positions[-1])
         )
         want_labels, want0, want1 = classify_table(model, bank, test_ft)
         assert np.array_equal(d0, want0) and np.array_equal(d1, want1)
@@ -579,7 +582,7 @@ class TestSharedEmbedding:
         with pytest.raises(ValueError, match="positions for 3/3 members, not 2"):
             evaluate_pairs(model, ps, other)
         bank = ReferenceBank(np.ones((1, 4)), np.zeros((1, 4)))
-        with pytest.raises(ValueError, match=r"embedding shape \(3, 256\) is not \(6, 256\)"):
+        with pytest.raises(ValueError, match="embedding positions for 3 rows, not 6"):
             evaluate_classifier(model, ft, bank, other)
 
 
