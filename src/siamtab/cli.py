@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import math
 import sys
 from dataclasses import dataclass
@@ -206,6 +207,18 @@ def _load_split_indices(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]
     return idx[in_train], idx[~in_train]
 
 
+# checkpoint extra entry -> the file whose bytes' sha256 it records, so that
+# eval refuses a model trained on another table or split
+_TRAINED_ON = {"table_sha256": "normalized.csv", "splits_sha256": "splits.csv"}
+
+
+def _trained_on(cfg: RunConfig, ft: dt.FeatureTable) -> dict[str, str]:
+    """The _TRAINED_ON entries of the current run directory; ft is the table
+    _load_prepared read, which hashed normalized.csv as it read it."""
+    splits = hashlib.sha256((cfg.out / "splits.csv").read_bytes()).hexdigest()
+    return {"table_sha256": ft.csv_sha256, "splits_sha256": splits}
+
+
 def _load_pairs(cfg: RunConfig, ft: dt.FeatureTable, part: str) -> pr.PairSet:
     path = cfg.out / f"pairs_{part}.csv"
     ps = pr.load_pairs_csv(path, ft)
@@ -280,7 +293,7 @@ def cmd_pairs(cfg: RunConfig) -> int:
     pr.save_pairs_csv(test_ps, cfg.out / "pairs_test.csv")
     print(
         f"pairs: {len(ps)} total "
-        f"(diff={ps.counts[0]}, same0={ps.counts[1]}, same1={ps.counts[2]}) "
+        f"(diff={cfg.pairs_diff}, same0={cfg.pairs_same0}, same1={cfg.pairs_same1}) "
         f"-> train={len(train_ps)}, test={len(test_ps)}"
     )
     return 0
@@ -300,7 +313,7 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
             cfg.out / "base_model.npz",
             base_network_spec(train_ft.d),
             params,
-            extra={"kind": "base", "seed": cfg.seed},
+            extra={"kind": "base", "seed": cfg.seed, **_trained_on(cfg, ft)},
         )
         export_history(history, cfg.out / "base_history.csv")
     else:
@@ -322,6 +335,7 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
                 "seed": cfg.seed,
                 "margin": model.margin,
                 "pair_threshold": model.pair_threshold,
+                **_trained_on(cfg, ft),
             },
             arrays={"refs0": bank.refs0, "refs1": bank.refs1},
         )
@@ -341,9 +355,10 @@ def _write_report(cfg: RunConfig, which: str, lines: list[str], kv: dict[str, st
 def _load_model(cfg: RunConfig, which: str, ft: dt.FeatureTable):
     """Load `<which>_model.npz` as (spec, params, extra, bank), refusing
     first a network that does not take ft's feature columns, then a
-    checkpoint of the other kind, one without an entry that eval reads, or
-    one whose seed is not a finite number or whose margin or pair threshold
-    is not a finite positive one. The bank is a siamese checkpoint's
+    checkpoint of the other kind, one without an entry that eval reads, one
+    whose seed is not a finite number or whose margin or pair threshold is
+    not a finite positive one, and last one trained on another
+    normalized.csv or splits.csv. The bank is a siamese checkpoint's
     reference bank, None for base."""
     path = cfg.out / f"{which}_model.npz"
     spec, params, extra, arrays = load_checkpoint(path)
@@ -355,9 +370,10 @@ def _load_model(cfg: RunConfig, which: str, ft: dt.FeatureTable):
     if extra.get("kind") != which:
         raise ValueError(f"{path}: checkpoint kind is {extra.get('kind')!r}, expected {which!r}")
     keys = ("seed",) if which == "base" else ("seed", "margin", "pair_threshold")
-    for key in keys:
+    for key in keys + tuple(_TRAINED_ON):
         if key not in extra:
             raise ValueError(f"{path}: checkpoint has no extra entry {key!r}")
+    for key in keys:
         value = extra[key]
         # type(), not isinstance(): a JSON true is a bool, which is an int;
         # and a seed may be an int too large for a float
@@ -367,6 +383,11 @@ def _load_model(cfg: RunConfig, which: str, ft: dt.FeatureTable):
             )
         if key != "seed" and value <= 0:
             raise ValueError(f"{path}: checkpoint extra entry {key!r} is not positive: {value!r}")
+    for key, digest in _trained_on(cfg, ft).items():
+        if extra[key] != digest:
+            raise ValueError(
+                f"{path} was trained on another {_TRAINED_ON[key]}; re-run siamtab train {which}"
+            )
     if which == "base":
         return spec, params, extra, None
     return spec, params, extra, _load_bank(path, spec.in_size, arrays)

@@ -114,6 +114,8 @@ class FeatureTable:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64 in {0, 1}
     schema: list[ColumnSpec] = field(default_factory=list)  # non-label columns
+    # sha256 of the CSV bytes load_table_csv read the table from, else None
+    csv_sha256: str | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -427,10 +429,10 @@ def save_table_csv(ft: FeatureTable, path: str | Path, label_name: str = "label"
     np.savez(table_sidecar(path), grid=grid, csv_sha256=np.array(digest.hexdigest()))
 
 
-def _cached_grid(path: str | Path, data: bytes, width: int) -> np.ndarray | None:
-    """The sidecar's grid of the table whose CSV bytes are `data`: None when
-    the sidecar is missing, corrupt, of another width, or was written with
-    other CSV bytes (a stale or foreign copy, or a CSV edited since)."""
+def _cached_grid(path: str | Path, digest: str, width: int) -> np.ndarray | None:
+    """The sidecar's grid of the table whose CSV bytes hash to `digest`: None
+    when the sidecar is missing, corrupt, of another width, or was written
+    with other CSV bytes (a stale or foreign copy, or a CSV edited since)."""
     try:
         # opened as a zip archive whatever it holds: np.load would return a
         # bare array for an .npy file, and leave a path it opened itself open
@@ -439,12 +441,12 @@ def _cached_grid(path: str | Path, data: bytes, width: int) -> np.ndarray | None
             open(table_sidecar(path), "rb") as fh,
             np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz,
         ):
-            grid, digest = npz["grid"], npz["csv_sha256"]
+            grid, stored = npz["grid"], npz["csv_sha256"]
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
     if grid.dtype != np.float64 or grid.ndim != 2 or grid.shape[1] != width:
         return None
-    if digest.shape != () or str(digest) != hashlib.sha256(data).hexdigest():
+    if stored.shape != () or str(stored) != digest:
         return None
     return grid
 
@@ -454,13 +456,15 @@ def load_table_csv(path: str | Path, schema: list[ColumnSpec]) -> FeatureTable:
 
     The CSV is the contract. Its grid comes from the sidecar while the
     sidecar's hash matches the CSV bytes, else from one np.loadtxt parse;
-    repr floats round-trip, so both give the same bits. Every cell must be
-    a finite number and every label 0 or 1; a fault is an error naming the
-    file and line.
+    repr floats round-trip, so both give the same bits. The CSV bytes are
+    hashed once, whichever way the grid is read, and the table keeps that
+    sha256 as csv_sha256. Every cell must be a finite number and every
+    label 0 or 1; a fault is an error naming the file and line.
     """
     names = [c.name for c in schema]
     data = Path(path).read_bytes()
-    grid = _cached_grid(path, data, len(schema))
+    digest = hashlib.sha256(data).hexdigest()
+    grid = _cached_grid(path, digest, len(schema))
     if grid is None:
         grid = read_grid_csv(path, names, np.float64, "table")
     else:
@@ -478,7 +482,9 @@ def load_table_csv(path: str | Path, schema: list[ColumnSpec]) -> FeatureTable:
 
     # one mask, so the first bad row in file order is reported
     refuse_row(path, ~finite.all(axis=1) | ((labels != 0.0) & (labels != 1.0)), fault)
-    return to_features(RawTable(schema, grid))
+    ft = to_features(RawTable(schema, grid))
+    ft.csv_sha256 = digest
+    return ft
 
 
 def _body_rows(path: str | Path):

@@ -1,5 +1,6 @@
 """Contrastive pair corpus: cross-class and same-class index pairs.
 
+A pair set is index arrays and similarity flags over one table.
 Pairs are sampled with replacement across pairs (repeats are fine for the
 training objective), but a same-class pair never pairs a row with itself.
 The corpus deliberately mixes every source row into both the train and test
@@ -19,13 +20,13 @@ from .data import FeatureTable, read_grid_csv, refuse_row
 
 @dataclass
 class PairSet:
-    """Index pairs into a source FeatureTable plus their similarity flags."""
+    """Index arrays and similarity flags over one source FeatureTable: pair
+    i joins rows left[i] and right[i], similar where their labels agree."""
 
     source: FeatureTable
     left: np.ndarray  # (m,) int64 row indices
     right: np.ndarray  # (m,) int64 row indices
     similar: np.ndarray  # (m,) bool
-    counts: tuple[int, int, int]  # (n_diff, n_same0, n_same1)
 
     def __post_init__(self):
         self.left = np.asarray(self.left, dtype=np.int64)
@@ -34,8 +35,6 @@ class PairSet:
         m = self.left.shape[0]
         if self.right.shape[0] != m or self.similar.shape[0] != m:
             raise ValueError("pair arrays must have equal length")
-        if sum(self.counts) != m:
-            raise ValueError(f"counts {self.counts} do not sum to {m} pairs")
         if m and (
             self.left.min() < 0
             or self.right.min() < 0
@@ -54,14 +53,6 @@ def split_by_label(ft: FeatureTable, seed: int) -> tuple[np.ndarray, np.ndarray]
     idx0 = rng.permutation(np.flatnonzero(ft.labels == 0))
     idx1 = rng.permutation(np.flatnonzero(ft.labels == 1))
     return idx0, idx1
-
-
-def _counts_from(ft: FeatureTable, left, similar) -> tuple[int, int, int]:
-    """Pair counts by one bincount: 0 codes a cross-class pair, label + 1 a same-class one."""
-    code = ft.labels[left]
-    code += 1
-    code *= similar
-    return tuple(np.bincount(code, minlength=3)[:3].tolist())
 
 
 def generate_pairs(
@@ -104,7 +95,7 @@ def generate_pairs(
             np.take(idx, q, out=right[start : start + n_same], mode="clip")
     similar = np.zeros(left.size, dtype=bool)
     similar[n_diff:] = True
-    return PairSet(ft, left, right, similar, (n_diff, n_same0, n_same1))
+    return PairSet(ft, left, right, similar)
 
 
 def split_pairs(ps: PairSet, fraction: float, seed: int) -> tuple[PairSet, PairSet]:
@@ -114,12 +105,10 @@ def split_pairs(ps: PairSet, fraction: float, seed: int) -> tuple[PairSet, PairS
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ps))
     n_first = round(fraction * len(ps))
-    parts = []
-    for sel in (perm[:n_first], perm[n_first:]):
-        left, right, similar = ps.left[sel], ps.right[sel], ps.similar[sel]
-        counts = _counts_from(ps.source, left, similar)
-        parts.append(PairSet(ps.source, left, right, similar, counts))
-    return parts[0], parts[1]
+    return tuple(
+        PairSet(ps.source, ps.left[sel], ps.right[sel], ps.similar[sel])
+        for sel in (perm[:n_first], perm[n_first:])
+    )
 
 
 _PAIR_HEADER = "left_index,right_index,similar"
@@ -199,5 +188,4 @@ def load_pairs_csv(path: str | Path, ft: FeatureTable) -> PairSet:
     similar = flags != 0
     if not np.array_equal(similar, ft.labels[left] == ft.labels[right]):
         raise ValueError(f"{path}: similarity flags do not match the table labels")
-    counts = _counts_from(ft, left, similar)
-    return PairSet(ft, left, right, similar, counts)
+    return PairSet(ft, left, right, similar)

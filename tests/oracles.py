@@ -143,6 +143,13 @@ def count_confusion(y_true, y_pred) -> tuple[int, int, int, int]:
     return tn, fp, fn, tp
 
 
+def pair_counts(labels, left, similar) -> tuple[int, int, int]:
+    """(cross-class, class-0, class-1) pair counts, read from the flags and
+    the labels of the left rows: a same-class pair's class is its left row's."""
+    same = np.asarray(labels)[np.asarray(left)[similar]]
+    return int((~similar).sum()), int((same == 0).sum()), int((same == 1).sum())
+
+
 def save_pairs_csv_rows(ps, path):
     """Pair CSV written one f-string per pair."""
     with open(path, "w", newline="\n") as fh:
@@ -311,7 +318,7 @@ def generate_pairs_parts(ft, n_diff: int, n_same0: int, n_same1: int, seed: int)
     similar = np.concatenate(
         [np.zeros(n_diff, dtype=bool), np.ones(n_same0 + n_same1, dtype=bool)]
     )
-    return PairSet(ft, left, right, similar, (n_diff, n_same0, n_same1))
+    return PairSet(ft, left, right, similar)
 
 
 def forward_new_arrays(params, spec, x, mode="infer", rng=None):

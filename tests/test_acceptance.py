@@ -18,6 +18,7 @@ from oracles import (
     kink_free_input,
     max_rel_error,
     numeric_gradient,
+    pair_counts,
     param_sum,
     random_small_spec,
 )
@@ -229,7 +230,7 @@ def test_criterion_6_pair_corpus_invariants():
         assert int(ft.labels.sum()) == 644
         ps = generate_pairs(ft, 100_000, 50_000, 50_000, seed=107)
         assert len(ps) == 200_000
-        assert ps.counts == (100_000, 50_000, 50_000)
+        assert pair_counts(ft.labels, ps.left, ps.similar) == (100_000, 50_000, 50_000)
         assert np.array_equal(ps.similar, ft.labels[ps.left] == ft.labels[ps.right])
         assert not np.any(ps.similar & (ps.left == ps.right))
         assert np.all(ps.left[ps.similar] != ps.right[ps.similar])

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import shutil
 import sys
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import load_pairs_csv_rows, pair_counts
 from siamtab import cli, nn, siamese, train
 from siamtab.cli import main, read_config_file, stage_seed
 from siamtab.siamese import SiameseModel
@@ -100,6 +102,30 @@ class TestPairsCmd:
         test_lines = (out / "pairs_test.csv").read_text().splitlines()
         assert len(train_lines) - 1 == 16
         assert len(test_lines) - 1 == 4
+
+    def test_printed_counts_are_the_files_counts(self, tmp_path, capsys):
+        # pairs prints the counts it was asked for; they must be what the
+        # two files hold, counted from their flags and the table's labels
+        out = tmp_path / "run"
+        assert run("prepare", "--synthetic", "90,4,0.3", "--out", out, "--seed", 5) == 0
+        capsys.readouterr()
+        assert run(
+            "pairs", "--out", out, "--seed", 5, "--pairs-diff", 37, "--pairs-same0", 11, "--pairs-same1", 6
+        ) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("pairs:")]
+        labels = np.loadtxt(out / "normalized.csv", delimiter=",", skiprows=1)[:, -1].astype(np.int64)
+        files = [load_pairs_csv_rows(out / f"pairs_{part}.csv") for part in ("train", "test")]
+        left, right, similar = (np.concatenate(column) for column in zip(*files))
+        assert np.array_equal(similar, labels[left] == labels[right])
+        diff, same0, same1 = pair_counts(labels, left, similar)
+        assert (diff, same0, same1) == (37, 11, 6)
+        total = diff + same0 + same1
+        n_train, n_test = len(files[0][0]), len(files[1][0])
+        assert (n_train, n_test) == (round(0.8 * total), total - round(0.8 * total))
+        assert printed == [
+            f"pairs: {total} total (diff={diff}, same0={same0}, same1={same1}) "
+            f"-> train={n_train}, test={n_test}"
+        ]
 
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -378,6 +404,55 @@ class TestEvalCmd:
         ]
         assert not (out / f"eval_{which}.txt").exists()
 
+    @pytest.mark.parametrize("which", ["base", "siamese"])
+    @pytest.mark.parametrize("edit,name", [("prepare", "normalized.csv"), ("swap", "splits.csv")])
+    def test_checkpoint_trained_on_another_table_or_split_names_it_and_the_stage(
+        self, trained_run, tmp_path, capsys, which, edit, name
+    ):
+        # the table prepared again at another seed, of the same width; or
+        # the parts of one train and one test row swapped, which leaves the
+        # split a permutation of the rows. The pair model is refused before
+        # its test pairs are checked against the new table's labels.
+        out = copy_run(trained_run, tmp_path)
+        if which == "base":
+            assert run("train", "base", "--out", out, "--seed", 23, "--epochs", 1) == 0
+        if edit == "prepare":
+            assert run("prepare", "--synthetic", "300,6,0.2", "--out", out, "--seed", 24) == 0
+        else:
+            parts = [line.split(",")[1] for line in (out / "splits.csv").read_text().splitlines()]
+            train_line, test_line = parts.index("train") + 1, parts.index("test") + 1
+            edit_cell(out / "splits.csv", train_line, 1, "test")
+            edit_cell(out / "splits.csv", test_line, 1, "train")
+        capsys.readouterr()
+        assert run("eval", which, "--out", out, "--seed", 24) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out / f'{which}_model.npz'} was trained on another {name}; "
+            f"re-run siamtab train {which}"
+        ]
+        assert not (out / f"eval_{which}.txt").exists()
+
+    @pytest.mark.parametrize("which", ["base", "siamese"])
+    def test_eval_hashes_the_table_and_the_split_once_each(
+        self, trained_run, tmp_path, monkeypatch, which
+    ):
+        # the table reader's hash, which also checks the sidecar, is the one
+        # the checkpoint's table digest is checked against
+        out = copy_run(trained_run, tmp_path)
+        if which == "base":
+            assert run("train", "base", "--out", out, "--seed", 23, "--epochs", 1) == 0
+        hashed, sha256 = [], hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+        assert run("eval", which, "--out", out) == 0
+        want = [(out / name).read_bytes() for name in ("normalized.csv", "splits.csv")]
+        assert hashed == want
+
+    def test_table_prepared_again_at_the_same_seed_is_accepted(self, trained_run, tmp_path):
+        # the same bytes as before, so the checkpoint's digests still match
+        out = copy_run(trained_run, tmp_path)
+        assert run("prepare", "--synthetic", "300,6,0.2", "--out", out, "--seed", 23) == 0
+        assert run("eval", "siamese", "--out", out, "--seed", 23) == 0
+        assert (out / "eval_siamese.txt").read_bytes() == (trained_run / "eval_siamese.txt").read_bytes()
+
     @pytest.mark.parametrize(
         "name,convert,message",
         [
@@ -633,7 +708,11 @@ class TestEvalCmd:
             ("siamese", "margin"),
             ("siamese", "pair_threshold"),
             ("siamese", "seed"),
+            ("siamese", "table_sha256"),
+            ("siamese", "splits_sha256"),
             ("base", "seed"),
+            ("base", "table_sha256"),
+            ("base", "splits_sha256"),
         ],
     )
     def test_checkpoint_without_an_entry_eval_reads_rejected(self, tmp_path, capsys, which, entry):

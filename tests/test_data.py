@@ -607,7 +607,11 @@ class TestTableSidecar:
         assert np.array_equal(grid[:, :4].view(np.int64), ft.features.view(np.int64))
         assert np.array_equal(grid[:, 4], ft.labels)
         cached = load_cached(monkeypatch, path, synthetic_schema(4))
-        assert_same_table(cached, load_parsed(path, synthetic_schema(4)))
+        digest = str(file_digest(path))
+        assert cached.csv_sha256 == digest
+        parsed = load_parsed(path, synthetic_schema(4))
+        assert_same_table(cached, parsed)
+        assert parsed.csv_sha256 == digest
         assert np.array_equal(cached.features.view(np.int64), ft.features.view(np.int64))
 
     def test_label_column_not_last_in_file_order(self, tmp_path, monkeypatch):
@@ -633,6 +637,7 @@ class TestTableSidecar:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = load_table_csv(path, synthetic_schema(4))
+        assert got.csv_sha256 == str(file_digest(path))
         assert_same_table(got, load_parsed(path, synthetic_schema(4)))
 
     @pytest.mark.parametrize(

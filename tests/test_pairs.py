@@ -3,7 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import generate_pairs_parts, load_pairs_csv_rows, save_pairs_csv_rows
+from oracles import (
+    generate_pairs_parts,
+    load_pairs_csv_rows,
+    pair_counts,
+    save_pairs_csv_rows,
+)
 from siamtab import pairs
 from siamtab.data import FeatureTable, synth_generate
 from siamtab.pairs import (
@@ -48,8 +53,7 @@ class TestGeneratePairs:
         ft = small_table([0] * 10 + [1] * 10)
         ps = generate_pairs(ft, 40, 20, 20, seed=1)
         assert len(ps) == 80
-        assert ps.counts == (40, 20, 20)
-        assert int((~ps.similar).sum()) == 40
+        assert pair_counts(ft.labels, ps.left, ps.similar) == (40, 20, 20)
 
     def test_empty_request(self):
         ft = small_table([0, 1])
@@ -113,7 +117,7 @@ class TestGeneratePairs:
         for name in ("left", "right", "similar"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert got.counts == want.counts == counts
+        assert pair_counts(ft.labels, got.left, got.similar) == counts
 
 
 class TestSplitPairs:
@@ -142,16 +146,6 @@ class TestSplitPairs:
         assert np.array_equal(a[0].left, b[0].left)
         assert np.array_equal(a[1].right, b[1].right)
 
-    def test_counts_recomputed_per_part(self):
-        ft = small_table([0] * 5 + [1] * 5)
-        ps = generate_pairs(ft, 20, 6, 4, seed=13)
-        train, test = split_pairs(ps, 0.5, seed=14)
-        assert sum(train.counts) == len(train)
-        assert sum(test.counts) == len(test)
-        assert train.counts[0] + test.counts[0] == 20
-        assert train.counts[1] + test.counts[1] == 6
-        assert train.counts[2] + test.counts[2] == 4
-
     @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5])
     def test_invalid_fraction(self, fraction):
         ft = small_table([0, 1, 0, 1])
@@ -160,38 +154,11 @@ class TestSplitPairs:
             split_pairs(ps, fraction, seed=0)
 
 
-class TestCounts:
-    @pytest.mark.parametrize(
-        "labels,left,similar,counts",
-        [
-            ([0, 1], [], [], (0, 0, 0)),
-            ([0, 1, 1], [0, 0, 1, 2], [False] * 4, (4, 0, 0)),
-            ([0, 1, 1, 0], [0, 1, 2, 3, 3, 1, 0], [True, True, False, True, False, True, True],
-             (2, 3, 2)),
-            ([1, 1, 1], [0, 2, 1], [True, True, True], (0, 0, 3)),
-            ([0, 0], [1, 0, 1], [True, True, True], (0, 3, 0)),
-        ],
-        ids=["empty", "all cross-class", "mixed", "class-1 table", "class-0 table"],
-    )
-    def test_counts_by_hand(self, labels, left, similar, counts):
-        ft = small_table(labels)
-        left = np.array(left, dtype=np.int64)
-        got = pairs._counts_from(ft, left, np.array(similar, dtype=bool))
-        assert got == counts and all(type(c) is int for c in got)
-        # the codes are worked out in a gathered copy, not in the table
-        assert np.array_equal(ft.labels, labels)
-
-
 class TestPairSetContainer:
     def test_index_bounds_checked(self):
         ft = small_table([0, 1])
         with pytest.raises(ValueError, match="out of range"):
-            PairSet(ft, np.array([0]), np.array([5]), np.array([False]), (1, 0, 0))
-
-    def test_counts_must_sum(self):
-        ft = small_table([0, 1])
-        with pytest.raises(ValueError, match="counts"):
-            PairSet(ft, np.array([0]), np.array([1]), np.array([False]), (2, 0, 0))
+            PairSet(ft, np.array([0]), np.array([5]), np.array([False]))
 
 
 
@@ -205,7 +172,7 @@ class TestPairCsv:
         assert np.array_equal(back.left, ps.left)
         assert np.array_equal(back.right, ps.right)
         assert np.array_equal(back.similar, ps.similar)
-        assert back.counts == ps.counts
+        assert pair_counts(ft.labels, back.left, back.similar) == (100, 30, 30)
 
     def test_mismatched_table_detected(self, tmp_path):
         ft = synth_generate(40, 3, 0.4, seed=18)
@@ -248,7 +215,7 @@ class TestPairCsv:
             n = {"all_zero": 12, "one_zero_pair": 1, "empty": 0}[size]
             left = right = np.zeros(n, dtype=np.int64)
         similar = np.arange(left.size) % 3 == 1
-        ps = PairSet(ft, left, right, similar, (left.size, 0, 0))
+        ps = PairSet(ft, left, right, similar)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         save_pairs_csv(ps, got)
         save_pairs_csv_rows(ps, want)
@@ -282,7 +249,7 @@ class TestPairCsv:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             back = load_pairs_csv(path, ft)
-        assert len(back) == 0 and back.counts == (0, 0, 0)
+        assert len(back) == 0 and pair_counts(ft.labels, back.left, back.similar) == (0, 0, 0)
 
     @pytest.mark.parametrize(
         "rows,match",

@@ -226,7 +226,7 @@ class TestPairBackward:
 def verdict(model, a, b) -> bool:
     """evaluate_pairs' verdict on the one pair (a, b): similar iff the pair,
     flagged similar, lands in the true-positive cell."""
-    ps = PairSet(FeatureTable(np.vstack((a, b)), [0, 0]), [0], [1], [True], (0, 1, 0))
+    ps = PairSet(FeatureTable(np.vstack((a, b)), [0, 0]), [0], [1], [True])
     report = evaluate_pairs(model, ps)
     return bool(report.confusion[1, 1] == 1)
 

@@ -382,7 +382,7 @@ class TestEvaluatePairs:
         import siamtab.pairs as pairs_mod
 
         idx = np.arange(10)
-        ps = pairs_mod.PairSet(ft, idx, idx, np.ones(10, dtype=bool), (0, int((ft.labels[:10] == 0).sum()), int((ft.labels[:10] == 1).sum())))
+        ps = pairs_mod.PairSet(ft, idx, idx, np.ones(10, dtype=bool))
         report = evaluate_pairs(model, ps)
         assert report.confusion[1, 1] == 10  # every (a, a) verdict is similar
 
@@ -390,7 +390,7 @@ class TestEvaluatePairs:
         ft = synth_trained.train
         import siamtab.pairs as pairs_mod
 
-        empty = pairs_mod.PairSet(ft, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), (0, 0, 0))
+        empty = pairs_mod.PairSet(ft, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
         with pytest.raises(ValueError, match="empty"):
             evaluate_pairs(synth_trained.model, empty)
 
@@ -418,7 +418,7 @@ class TestPairDistances:
         left = rng.integers(0, 30, 200)
         right = rng.integers(0, 30, 200)
         left[:3], right[:3] = [4, 9, 9], [4, 4, 9]
-        ps = PairSet(ft, left, right, np.zeros(200, dtype=bool), (200, 0, 0))
+        ps = PairSet(ft, left, right, np.zeros(200, dtype=bool))
         monkeypatch.setattr(nn, "DIST_BLOCK_ROWS", 7)
         assert len(np.unique(np.concatenate((left, right)))) > 7
         got = train_mod._pair_distances(model, ps)
@@ -447,7 +447,7 @@ class TestPairDistances:
     def test_each_distinct_row_is_embedded_once(self, monkeypatch):
         model, ft = self.integer_model_and_table(np.random.default_rng(36))
         left, right = np.array([0, 0, 1, 2, 2]), np.array([1, 2, 3, 3, 0])
-        ps = PairSet(ft, left, right, np.zeros(5, dtype=bool), (5, 0, 0))
+        ps = PairSet(ft, left, right, np.zeros(5, dtype=bool))
         embedded = []
         original = SiameseModel.embed
 
@@ -472,7 +472,7 @@ class TestPairDistances:
         left = np.concatenate((np.arange(600), rng.integers(0, 600, 1900)))
         right = rng.integers(0, 600, 2500)
         right[:2] = left[:2]
-        ps = PairSet(ft, left, right, np.zeros(2500, dtype=bool), (2500, 0, 0))
+        ps = PairSet(ft, left, right, np.zeros(2500, dtype=bool))
         if chunk is not None:
             monkeypatch.setattr(nn, "DIST_BLOCK_ROWS", chunk)
         assert len(ps) % nn.DIST_BLOCK_ROWS != 0
@@ -491,7 +491,7 @@ class TestPairDistances:
         model = SiameseModel(spec, init_params(spec, 42))
         ft = FeatureTable(rng.normal(size=(400, 15)), rng.integers(0, 2, 400))
         ps = PairSet(ft, rng.integers(0, 400, n), rng.integers(0, 400, n),
-                     np.zeros(n, dtype=bool), (n, 0, 0))
+                     np.zeros(n, dtype=bool))
         want = pair_distances_row_chunks(model, ps)
         for cores in (1, 2, 3):
             set_cores(cores)
@@ -508,7 +508,7 @@ class TestPairDistances:
         model = SiameseModel(spec, init_params(spec, 40))
         ft = FeatureTable(rng.normal(size=(900, 15)), rng.integers(0, 2, 900))
         ps = PairSet(ft, rng.integers(0, 900, 1000), rng.integers(0, 900, 1000),
-                     np.zeros(1000, dtype=bool), (1000, 0, 0))
+                     np.zeros(1000, dtype=bool))
         bank = ReferenceBank(ft.features[:10], ft.features[10:20])
         e_x = model.embed(ft.features)
         embedded = train_mod.embed_rows(model, ft.features, ps.left, ps.right)
@@ -547,7 +547,7 @@ class TestSharedEmbedding:
         test_idx = perm[:300]
         left = np.concatenate((perm[100:], rng.choice(perm[100:], 300)))
         right = rng.choice(perm[100:], left.size)
-        ps = PairSet(ft, left, right, rng.random(left.size) < 0.5, (left.size, 0, 0))
+        ps = PairSet(ft, left, right, rng.random(left.size) < 0.5)
         test_ft = take_rows(ft, test_idx)
         bank = ReferenceBank(rng.normal(size=(10, 15)), rng.normal(size=(10, 15)) + 0.5)
 
@@ -577,7 +577,7 @@ class TestSharedEmbedding:
         spec = siamese_network_spec(4)
         model = SiameseModel(spec, init_params(spec, 41))
         ft = FeatureTable(np.ones((6, 4)), np.array([0, 1] * 3))
-        ps = PairSet(ft, np.array([0, 1]), np.array([2, 3]), np.ones(2, dtype=bool), (2, 0, 0))
+        ps = PairSet(ft, np.array([0, 1]), np.array([2, 3]), np.ones(2, dtype=bool))
         other = train_mod.embed_rows(model, ft.features, np.arange(3), np.arange(3))
         with pytest.raises(ValueError, match="positions for 3/3 members, not 2"):
             evaluate_pairs(model, ps, other)
