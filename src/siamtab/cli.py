@@ -11,6 +11,13 @@ key=value lines keyed by flag name) < command-line flag. Each run prints its
 effective config; all randomness derives from the one root seed, which is
 echoed into every report. Rerunning a command with identical inputs and seed
 rewrites byte-identical artifacts.
+
+run_stage is the one judge of whether a run-directory artifact can be
+trusted. <out>/run.json keeps, for each stage's last successful run, the
+sha256 of every artifact it read and wrote. Before a stage runs, each file
+it reads must hash as its producer last wrote it, and the producer's own
+recorded reads must match every file the stage also reads; otherwise the
+stage stops with one line naming the stage to re-run.
 """
 
 from __future__ import annotations
@@ -18,7 +25,9 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -177,46 +186,20 @@ _SPLITS_DTYPE = np.dtype([("index", np.int64), ("part", "U6")])
 def _load_split_indices(cfg: RunConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(train, test) row indices from splits.csv, for a table of n rows.
 
-    Every part must be 'train' or 'test', and the file must list each of
-    the n rows exactly once; a fault is an error naming the file and line.
+    Every part must be 'train' or 'test', and the indices a permutation of
+    the n rows; a fault is a one-line error naming the file.
     """
     path = cfg.out / "splits.csv"
     body = dt.read_grid_csv(path, list(_SPLITS_DTYPE.names), _SPLITS_DTYPE, "splits")
     idx, part = body["index"], body["part"]
     in_train = part == "train"
     bad_part = ~in_train & (part != "test")
-
-    def fault(i, cells):
-        if bad_part[i]:
-            return f"part must be 'train' or 'test', got {cells[1]!r}"
-        return f"index {idx[i]} out of range for a table of {n} rows"
-
-    dt.refuse_row(path, bad_part | (idx < 0) | (idx >= n), fault)
-    counts = np.bincount(idx, minlength=n)
-    if (counts > 1).any():
-        first, again = np.flatnonzero(idx == idx[np.argmax(counts[idx] > 1)])[:2]
-        (line, _), (first_line, _) = dt.body_row(path, again), dt.body_row(path, first)
-        raise ValueError(
-            f"{path}: line {line}: index {idx[again]} is already listed on line {first_line}"
-        )
-    if (counts == 0).any():
-        raise ValueError(
-            f"{path}: no row for index {int(np.argmin(counts))}; the file must list "
-            f"each of the {n} table rows once"
-        )
+    if bad_part.any():
+        got = str(part[bad_part][0])
+        raise ValueError(f"{path}: part must be 'train' or 'test', got {got!r}")
+    if not np.array_equal(np.sort(idx), np.arange(n)):
+        raise ValueError(f"{path}: the indices must list each of the {n} table rows once")
     return idx[in_train], idx[~in_train]
-
-
-# checkpoint extra entry -> the file whose bytes' sha256 it records, so that
-# eval refuses a model trained on another table or split
-_TRAINED_ON = {"table_sha256": "normalized.csv", "splits_sha256": "splits.csv"}
-
-
-def _trained_on(cfg: RunConfig, ft: dt.FeatureTable) -> dict[str, str]:
-    """The _TRAINED_ON entries of the current run directory; ft is the table
-    _load_prepared read, which hashed normalized.csv as it read it."""
-    splits = hashlib.sha256((cfg.out / "splits.csv").read_bytes()).hexdigest()
-    return {"table_sha256": ft.csv_sha256, "splits_sha256": splits}
 
 
 def _load_pairs(cfg: RunConfig, ft: dt.FeatureTable, part: str) -> pr.PairSet:
@@ -313,7 +296,7 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
             cfg.out / "base_model.npz",
             base_network_spec(train_ft.d),
             params,
-            extra={"kind": "base", "seed": cfg.seed, **_trained_on(cfg, ft)},
+            extra={"kind": "base", "seed": cfg.seed},
         )
         export_history(history, cfg.out / "base_history.csv")
     else:
@@ -335,7 +318,6 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
                 "seed": cfg.seed,
                 "margin": model.margin,
                 "pair_threshold": model.pair_threshold,
-                **_trained_on(cfg, ft),
             },
             arrays={"refs0": bank.refs0, "refs1": bank.refs1},
         )
@@ -355,11 +337,10 @@ def _write_report(cfg: RunConfig, which: str, lines: list[str], kv: dict[str, st
 def _load_model(cfg: RunConfig, which: str, ft: dt.FeatureTable):
     """Load `<which>_model.npz` as (spec, params, extra, bank), refusing
     first a network that does not take ft's feature columns, then a
-    checkpoint of the other kind, one without an entry that eval reads, one
-    whose seed is not a finite number or whose margin or pair threshold is
-    not a finite positive one, and last one trained on another
-    normalized.csv or splits.csv. The bank is a siamese checkpoint's
-    reference bank, None for base."""
+    checkpoint of the other kind, and last one without an entry that eval
+    reads, whose seed is not a finite number or whose margin or pair
+    threshold is not a finite positive one. The bank is a siamese
+    checkpoint's reference bank, None for base."""
     path = cfg.out / f"{which}_model.npz"
     spec, params, extra, arrays = load_checkpoint(path)
     if spec.in_size != ft.d:
@@ -369,11 +350,9 @@ def _load_model(cfg: RunConfig, which: str, ft: dt.FeatureTable):
         )
     if extra.get("kind") != which:
         raise ValueError(f"{path}: checkpoint kind is {extra.get('kind')!r}, expected {which!r}")
-    keys = ("seed",) if which == "base" else ("seed", "margin", "pair_threshold")
-    for key in keys + tuple(_TRAINED_ON):
+    for key in ("seed",) if which == "base" else ("seed", "margin", "pair_threshold"):
         if key not in extra:
             raise ValueError(f"{path}: checkpoint has no extra entry {key!r}")
-    for key in keys:
         value = extra[key]
         # type(), not isinstance(): a JSON true is a bool, which is an int;
         # and a seed may be an int too large for a float
@@ -383,11 +362,6 @@ def _load_model(cfg: RunConfig, which: str, ft: dt.FeatureTable):
             )
         if key != "seed" and value <= 0:
             raise ValueError(f"{path}: checkpoint extra entry {key!r} is not positive: {value!r}")
-    for key, digest in _trained_on(cfg, ft).items():
-        if extra[key] != digest:
-            raise ValueError(
-                f"{path} was trained on another {_TRAINED_ON[key]}; re-run siamtab train {which}"
-            )
     if which == "base":
         return spec, params, extra, None
     return spec, params, extra, _load_bank(path, spec.in_size, arrays)
@@ -478,13 +452,14 @@ def cmd_export(cfg: RunConfig, which: str) -> int:
     return 0
 
 
-# stage -> (function, artifacts it reads, artifacts it writes). No stage
-# reads normalized.npz: the table reader takes it only while its hash
-# matches normalized.csv.
-_TABLE = ("schema.csv", "normalized.csv")
+# stage -> (function, artifacts it reads, artifacts it writes). Stages read
+# the table from normalized.npz; normalized.csv is its copy for people, and
+# no stage reads it. run_stage checks each read and records every read and
+# write in run.json, so this table is also the manifest's schema.
+_TABLE = ("schema.csv", "normalized.npz")
 _SPLIT = _TABLE + ("splits.csv",)
 STAGES = {
-    "prepare": (cmd_prepare, (), _SPLIT + ("normalized.npz", "norm_stats.csv", "report.txt")),
+    "prepare": (cmd_prepare, (), _SPLIT + ("normalized.csv", "norm_stats.csv", "report.txt")),
     "pairs": (cmd_pairs, _TABLE, ("pairs_train.csv", "pairs_test.csv")),
     "train base": (cmd_train, _SPLIT, ("base_model.npz", "base_history.csv")),
     "train siamese": (
@@ -501,20 +476,76 @@ STAGES = {
         cmd_export, ("siamese_history.csv",), ("accuracy_siamese.csv", "loss_siamese.csv")
     ),
 }
+MANIFEST = "run.json"
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _read_manifest(out: Path) -> dict | None:
+    """run.json as {stage: {"reads": {...}, "writes": {...}}}, or None when
+    it is missing or of another shape."""
+    try:
+        manifest = json.loads((out / MANIFEST).read_text())
+        if all(isinstance(e[k], dict) for e in manifest.values() for k in ("reads", "writes")):
+            return manifest
+    except (OSError, ValueError, AttributeError, TypeError, KeyError):
+        pass
+    return None
 
 
 def run_stage(name: str, cfg: RunConfig) -> int:
-    """Run a stage of STAGES once every artifact it reads exists; a missing
-    one is an error naming the stage that writes it."""
-    func, reads, _ = STAGES[name]
+    """Run a stage of STAGES on artifacts it can trust, then record it in
+    run.json.
+
+    A missing read is an error naming the stage that writes it. Then, read
+    by read: each must hash as its producer last wrote it (a hand edit, a
+    cut file, a producer that failed midway), and the producer's recorded
+    reads must match this stage's reads where both read a file. Only
+    `prepare`, which reads no artifact, runs without a run.json, and starts
+    one. Once the stage returns 0, its entry is replaced, atomically.
+    """
+    func, reads, writes = STAGES[name]
+
+    def producer(read):
+        return next(stage for stage, (_, _, made) in STAGES.items() if read in made)
+
     for read in reads:
         if not (cfg.out / read).exists():
-            producer = next(stage for stage, (_, _, writes) in STAGES.items() if read in writes)
             raise ValueError(
                 f"missing artifact {cfg.out / read}; run the earlier stages first "
-                f"(siamtab {producer})"
+                f"(siamtab {producer(read)})"
             )
-    return func(cfg, *name.split()[1:])
+    manifest = _read_manifest(cfg.out)
+    if manifest is None and reads:
+        raise ValueError(f"{cfg.out / MANIFEST} is missing or unreadable; re-run siamtab prepare")
+    manifest = manifest or {}
+    digests = {read: _sha256(cfg.out / read) for read in reads}
+    for read in reads:
+        made_by = producer(read)
+        entry = manifest.get(made_by, {"reads": {}, "writes": {}})
+        if entry["writes"].get(read) != digests[read]:
+            raise ValueError(
+                f"{cfg.out / read} does not match what siamtab {made_by} last wrote; "
+                f"re-run siamtab {made_by}"
+            )
+        for source in reads:
+            if entry["reads"].get(source, digests[source]) != digests[source]:
+                raise ValueError(
+                    f"{cfg.out / read} was made from another {source}; re-run siamtab {made_by}"
+                )
+    code = func(cfg, *name.split()[1:])
+    if code == 0:
+        manifest[name] = {"reads": digests, "writes": {w: _sha256(cfg.out / w) for w in writes}}
+        tmp = cfg.out / f"{MANIFEST}.tmp"
+        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        os.replace(tmp, cfg.out / MANIFEST)
+    return code
 
 
 @functools.cache

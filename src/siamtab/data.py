@@ -8,15 +8,11 @@ integer seed and are deterministic for a fixed seed.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
-import re
 import warnings
 import zipfile
-from itertools import islice
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -114,8 +110,6 @@ class FeatureTable:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64 in {0, 1}
     schema: list[ColumnSpec] = field(default_factory=list)  # non-label columns
-    # sha256 of the CSV bytes load_table_csv read the table from, else None
-    csv_sha256: str | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -416,130 +410,46 @@ def save_table_csv(ft: FeatureTable, path: str | Path, label_name: str = "label"
 
     Floats are written with repr so a round trip reproduces values exactly;
     rows go out one write per block of _CHUNK_ROWS rows, built as
-    _table_text describes. The CSV is then copied to its sidecar
-    (table_sidecar): the float64 grid in file order and the sha256 of the
-    CSV bytes, hashed as they are written.
+    _table_text describes. The float64 grid, in file order, goes to the
+    table's sidecar (table_sidecar) too, which is what load_table_csv reads.
     """
-    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for block in _table_text(ft, label_name):
-            digest.update(block)
-            fh.write(block)
+        fh.writelines(_table_text(ft, label_name))
     grid = np.column_stack([ft.features, ft.labels.astype(np.float64)])
-    np.savez(table_sidecar(path), grid=grid, csv_sha256=np.array(digest.hexdigest()))
-
-
-def _cached_grid(path: str | Path, digest: str, width: int) -> np.ndarray | None:
-    """The sidecar's grid of the table whose CSV bytes hash to `digest`: None
-    when the sidecar is missing, corrupt, of another width, or was written
-    with other CSV bytes (a stale or foreign copy, or a CSV edited since)."""
-    try:
-        # opened as a zip archive whatever it holds: np.load would return a
-        # bare array for an .npy file, and leave a path it opened itself open
-        # when the file is no zip archive
-        with (
-            open(table_sidecar(path), "rb") as fh,
-            np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz,
-        ):
-            grid, stored = npz["grid"], npz["csv_sha256"]
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-        return None
-    if grid.dtype != np.float64 or grid.ndim != 2 or grid.shape[1] != width:
-        return None
-    if stored.shape != () or str(stored) != digest:
-        return None
-    return grid
+    np.savez(table_sidecar(path), grid=grid)
 
 
 def load_table_csv(path: str | Path, schema: list[ColumnSpec]) -> FeatureTable:
-    """Read back a table written by save_table_csv.
+    """Read back the table save_table_csv wrote to `path`, from its sidecar.
 
-    The CSV is the contract. Its grid comes from the sidecar while the
-    sidecar's hash matches the CSV bytes, else from one np.loadtxt parse;
-    repr floats round-trip, so both give the same bits. The CSV bytes are
-    hashed once, whichever way the grid is read, and the table keeps that
-    sha256 as csv_sha256. Every cell must be a finite number and every
-    label 0 or 1; a fault is an error naming the file and line.
+    The grid must be float64 with one column per schema entry and at least
+    one row, every value finite and every label 0 or 1; a fault, a sidecar
+    that is no zip archive or holds no readable grid included, is a
+    one-line error naming the sidecar.
     """
-    names = [c.name for c in schema]
-    data = Path(path).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    grid = _cached_grid(path, digest, len(schema))
-    if grid is None:
-        grid = read_grid_csv(path, names, np.float64, "table")
-    else:
-        _check_header(path, re.match(rb"[^\r\n]*", data)[0].decode(), names, "table")
-    if grid.shape[0] == 0:
-        raise ValueError(f"{path}: empty table (header only)")
-    labels = grid[:, _label_index(schema)]
-    finite = np.isfinite(grid)
-
-    def fault(i, _):
-        if finite[i].all():
-            return f"label must be 0 or 1, got {labels[i]}"
-        j = int(np.argmin(finite[i]))
-        return f"non-finite value {grid[i, j]} in column {schema[j].name!r}"
-
-    # one mask, so the first bad row in file order is reported
-    refuse_row(path, ~finite.all(axis=1) | ((labels != 0.0) & (labels != 1.0)), fault)
-    ft = to_features(RawTable(schema, grid))
-    ft.csv_sha256 = digest
-    return ft
-
-
-def _body_rows(path: str | Path):
-    """(line number, cells) for each row np.loadtxt reads after the header:
-    the header is line 1, and empty lines are not rows."""
-    with open(path) as fh:
-        next(fh, None)
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if line:
-                yield line_no, line.split(",")
-
-
-def body_row(path: str | Path, row: int) -> tuple[int, list[str]]:
-    """The file line and the cells, as the file spells them, of body row
-    `row` (0-based) of a grid read by read_grid_csv."""
-    return next(islice(_body_rows(path), row, None))
-
-
-def refuse_row(path: str | Path, bad: np.ndarray, what: Callable[[int, list[str]], str]):
-    """Raise for the first body row where the mask `bad` holds, as
-    "<path>: line N: <what(i, cells)>": i is the row (0-based) in the grid
-    read_grid_csv gave, cells its cells as the file spells them."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        line, cells = body_row(path, i)
-        raise ValueError(f"{path}: line {line}: {what(i, cells)}")
-
-
-def _is_int_token(tok: str) -> bool:
-    return re.fullmatch(r"[+-]?[0-9]+", tok.strip()) is not None
-
-
-def _is_float_token(tok: str) -> bool:
-    if not tok.isascii() or "_" in tok:
-        return False
+    side = table_sidecar(path)
     try:
-        float(tok)
-    except ValueError:
-        return False
-    return True
-
-
-def _row_fault(cells: list[str], names: list[str], columns: list[np.dtype]) -> str | None:
-    """Why np.loadtxt refuses a row of cells, or None if it would not. Each
-    cell is checked by its column's dtype: integer and float columns take
-    their number tokens, a string column takes any cell."""
-    if len(cells) != len(columns):
-        return f"expected {len(columns)} cells per row, got {len(cells)}"
-    for tok, name, col in zip(cells, names, columns):
-        if np.issubdtype(col, np.integer) and not _is_int_token(tok):
-            return f"non-integer value {tok.strip()!r} in column {name!r}"
-        if np.issubdtype(col, np.floating) and not _is_float_token(tok):
-            return f"non-numeric value {tok.strip()!r} in column {name!r}"
-    return None
+        # opened as a zip archive whatever it holds: np.load would return a
+        # bare array for an .npy file
+        with open(side, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
+            grid = npz["grid"]
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        # ValueError is numpy's own, on a pickled object array say
+        raise ValueError(
+            f"{side}: not a readable table sidecar ({type(exc).__name__}: {exc})"
+        ) from None
+    if grid.dtype != np.float64 or grid.ndim != 2 or grid.shape[1] != len(schema):
+        raise ValueError(
+            f"{side}: grid is {grid.dtype} of shape {grid.shape}, "
+            f"expected float64 of {len(schema)} columns"
+        )
+    if grid.shape[0] == 0:
+        raise ValueError(f"{side}: empty table")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"{side}: the table holds a non-finite value")
+    if not np.isin(grid[:, _label_index(schema)], (0.0, 1.0)).all():
+        raise ValueError(f"{side}: a label is not 0 or 1")
+    return to_features(RawTable(schema, grid))
 
 
 def _check_header(path: str | Path, line: str, names: list[str], kind: str):
@@ -555,20 +465,16 @@ def read_grid_csv(path: str | Path, names: list[str], dtype, kind: str) -> np.nd
     field per column, gives n records. The header cells must equal `names`,
     or the file is "not a <kind> file". The body is parsed by one np.loadtxt
     call; empty lines are not rows, and a body with no rows is an empty grid.
-    A row of the wrong width or a cell that its column's dtype refuses is an
-    error naming the file and its line, counted from the header as line 1;
-    the file is rescanned for that line only after loadtxt has refused it.
+    A body the parse refuses, or rows of the wrong width, is a one-line
+    error naming the file.
     """
     dtype = np.dtype(dtype)
-    columns = [dtype.fields[f][0] for f in dtype.names] if dtype.names else [dtype] * len(names)
     with open(path, newline="") as fh:
         _check_header(path, fh.readline(), names, kind)
-        # loadtxt skips empty lines, and warns when it finds no row at all; a
-        # line of spaces is a row, which the rescan below reports
+        # loadtxt skips empty lines, and warns when it finds no row at all
         no_rows = not any(line.rstrip("\r\n") for line in fh)
     if no_rows:
         return np.empty((0,) if dtype.names else (0, len(names)), dtype=dtype)
-    fault = "rows of unequal width"
     try:
         with warnings.catch_warnings():
             # numpy < 2 reads an integer cell "1.0" through float, under only
@@ -584,17 +490,13 @@ def read_grid_csv(path: str | Path, names: list[str], dtype, kind: str) -> np.nd
                 comments=None,
                 skiprows=1,
             )
-        # loadtxt itself refuses a row whose width differs from the fields'
-        if dtype.names or grid.shape[1] == len(names):
-            return grid
     except (ValueError, DeprecationWarning) as exc:
-        fault = str(exc)
-    for line_no, cells in _body_rows(path):
-        row_fault = _row_fault(cells, names, columns)
-        if row_fault is not None:
-            raise ValueError(f"{path}: line {line_no}: malformed {kind} row: {row_fault}")
-    # the rescan disagrees with numpy: pass numpy's own words on
-    raise ValueError(f"{path}: malformed {kind} row: {fault}")
+        raise ValueError(f"{path}: malformed {kind} row: {exc}") from None
+    # loadtxt itself refuses a row whose width differs from the fields', but
+    # takes a plain grid of equally short rows whole
+    if not dtype.names and grid.shape[1] != len(names):
+        raise ValueError(f"{path}: malformed {kind} row: expected {len(names)} cells per row")
+    return grid
 
 
 def save_schema_csv(schema: list[ColumnSpec], path: str | Path):

@@ -623,8 +623,10 @@ def load_checkpoint(path: str | Path):
         # bare array for an .npy file
         with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as data:
             meta = json.loads(str(read(data, "meta")))
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+            version = meta.get("version")
+            # type(), not ==: a JSON true or 1.0 equals 1
+            if type(version) is not int or version != CHECKPOINT_VERSION:
+                raise ValueError(f"{path}: unsupported checkpoint version {json.dumps(version)}")
             if not isinstance(meta["extra"], dict):
                 raise ValueError(f"{path}: checkpoint extra is not a JSON object")
             try:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureTable, read_grid_csv, refuse_row
+from .data import FeatureTable, read_grid_csv
 
 
 @dataclass
@@ -165,26 +165,17 @@ def save_pairs_csv(ps: PairSet, path: str | Path):
 def load_pairs_csv(path: str | Path, ft: FeatureTable) -> PairSet:
     """Read a pair CSV back and re-attach it to its source table.
 
-    The body is parsed in one pass. A row of the wrong width, a non-integer
-    cell, a similarity flag other than 0 or 1 or an index outside the table
-    is an error naming the file and line;
-    the stored similarity flags are then audited against the table labels so
+    The body is parsed in one pass. A similarity flag other than 0 or 1 or
+    an index outside the table is a one-line error naming the file; the
+    stored similarity flags are then audited against the table labels so
     a mismatched table is caught immediately.
     """
     body = read_grid_csv(path, _PAIR_HEADER.split(","), np.int64, "pair")
     left, right, flags = body.T
-    bad_flag = (flags != 0) & (flags != 1)
-
-    def fault(i, _):
-        if bad_flag[i]:
-            return f"malformed pair row: similar must be 0 or 1, got {flags[i]}"
-        return (
-            f"pair row {i + 1}: index out of range for a table of {ft.n} rows "
-            f"({left[i]},{right[i]})"
-        )
-
-    out_of_range = (left < 0) | (left >= ft.n) | (right < 0) | (right >= ft.n)
-    refuse_row(path, bad_flag | out_of_range, fault)
+    if ((flags != 0) & (flags != 1)).any():
+        raise ValueError(f"{path}: a similarity flag is not 0 or 1")
+    if ((left < 0) | (left >= ft.n) | (right < 0) | (right >= ft.n)).any():
+        raise ValueError(f"{path}: pair index out of range for a table of {ft.n} rows")
     similar = flags != 0
     if not np.array_equal(similar, ft.labels[left] == ft.labels[right]):
         raise ValueError(f"{path}: similarity flags do not match the table labels")

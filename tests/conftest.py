@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -5,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from siamtab import cli
 from siamtab.data import apply_norm, fit_norm, stratified_split, synth_generate
 from siamtab.pairs import generate_pairs
 from siamtab.siamese import build_reference_bank
@@ -39,6 +42,27 @@ def set_cores(monkeypatch):
                 monkeypatch.setattr(module, "CORES", cores)
 
     return set_
+
+
+@pytest.fixture
+def rerecord():
+    """rerecord(out, name) records artifact `name` in out/run.json as its
+    producer's last write, made from the files now in out, as if the
+    producer had written its current bytes. A test that hand-edits an
+    artifact reaches the reader behind the manifest this way."""
+
+    def rerecord_(out, name):
+        def sha256(read):
+            return hashlib.sha256((out / read).read_bytes()).hexdigest()
+
+        manifest = json.loads((out / cli.MANIFEST).read_text())
+        producer = next(stage for stage, (_, _, writes) in cli.STAGES.items() if name in writes)
+        entry = manifest.setdefault(producer, {"writes": {}})
+        entry["reads"] = {read: sha256(read) for read in cli.STAGES[producer][1]}
+        entry["writes"][name] = sha256(name)
+        (out / cli.MANIFEST).write_text(json.dumps(manifest))
+
+    return rerecord_
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,8 @@
 
 Everything here recomputes expected values by brute force (central finite
 differences, plain-Python counting loops, per-row CSV writers and a per-cell
-CSV reader) without touching the gradient, metric or I/O code paths under
-test.
+CSV reader, np.loadtxt for a table's text copy) without touching the
+gradient, metric or I/O code paths under test.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 
 import numpy as np
 
+from siamtab.data import table_sidecar
 from siamtab.nn import LayerSpec, NetworkSpec, ParamSet
 
 FD_H = 1e-5
@@ -184,6 +185,16 @@ def save_table_csv_rows(ft, path, label_name="label"):
             row = [repr(float(v)) for v in ft.features[i]]
             row.append(str(int(ft.labels[i])))
             fh.write(",".join(row) + "\n")
+
+
+def assert_text_copy_is_the_grid(path):
+    """np.loadtxt of a table's CSV gives its sidecar's grid bit for bit."""
+    with np.load(table_sidecar(path), allow_pickle=False) as npz:
+        assert npz.files == ["grid"]
+        grid = npz["grid"]
+    text = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert text.shape == grid.shape
+    assert np.array_equal(text.view(np.int64), grid.view(np.int64))
 
 
 def load_csv_cells(path, schema) -> np.ndarray:

@@ -1,13 +1,12 @@
 import csv
-import hashlib
 import io
+import re
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
 
-from oracles import load_csv_cells, save_table_csv_rows
+from oracles import assert_text_copy_is_the_grid, load_csv_cells, save_table_csv_rows
 from siamtab import data
 from siamtab.data import (
     CONTINUOUS,
@@ -462,52 +461,6 @@ class TestCsvRoundTrips:
             assert np.array_equal(back.features.view(np.int64), features.view(np.int64))
             assert np.array_equal(back.labels, labels)
 
-    def test_table_read_matches_the_raw_reader_bitwise(self, tmp_path):
-        rng = np.random.default_rng(4)
-        features = rng.normal(size=(300, 4))
-        features[0] = [-0.0, 5e-324, 1e308, 0.1 + 0.2]
-        features[1] = [1 / 3, -1e-300, 2.0**52 + 1, 123456789.12345678]
-        ft = FeatureTable(features, rng.integers(0, 2, 300), synthetic_schema(4)[:-1])
-        path = tmp_path / "t.csv"
-        save_table_csv(ft, path)
-        # hand-written rows too: spaces, exponents, signs and CRLF
-        with open(path, "a", newline="") as fh:
-            fh.write(" 1e5 ,-0.0,+2.5,0.30000000000000004,1\r\n7,-1E-3,0,1e-320,0.0\n")
-        got = load_table_csv(path, synthetic_schema(4))
-        want = to_features(load_csv(path, synthetic_schema(4)))
-        assert got.features.shape == (302, 4)
-        assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
-        assert np.array_equal(got.labels, want.labels)
-        assert [c.name for c in got.schema] == [c.name for c in want.schema]
-
-    @pytest.mark.parametrize(
-        "body,message",
-        [
-            ("1,0,1\n2,x,0\n", "line 3: malformed table row: non-numeric value 'x' in column 'b'"),
-            ("1,0,1\n2,0\n", "line 3: malformed table row: expected 3 cells per row, got 2"),
-            ("1,0\n2,0\n", "line 2: malformed table row: expected 3 cells per row, got 2"),
-            ("1,0,1\n\n2,,0\n", "line 4: malformed table row: non-numeric value '' in column 'b'"),
-            ("1,0,1\n\n2,0,1,5\n", "line 4: malformed table row: expected 3 cells per row, got 4"),
-            ("1,0,1\n1_5,0,1\n", "line 3: malformed table row: non-numeric value '1_5' in column 'a'"),
-            ("1,0,1\n\n2,inf,0\n", "line 4: non-finite value inf in column 'b'"),
-            ("1,0,1\nnan,0,1\n", "line 3: non-finite value nan in column 'a'"),
-            ("1,0,1\n2,0,nan\n", "line 3: non-finite value nan in column 'y'"),
-            ("1,0,1\n\n2,0,2\n", "line 4: label must be 0 or 1, got 2.0"),
-            ("   \n", "line 2: malformed table row: expected 3 cells per row, got 1"),
-        ],
-    )
-    def test_table_faults_name_file_and_line(self, tmp_path, body, message):
-        path = write(tmp_path, "a,b,y\n" + body)
-        with pytest.raises(ValueError) as err:
-            load_table_csv(path, SCHEMA3)
-        assert str(err.value) == f"{path}: {message}"
-
-    def test_table_header_and_empty_body_checked(self, tmp_path):
-        with pytest.raises(ValueError, match="not a table file"):
-            load_table_csv(write(tmp_path, "a,c,y\n1,0,1\n"), SCHEMA3)
-        with pytest.raises(ValueError, match="empty table"):
-            load_table_csv(write(tmp_path, "a,b,y\n\n"), SCHEMA3)
-
     def test_header_only_table_bytes_match(self, tmp_path):
         ft = FeatureTable(np.empty((0, 2)), np.empty(0, dtype=np.int64))
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -539,166 +492,90 @@ def fixture_table(seed=3, n=23):
     return FeatureTable(features, rng.integers(0, 2, n), synthetic_schema(4)[:-1])
 
 
-def load_cached(monkeypatch, path, schema):
-    """load_table_csv with the CSV parse switched off, so only the sidecar can serve it."""
-
-    def no_parse(*args, **kwargs):
-        raise AssertionError("the table was parsed from its CSV")
-
-    with monkeypatch.context() as m:
-        m.setattr(data, "read_grid_csv", no_parse)
-        return load_table_csv(path, schema)
-
-
-def load_parsed(path, schema):
-    """load_table_csv with no sidecar beside the table."""
-    data.table_sidecar(path).unlink(missing_ok=True)
-    return load_table_csv(path, schema)
-
-
-def assert_same_table(got, want):
-    assert np.array_equal(got.features.view(np.int64), want.features.view(np.int64))
-    assert got.labels.dtype == want.labels.dtype and np.array_equal(got.labels, want.labels)
-    assert got.schema == want.schema
-
-
-def file_digest(path):
-    return np.array(hashlib.sha256(path.read_bytes()).hexdigest())
-
-
 def npy_bytes(array):
     buf = io.BytesIO()
     np.save(buf, array)
     return buf.getvalue()
 
 
-# Ways a sidecar can be unusable: (sidecar path, the table's grid, the CSV's
-# sha256) -> None. Each must leave the reader on the CSV, without a word.
+# Ways a sidecar can be unreadable: (sidecar path, the table's grid) -> None
 SIDECAR_DAMAGE = {
-    "missing": lambda side, grid, digest: side.unlink(),
-    "truncated": lambda side, grid, digest: side.write_bytes(side.read_bytes()[:-200]),
-    "not a zip": lambda side, grid, digest: side.write_bytes(b"not a zip archive\n"),
-    "an npy file": lambda side, grid, digest: side.write_bytes(npy_bytes(grid)),
-    "wrong width": lambda side, grid, digest: np.savez(side, grid=grid[:, 1:], csv_sha256=digest),
-    "float32": lambda side, grid, digest: np.savez(
-        side, grid=np.zeros(grid.shape, np.float32), csv_sha256=digest
-    ),
-    "pickled objects": lambda side, grid, digest: np.savez(
-        side, grid=grid.astype(object), csv_sha256=digest
-    ),
-    "no hash": lambda side, grid, digest: np.savez(side, grid=grid),
-    # a stale copy, or one of another table: its grid differs, and so does its hash
-    "another table's": lambda side, grid, digest: np.savez(
-        side, grid=grid + 1.0, csv_sha256=np.array(hashlib.sha256(b"other").hexdigest())
-    ),
+    "truncated": lambda side, grid: side.write_bytes(side.read_bytes()[:-200]),
+    "not a zip": lambda side, grid: side.write_bytes(b"not a zip archive\n"),
+    "an npy file": lambda side, grid: side.write_bytes(npy_bytes(grid)),
+    "pickled objects": lambda side, grid: np.savez(side, grid=grid.astype(object)),
+    "no grid": lambda side, grid: np.savez(side, table=grid),
 }
 
 
 class TestTableSidecar:
-    def test_cached_and_parsed_tables_are_bitwise_equal(self, tmp_path, monkeypatch):
+    def test_sidecar_is_the_grid_and_the_csv_its_text_copy(self, tmp_path):
         ft = fixture_table()
         path = tmp_path / "t.csv"
         save_table_csv(ft, path)
+        assert_text_copy_is_the_grid(path)
         with np.load(tmp_path / "t.npz", allow_pickle=False) as npz:
-            assert sorted(npz.files) == ["csv_sha256", "grid"]
-            assert npz["csv_sha256"] == file_digest(path)
             grid = npz["grid"]
         assert grid.dtype == np.float64 and grid.shape == (23, 5)
         assert np.array_equal(grid[:, :4].view(np.int64), ft.features.view(np.int64))
         assert np.array_equal(grid[:, 4], ft.labels)
-        cached = load_cached(monkeypatch, path, synthetic_schema(4))
-        digest = str(file_digest(path))
-        assert cached.csv_sha256 == digest
-        parsed = load_parsed(path, synthetic_schema(4))
-        assert_same_table(cached, parsed)
-        assert parsed.csv_sha256 == digest
-        assert np.array_equal(cached.features.view(np.int64), ft.features.view(np.int64))
+        got = load_table_csv(path, synthetic_schema(4))
+        assert np.array_equal(got.features.view(np.int64), ft.features.view(np.int64))
+        assert np.array_equal(got.labels, ft.labels) and got.schema == ft.schema
 
-    def test_label_column_not_last_in_file_order(self, tmp_path, monkeypatch):
-        # the sidecar's grid is in file order, as the CSV parse returns it
-        path = write(tmp_path, "a,y,b\n-0.0,1,5e-324\n1e308,0,0.30000000000000004\n"
-                     "4503599627370497.0,1,-1e-300\n")
+    def test_label_column_not_last_in_file_order(self, tmp_path):
+        # the sidecar's grid is in file order, as the CSV holds it
+        path = tmp_path / "t.csv"
         grid = np.array([[-0.0, 1, 5e-324], [1e308, 0, 0.1 + 0.2], [2.0**52 + 1, 1, -1e-300]])
-        np.savez(data.table_sidecar(path), grid=grid, csv_sha256=file_digest(path))
+        np.savez(data.table_sidecar(path), grid=grid)
         schema = [ColumnSpec("a", CONTINUOUS), ColumnSpec("y", NOMINAL, True), ColumnSpec("b", CONTINUOUS)]
-        cached = load_cached(monkeypatch, path, schema)
-        assert_same_table(cached, load_parsed(path, schema))
-        assert cached.labels.tolist() == [1, 0, 1]
-        assert [c.name for c in cached.schema] == ["a", "b"]
-        assert np.array_equal(cached.features.view(np.int64), grid[:, [0, 2]].view(np.int64))
+        got = load_table_csv(path, schema)
+        assert got.labels.tolist() == [1, 0, 1]
+        assert [c.name for c in got.schema] == ["a", "b"]
+        assert np.array_equal(got.features.view(np.int64), grid[:, [0, 2]].view(np.int64))
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            (np.zeros((3, 4)), "grid is float64 of shape (3, 4), expected float64 of 5 columns"),
+            (np.zeros(5), "grid is float64 of shape (5,), expected float64 of 5 columns"),
+            (np.zeros((3, 5), np.float32),
+             "grid is float32 of shape (3, 5), expected float64 of 5 columns"),
+            (np.zeros((0, 5)), "empty table"),
+            (np.where(np.eye(3, 5) == 1, np.inf, 0.0), "the table holds a non-finite value"),
+            (np.where(np.eye(3, 5) == 1, -np.inf, 0.0), "the table holds a non-finite value"),
+            (np.full((3, 5), np.nan), "the table holds a non-finite value"),
+            (np.hstack([np.zeros((3, 4)), [[0.0], [2.0], [1.0]]]), "a label is not 0 or 1"),
+            (np.hstack([np.zeros((3, 4)), [[0.0], [0.5], [1.0]]]), "a label is not 0 or 1"),
+        ],
+        ids=["wrong width", "1-D", "float32", "no rows", "inf", "-inf", "nan", "label 2", "label 0.5"],
+    )
+    def test_whole_grid_checks_name_the_sidecar(self, tmp_path, grid, message):
+        path = tmp_path / "t.csv"
+        np.savez(data.table_sidecar(path), grid=grid)
+        with pytest.raises(ValueError) as err:
+            load_table_csv(path, synthetic_schema(4))
+        assert str(err.value) == f"{data.table_sidecar(path)}: {message}"
 
     @pytest.mark.parametrize("damage", list(SIDECAR_DAMAGE))
-    def test_unusable_sidecar_falls_back_to_the_csv(self, tmp_path, damage):
+    def test_unreadable_sidecar_is_a_one_line_error_naming_it(self, tmp_path, damage):
+        # the CSV beside it is a text copy, never read in its place
         ft = fixture_table()
         path = tmp_path / "t.csv"
         save_table_csv(ft, path)
-        grid = np.column_stack([ft.features, ft.labels.astype(np.float64)])
-        SIDECAR_DAMAGE[damage](data.table_sidecar(path), grid, file_digest(path))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = load_table_csv(path, synthetic_schema(4))
-        assert got.csv_sha256 == str(file_digest(path))
-        assert_same_table(got, load_parsed(path, synthetic_schema(4)))
+        side = data.table_sidecar(path)
+        SIDECAR_DAMAGE[damage](side, np.column_stack([ft.features, ft.labels.astype(np.float64)]))
+        with pytest.raises(ValueError) as err:
+            load_table_csv(path, synthetic_schema(4))
+        assert str(err.value).startswith(f"{side}: not a readable table sidecar (")
+        assert "\n" not in str(err.value)
 
-    @pytest.mark.parametrize(
-        "cell,value,message",
-        [
-            ((3, 4), 2, "line 5: label must be 0 or 1, got 2.0"),
-            ((2, 1), np.inf, "line 4: non-finite value inf in column 'f01'"),
-            ((5, 0), -np.inf, "line 7: non-finite value -inf in column 'f00'"),
-            ((6, 3), np.nan, "line 8: non-finite value nan in column 'f03'"),
-        ],
-    )
-    def test_saved_fault_fails_alike_on_both_paths(self, tmp_path, monkeypatch, cell, value, message):
-        ft = fixture_table()
-        i, j = cell
-        if j == ft.d:
-            ft.labels[i] = value
-        else:
-            ft.features[i, j] = value
-        path = tmp_path / "t.csv"
-        save_table_csv(ft, path)  # the sidecar's hash matches this CSV
-        with pytest.raises(ValueError) as cached:
-            load_cached(monkeypatch, path, synthetic_schema(4))
-        with pytest.raises(ValueError) as parsed:
-            load_parsed(path, synthetic_schema(4))
-        assert str(cached.value) == str(parsed.value) == f"{path}: {message}"
-
-    @pytest.mark.parametrize(
-        "label_row,inf_row,message",
-        [
-            (1, 4, "line 3: label must be 0 or 1, got 2.0"),
-            (4, 1, "line 3: non-finite value inf in column 'f02'"),
-        ],
-    )
-    def test_first_bad_row_in_file_order_on_both_paths(
-        self, tmp_path, monkeypatch, label_row, inf_row, message
-    ):
-        ft = fixture_table()
-        ft.labels[label_row] = 2
-        ft.features[inf_row, 2] = np.inf
-        path = tmp_path / "t.csv"
-        save_table_csv(ft, path)
-        with pytest.raises(ValueError) as cached:
-            load_cached(monkeypatch, path, synthetic_schema(4))
-        with pytest.raises(ValueError) as parsed:
-            load_parsed(path, synthetic_schema(4))
-        assert str(cached.value) == str(parsed.value) == f"{path}: {message}"
-
-    def test_header_and_empty_body_checked_on_both_paths(self, tmp_path, monkeypatch):
+    def test_missing_sidecar_is_not_read_around(self, tmp_path):
         path = tmp_path / "t.csv"
         save_table_csv(fixture_table(), path)
-        renamed = [ColumnSpec(name, CONTINUOUS) for name in "abcd"] + [ColumnSpec("label", NOMINAL, True)]
-        with pytest.raises(ValueError) as cached:
-            load_cached(monkeypatch, path, renamed)
-        with pytest.raises(ValueError) as parsed:
-            load_parsed(path, renamed)
-        assert str(cached.value) == str(parsed.value)
-        assert "not a table file: expected header ['a', 'b', 'c', 'd', 'label']" in str(cached.value)
-        save_table_csv(FeatureTable(np.empty((0, 4)), np.empty(0, dtype=np.int64)), path)
-        for load in (partial(load_cached, monkeypatch), load_parsed):
-            with pytest.raises(ValueError, match="empty table"):
-                load(path, synthetic_schema(4))
+        data.table_sidecar(path).unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape(str(data.table_sidecar(path)))):
+            load_table_csv(path, synthetic_schema(4))
 
 
 class TestArtifactRows:
@@ -753,7 +630,7 @@ class TestReadGridCsv:
         with pytest.raises(ValueError) as err:
             read_grid_csv(path, ["left", "right", "part"], dtype, "test")
         assert str(err.value) == (
-            f"{path}: line 3: malformed test row: non-integer value '1.0' in column 'left'"
+            f"{path}: malformed test row: loadtxt(): Parsing an integer via a float is deprecated."
         )
 
     def test_structured_grid_checks_each_field_by_its_dtype(self, tmp_path):
@@ -764,10 +641,16 @@ class TestReadGridCsv:
         assert grid.shape == (2,)
         assert grid["index"].tolist() == [0, 1] and grid["part"].tolist() == ["any ce", ""]
         path.write_text("index,x,part\n0,0.5,a\n1,2_0,b\n")
-        with pytest.raises(ValueError, match=r"line 3: malformed test row: non-numeric value '2_0' in column 'x'"):
+        with pytest.raises(ValueError, match=r"^.*t\.csv: malformed test row: .*'2_0'"):
             read_grid_csv(path, names, dtype, "test")
         path.write_text("index,x,part\n0,0.5\n")
-        with pytest.raises(ValueError, match=r"line 2: malformed test row: expected 3 cells per row, got 2"):
+        with pytest.raises(ValueError, match=r"^.*t\.csv: malformed test row: "):
             read_grid_csv(path, names, dtype, "test")
         path.write_text("index,x,part\n\n")
         assert read_grid_csv(path, names, dtype, "test").shape == (0,)
+
+    @pytest.mark.parametrize("body", ["1,2\n3,4\n", "1,2,3\n4,5\n", "1,2,3\n   \n"])
+    def test_rows_of_another_width_are_one_line_errors(self, tmp_path, body):
+        path = write(tmp_path, "a,b,c\n" + body)
+        with pytest.raises(ValueError, match=r"^.*t\.csv: malformed test row: "):
+            read_grid_csv(path, ["a", "b", "c"], np.float64, "test")

@@ -839,11 +839,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="no array w1"):
             load_checkpoint(path)
 
-    def test_version_checked(self, tmp_path):
+    @pytest.mark.parametrize("version", ["99", "true", "1.0", '"1"', "null"])
+    def test_version_checked(self, tmp_path, version):
+        # only the JSON integer 1: a true or 1.0 equals it
         path = tmp_path / "bad.npz"
-        np.savez(path, meta=np.array('{"version": 99, "layers": [], "extra": {}}'))
-        with pytest.raises(ValueError, match="version"):
+        np.savez(path, meta=np.array(f'{{"version": {version}, "layers": [], "extra": {{}}}}'))
+        with pytest.raises(ValueError) as err:
             load_checkpoint(path)
+        assert str(err.value) == f"{path}: unsupported checkpoint version {version}"
 
     @pytest.mark.parametrize(
         "damage,fault",
