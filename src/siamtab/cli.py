@@ -23,6 +23,7 @@ stage stops with one line naming the stage to re-run.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import functools
 import hashlib
 import json
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import data as dt
 from . import pairs as pr
-from .nn import load_checkpoint, require_positive, save_checkpoint
+from .nn import CheckpointVersionError, load_checkpoint, require_positive, save_checkpoint
 from .siamese import ReferenceBank, SiameseModel, build_reference_bank
 from .train import (
     base_config,
@@ -336,13 +337,17 @@ def _write_report(cfg: RunConfig, which: str, lines: list[str], kv: dict[str, st
 
 def _load_model(cfg: RunConfig, which: str, ft: dt.FeatureTable):
     """Load `<which>_model.npz` as (spec, params, extra, bank), refusing
-    first a network that does not take ft's feature columns, then a
-    checkpoint of the other kind, and last one without an entry that eval
-    reads, whose seed is not a finite number or whose margin or pair
-    threshold is not a finite positive one. The bank is a siamese
-    checkpoint's reference bank, None for base."""
+    first a checkpoint of another version (version 1 named no dtype) with
+    the stage that rewrites it, then a network that does not take ft's
+    feature columns, then a checkpoint of the other kind, and last one
+    without an entry that eval reads, whose seed is not a finite number or
+    whose margin or pair threshold is not a finite positive one. The bank
+    is a siamese checkpoint's reference bank, None for base."""
     path = cfg.out / f"{which}_model.npz"
-    spec, params, extra, arrays = load_checkpoint(path)
+    try:
+        spec, params, extra, arrays = load_checkpoint(path)
+    except CheckpointVersionError as exc:
+        raise ValueError(f"{exc}; re-run siamtab train {which}") from None
     if spec.in_size != ft.d:
         raise ValueError(
             f"{path}: network takes {spec.in_size} inputs, the table has {ft.d} feature "
@@ -477,6 +482,7 @@ STAGES = {
     ),
 }
 MANIFEST = "run.json"
+MANIFEST_LOCK = "run.json.lock"  # held while a stage records itself
 
 
 def _sha256(path: Path) -> str:
@@ -508,7 +514,8 @@ def run_stage(name: str, cfg: RunConfig) -> int:
     cut file, a producer that failed midway), and the producer's recorded
     reads must match this stage's reads where both read a file. Only
     `prepare`, which reads no artifact, runs without a run.json, and starts
-    one. Once the stage returns 0, its entry is replaced, atomically.
+    one. Once the stage returns 0, its entry is replaced (_record); the checks
+    before it read the manifest without the lock.
     """
     func, reads, writes = STAGES[name]
 
@@ -541,11 +548,23 @@ def run_stage(name: str, cfg: RunConfig) -> int:
                 )
     code = func(cfg, *name.split()[1:])
     if code == 0:
-        manifest[name] = {"reads": digests, "writes": {w: _sha256(cfg.out / w) for w in writes}}
-        tmp = cfg.out / f"{MANIFEST}.tmp"
-        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-        os.replace(tmp, cfg.out / MANIFEST)
+        _record(cfg.out, name, digests, {w: _sha256(cfg.out / w) for w in writes})
     return code
+
+
+def _record(out: Path, name: str, reads: dict[str, str], writes: dict[str, str]):
+    """Set stage `name`'s entry in run.json, keeping every other entry as
+    the file holds it now: another stage may have recorded itself while
+    this one ran. Under an exclusive flock on run.json.lock, the manifest is
+    read again, then written to this process's own temp file and moved into
+    place with os.replace."""
+    with open(out / MANIFEST_LOCK, "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        manifest = _read_manifest(out) or {}
+        manifest[name] = {"reads": reads, "writes": writes}
+        tmp = out / f"{MANIFEST}.{os.getpid()}.tmp"
+        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        os.replace(tmp, out / MANIFEST)
 
 
 @functools.cache

@@ -1,6 +1,13 @@
 """Minimal dense-network engine: init, forward/backward, losses, optimizers.
 
-Everything runs in float64 and is deterministic given the seeds that feed it.
+A ParamSet carries its dtype, and every kernel computes in it: forward,
+infer, backward, the pair distances and both optimizer steps cast their
+inputs to params.flat.dtype (the distance kernels to their tables' dtype).
+The pair trainer builds float32 parameters, as the paper's Keras models
+compute in float32; the baseline trainer and the gradient oracles build
+float64 ones. A checkpoint keeps its parameters' dtype. The losses compute in
+float64 whatever their inputs, and so do the activity penalty and every
+value reported. Everything is deterministic given the seeds that feed it.
 Layer order is linear -> dropout -> activation, mirroring the layer listings
 the two model configurations use (dropout sits between the dense output and
 its activation; for ReLU layers this is interchangeable with post-activation
@@ -83,18 +90,20 @@ class NetworkSpec:
 class ParamSet:
     """Per-layer weight matrices and bias vectors over one flat buffer.
 
-    The constructor copies its arrays into `flat`, a contiguous float64
-    buffer laid out weights first then biases, in layer order; `weights` and
-    `biases` are views into it. Whole-store operations (zeros and the
+    The constructor copies its arrays into `flat`, a contiguous buffer of
+    `dtype` laid out weights first then biases, in layer order; `weights`
+    and `biases` are views into it. Whole-store operations (zeros and the
     optimizer updates) therefore act on one array. The same container
     holds gradients and optimizer moment buffers, which share these shapes
-    by construction.
+    and the dtype by construction; the engine computes in that dtype.
     """
 
-    def __init__(self, weights, biases):
-        arrays = [np.asarray(a, dtype=np.float64) for a in (*weights, *biases)]
+    def __init__(self, weights, biases, dtype=np.float64):
+        arrays = [np.asarray(a, dtype=dtype) for a in (*weights, *biases)]
         self._bind(
-            np.empty(sum(a.size for a in arrays)), [a.shape for a in arrays], len(weights)
+            np.empty(sum(a.size for a in arrays), dtype),
+            [a.shape for a in arrays],
+            len(weights),
         )
         for view, a in zip(self.arrays(), arrays):
             view[...] = a
@@ -131,24 +140,27 @@ class ParamSet:
         return self.weights + self.biases
 
 
-def init_params(spec: NetworkSpec, seed: int) -> ParamSet:
+def init_params(spec: NetworkSpec, seed: int, dtype=np.float64) -> ParamSet:
     """Glorot-uniform weights, W ~ U(-L, L) with L = sqrt(6/(fan_in+fan_out));
-    zero biases. Deterministic per seed."""
+    zero biases. Deterministic per seed: the draws are float64 whatever the
+    dtype, and a float32 set holds them rounded."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for layer in spec.layers:
         limit = np.sqrt(6.0 / (layer.in_size + layer.out_size))
         weights.append(rng.uniform(-limit, limit, size=(layer.out_size, layer.in_size)))
         biases.append(np.zeros(layer.out_size))
-    return ParamSet(weights, biases)
+    return ParamSet(weights, biases, dtype)
 
 
-# Most rows per piece of split inference: each (rows, 256) float64 layer
-# temporary stays at 512 KB. A batch of more rows splits into pieces of at
-# least half as many: OpenBLAS computes a GEMM of a few rows on another path,
-# which rounds differently.
+# Most rows per piece of split inference: each (rows, 256) layer temporary
+# stays at 256 KB in float32 (512 KB in float64). A batch of more rows splits
+# into pieces of at least half as many: OpenBLAS computes a GEMM of a few rows
+# on another path, which rounds differently.
 INFER_PIECE_ROWS = 256
-DIST_BLOCK_ROWS = 256  # pairs per row_distances block: two (256, 256) buffers, half a 2 MB L2
+# Pairs per row_distances block: two (256, 256) buffers, 256 KB each in
+# float32.
+DIST_BLOCK_ROWS = 256
 
 
 def _usable_cores() -> int:
@@ -259,8 +271,9 @@ def infer_rows(params: ParamSet, x: np.ndarray, outs: list[np.ndarray]) -> None:
         h = z
 
 
-def _input_batch(spec: NetworkSpec, x) -> np.ndarray:
-    h = np.asarray(x, dtype=np.float64)
+def _input_batch(spec: NetworkSpec, params: ParamSet, x) -> np.ndarray:
+    """x as an (n, in_size) batch in the parameters' dtype, all finite."""
+    h = np.asarray(x, dtype=params.flat.dtype)
     if h.ndim != 2 or h.shape[1] != spec.in_size:
         raise ValueError(f"input shape {h.shape} is not (n, {spec.in_size})")
     if not np.isfinite(h).all():
@@ -279,12 +292,14 @@ def forward(
     backward needs.
 
     In train mode dropout is inverted: surviving units scale by 1/(1-rate),
-    so inference applies no correction. The trace accumulates the activity
-    penalty sum(l2 * a^2) over regularized layers and the whole batch.
+    so inference applies no correction; each mask is drawn in the
+    parameters' dtype. The trace accumulates the activity penalty
+    sum(l2 * a^2) over regularized layers and the whole batch, summed in
+    float64.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    h = _input_batch(spec, x)
+    h = _input_batch(spec, params, x)
     if mode == "train" and rng is None and any(l.dropout_rate > 0 for l in spec.layers):
         raise ValueError("train mode with dropout requires an rng")
 
@@ -297,7 +312,7 @@ def forward(
         trace.inputs.append(h)
         if mode == "train" and layer.dropout_rate > 0.0:
             keep = 1.0 - layer.dropout_rate
-            mask = (rng.random(z.shape) < keep) / keep
+            mask = np.divide(rng.random(z.shape, dtype=z.dtype) < keep, keep, dtype=z.dtype)
             z *= mask
             trace.masks.append(mask)
         else:
@@ -306,7 +321,7 @@ def forward(
         trace.outputs.append(h)
     for layer, a in zip(spec.layers, trace.outputs):
         if layer.activity_l2 > 0.0:
-            trace.penalty += layer.activity_l2 * float(np.sum(a * a))
+            trace.penalty += layer.activity_l2 * float(np.sum(a * a, dtype=np.float64))
     return h, trace
 
 
@@ -322,13 +337,13 @@ def infer(params: ParamSet, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     sigmoid head, a GEMV that rounds differently in row blocks) are computed
     whole on the calling thread, as in forward.
     """
-    h = x = _input_batch(spec, x)
+    h = x = _input_batch(spec, params, x)
     split = 0
     while split < len(spec.layers) and spec.layers[split].activation == "relu":
         split += 1
     if split:
         run, n = spec.layers[:split], len(x)
-        out = np.empty((n, run[-1].out_size))
+        out = np.empty((n, run[-1].out_size), x.dtype)
         rows = min(n, INFER_PIECE_ROWS)
 
         def piece(start: int, stop: int, temps: list[np.ndarray]):
@@ -336,7 +351,10 @@ def infer(params: ParamSet, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
             infer_rows(params, x[start:stop], views)
 
         over_rows(
-            n, piece, INFER_PIECE_ROWS, lambda: [np.empty((rows, l.out_size)) for l in run[:-1]]
+            n,
+            piece,
+            INFER_PIECE_ROWS,
+            lambda: [np.empty((rows, l.out_size), x.dtype) for l in run[:-1]],
         )
         h = out
     for k, layer in enumerate(spec.layers[split:], split):
@@ -355,10 +373,11 @@ def backward(
     """Backpropagate grad_out (d loss / d output) through a traced forward to
     the parameter gradients, those of caller_loss(output) + trace.penalty:
     the activity-penalty gradient 2*l2*a is injected at each regularized
-    activation. No gradient w.r.t. the network input is formed."""
+    activation. No gradient w.r.t. the network input is formed. grad_out is
+    cast to the parameters' dtype."""
     if len(trace) != len(spec.layers):
         raise ValueError("trace depth does not match the network spec")
-    g = np.asarray(grad_out, dtype=np.float64)
+    g = np.asarray(grad_out, dtype=params.flat.dtype)
     if g.shape != trace.outputs[-1].shape:
         raise ValueError(
             f"grad_out shape {g.shape} != output shape {trace.outputs[-1].shape}"
@@ -431,14 +450,17 @@ def floored_sqrt(sq_norms: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 
 def row_distances(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """Floored euclidean distance from a[ia[i]] to b[ib[i]] for each i, for
-    (rows, emb) tables a and b; np.take clips every index, it checks none.
+    (rows, emb) tables a and b, in their common dtype; np.take clips every
+    index, it checks none.
 
     Blocks of at most DIST_BLOCK_ROWS pairs go over_rows: both members are
     gathered into the thread's buffer pair, differenced and squared in place
     and summed into the result, which is floored and rooted last.
     """
+    dtype = np.result_type(a, b)
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     n = len(ia)
-    out, rows = np.empty(n), min(n, DIST_BLOCK_ROWS)
+    out, rows = np.empty(n, dtype), min(n, DIST_BLOCK_ROWS)
 
     def block(start: int, stop: int, pair: np.ndarray):
         x, y = pair[0, : stop - start], pair[1, : stop - start]
@@ -451,7 +473,7 @@ def row_distances(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) 
         # per block between the threads
         np.add.reduce(x, axis=-1, out=out[start:stop])
 
-    over_rows(n, block, DIST_BLOCK_ROWS, lambda: np.empty((2, rows, a.shape[1])))
+    over_rows(n, block, DIST_BLOCK_ROWS, lambda: np.empty((2, rows, a.shape[1]), dtype))
     return floored_sqrt(out, out=out)
 
 
@@ -459,11 +481,13 @@ def euclidean_distance(e1: np.ndarray, e2: np.ndarray):
     """Floored euclidean distance d and g = d d / d e1; d d / d e2 is -g.
 
     d = sqrt(max(sum((e1-e2)^2), 1e-12)); the floor keeps g = (e1-e2)/d
-    finite when the embeddings coincide. Takes two (n, emb) row batches; d
-    is (n,) and g comes back row-aligned.
+    finite when the embeddings coincide. Takes two (n, emb) row batches,
+    computed in their common float dtype; d is (n,) and g comes back
+    row-aligned.
     """
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
+    e1, e2 = np.asarray(e1), np.asarray(e2)
+    dtype = np.result_type(e1, e2, np.float32)
+    e1, e2 = e1.astype(dtype, copy=False), e2.astype(dtype, copy=False)
     if e1.ndim != 2 or e1.shape != e2.shape:
         raise ValueError(
             f"embedding shapes {e1.shape} and {e2.shape} are not two equal (n, emb) batches"
@@ -496,9 +520,13 @@ RMSPROP_RHO = 0.9
 OPT_EPS = 1e-8
 
 
-def _check_step(params: ParamSet, grads: ParamSet):
+def _step_inputs(params: ParamSet, grads: ParamSet, lr: float):
+    """The gradient store in the parameters' dtype, and lr as a Python float
+    (a numpy float64 scalar would make a float32 update compute in float64
+    under NEP 50)."""
     if grads.shapes != params.shapes:
         raise ValueError(f"gradient shapes {grads.shapes} != parameter shapes {params.shapes}")
+    return grads.flat.astype(params.flat.dtype, copy=False), float(lr)
 
 
 def adam_step(
@@ -510,16 +538,16 @@ def adam_step(
     The in-place sequence performs the same float operations, in the same
     order, as m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
     p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), so results are bitwise those of
-    the plain expressions.
+    the plain expressions, in the parameters' dtype.
     """
-    _check_step(params, grads)
+    g, lr = _step_inputs(params, grads, lr)
     if state.m is None:
         state.m = ParamSet.zeros_like(params)
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    p, m, v = params.flat, state.m.flat, state.v.flat
     s1, s2 = state.scratch
     m *= ADAM_BETA1
     np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
@@ -543,10 +571,10 @@ def rmsprop_step(
 ) -> tuple[ParamSet, OptimizerState]:
     """One RMSProp update: cache = rho*cache + ((1-rho)*g)*g, then
     p -= (lr*g) / (sqrt(cache) + eps). In place, bitwise equal to those
-    expressions."""
-    _check_step(params, grads)
+    expressions, in the parameters' dtype."""
+    g, lr = _step_inputs(params, grads, lr)
     state.step_count += 1
-    p, g, v = params.flat, grads.flat, state.v.flat
+    p, v = params.flat, state.v.flat
     s1, s2 = state.scratch
     v *= RMSPROP_RHO
     np.multiply(g, 1.0 - RMSPROP_RHO, out=s1)
@@ -560,7 +588,12 @@ def rmsprop_step(
     return params, state
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 held float64 weights and named no dtype
+CHECKPOINT_DTYPES = ("float32", "float64")  # what meta["dtype"] may name
+
+
+class CheckpointVersionError(ValueError):
+    """A checkpoint of a version this engine does not read."""
 
 
 def save_checkpoint(
@@ -571,12 +604,18 @@ def save_checkpoint(
     arrays: dict[str, np.ndarray] | None = None,
 ):
     """Write spec + parameters (+ optional scalars and named arrays) to .npz.
+    Parameters keep their dtype, float32 or float64; another is refused.
 
-    The meta entry is a JSON string: version tag, layer dimensions and layer
-    options, plus the caller's extra scalars.
+    The meta entry is a JSON string: version tag, the parameters' dtype,
+    layer dimensions and layer options, plus the caller's extra scalars.
     """
+    if params.flat.dtype.name not in CHECKPOINT_DTYPES:
+        raise ValueError(
+            f"checkpoint parameters must be float32 or float64, got {params.flat.dtype}"
+        )
     meta = {
         "version": CHECKPOINT_VERSION,
+        "dtype": params.flat.dtype.name,
         "layers": [
             {
                 "in_size": l.in_size,
@@ -603,19 +642,23 @@ def load_checkpoint(path: str | Path):
 
     A file that is no zip archive, an entry numpy cannot read (a pickled
     object array, say), a meta entry that is not the JSON save_checkpoint
-    writes, a layer spec the engine refuses, or any other array that is not
-    float64 is a ValueError naming the file.
+    writes, a dtype other than float32 or float64, a layer spec the engine
+    refuses, a weight or bias not of that dtype, or any other array that is
+    not float64 is a ValueError naming the file. A version other than
+    CHECKPOINT_VERSION is a CheckpointVersionError, a ValueError too.
     """
 
-    def read(data, name: str) -> np.ndarray:
+    def read(data, name: str, dtype=np.float64) -> np.ndarray:
         try:
             entry = data[name]
         except ValueError as exc:  # numpy's own, raised while reading the entry
             raise ValueError(f"{path}: not a readable checkpoint (ValueError: {exc})") from None
-        if name != "meta" and entry.dtype != np.float64:
+        if name != "meta" and entry.dtype != dtype:
             # ParamSet and ReferenceBank would cast it: a complex value would
             # lose its imaginary part, a numeric string be parsed
-            raise ValueError(f"{path}: array {name} has dtype {entry.dtype}, expected float64")
+            raise ValueError(
+                f"{path}: array {name} has dtype {entry.dtype}, expected {np.dtype(dtype)}"
+            )
         return entry
 
     try:
@@ -626,9 +669,16 @@ def load_checkpoint(path: str | Path):
             version = meta.get("version")
             # type(), not ==: a JSON true or 1.0 equals 1
             if type(version) is not int or version != CHECKPOINT_VERSION:
-                raise ValueError(f"{path}: unsupported checkpoint version {json.dumps(version)}")
+                raise CheckpointVersionError(
+                    f"{path}: unsupported checkpoint version {json.dumps(version)}"
+                )
             if not isinstance(meta["extra"], dict):
                 raise ValueError(f"{path}: checkpoint extra is not a JSON object")
+            dtype = meta["dtype"]
+            if dtype not in CHECKPOINT_DTYPES:
+                raise ValueError(
+                    f"{path}: checkpoint dtype {json.dumps(dtype)} is not float32 or float64"
+                )
             try:
                 layers = tuple(
                     LayerSpec(
@@ -646,7 +696,7 @@ def load_checkpoint(path: str | Path):
             for name, shape in expected.items():
                 if name not in data.files:
                     raise ValueError(f"{path}: checkpoint has no array {name}")
-                stored[name] = read(data, name)
+                stored[name] = read(data, name, dtype)
                 if stored[name].shape != shape:
                     raise ValueError(
                         f"{path}: array {name} has shape {stored[name].shape}, "
@@ -664,7 +714,9 @@ def load_checkpoint(path: str | Path):
         fault = f"{type(exc).__name__}: {exc}"
         raise ValueError(f"{path}: not a readable checkpoint ({fault})") from None
     n = len(layers)
-    params = ParamSet([stored[f"w{k}"] for k in range(n)], [stored[f"b{k}"] for k in range(n)])
+    params = ParamSet(
+        [stored[f"w{k}"] for k in range(n)], [stored[f"b{k}"] for k in range(n)], dtype
+    )
     if not np.isfinite(params.flat).all():
         raise ValueError(f"{path}: checkpoint contains non-finite parameters")
     return spec, params, meta["extra"], arrays

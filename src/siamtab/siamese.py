@@ -79,9 +79,10 @@ def pair_forward(
     """Embed both pair members with one pass over the stacked batch [a; b]
     and return their distance plus a PairTrace. In train mode every row of
     the stack draws its own dropout mask, so the branches' masks are
-    independent."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    independent. Both members are cast to the parameters' dtype."""
+    dtype = model.params.flat.dtype
+    a = np.asarray(a, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
     if a.ndim != 2 or a.shape != b.shape:
         raise ValueError(
             f"pair member shapes {a.shape} and {b.shape} are not two equal (n, d) batches"
@@ -97,8 +98,8 @@ def pair_backward(model: SiameseModel, pair_trace: PairTrace, dloss_dd) -> Param
     backward pass. dloss_dd is d loss / d distance, one value per pair; the
     second members get -(s * g), which is s * -g bit for bit."""
     g = pair_trace.grad
-    grad_out = np.empty((2, *g.shape))  # the two halves of the stacked batch
-    np.multiply(np.asarray(dloss_dd, dtype=np.float64).reshape(-1, 1), g, out=grad_out[0])
+    grad_out = np.empty((2, *g.shape), g.dtype)  # the two halves of the stacked batch
+    np.multiply(np.asarray(dloss_dd, dtype=g.dtype).reshape(-1, 1), g, out=grad_out[0])
     np.negative(grad_out[0], out=grad_out[1])
     return backward(pair_trace.trace, model.params, model.spec, grad_out.reshape(-1, g.shape[1]))
 

@@ -258,12 +258,16 @@ def load_csv_cells(path, schema) -> np.ndarray:
 
 
 def _floored_norm(diff) -> np.ndarray:
-    return np.sqrt(np.maximum(np.sum(diff * diff, axis=-1), 1e-12))
+    # the floor in diff's dtype: numpy 1.x would take a bare 1e-12 against a
+    # float32 scalar in float64
+    return np.sqrt(np.maximum(np.sum(diff * diff, axis=-1), diff.dtype.type(1e-12)))
 
 
 def row_distances_per_pair(a, ia, b, ib) -> np.ndarray:
-    """Floored distance from a[ia[i]] to b[ib[i]], one pair at a time."""
-    return np.array([_floored_norm(a[i] - b[j]) for i, j in zip(ia, ib)])
+    """Floored distance from a[ia[i]] to b[ib[i]], one pair at a time, in the
+    tables' dtype."""
+    dtype = np.result_type(a, b)
+    return np.array([_floored_norm(a[i] - b[j]) for i, j in zip(ia, ib)], dtype=dtype)
 
 
 def _embed_whole(model, x) -> np.ndarray:

@@ -1,7 +1,9 @@
 import argparse
 import json
 import re
+import os
 import shutil
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -512,7 +514,7 @@ class TestEvalCmd:
     @pytest.mark.parametrize(
         "name,convert,message",
         [
-            ("b1", lambda b: b + 1j, "array b1 has dtype complex128, expected float64"),
+            ("b1", lambda b: b + 1j, "array b1 has dtype complex64, expected float32"),
             ("refs0", lambda r: r.astype(object),
              "not a readable checkpoint "
              "(ValueError: Object arrays cannot be loaded when allow_pickle=False)"),
@@ -534,6 +536,35 @@ class TestEvalCmd:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {path}: {message}"]
         assert not (out / "eval_siamese.txt").exists()
+
+    @pytest.mark.parametrize("which", ["base", "siamese"])
+    def test_version_1_checkpoint_names_the_stage_that_rewrites_it(
+        self, trained_run, tmp_path, capsys, rerecord, which
+    ):
+        # a float64 checkpoint of version 1, which named no dtype, recorded
+        # as its producer's write: the refusal comes from the checkpoint
+        # reader
+        out = copy_run(trained_run, tmp_path)
+        if which == "base":
+            assert run("train", "base", "--out", out, "--seed", 23, "--epochs", 1) == 0
+        path = out / f"{which}_model.npz"
+        with np.load(path) as data:
+            stored = dict(data)
+        meta = json.loads(str(stored.pop("meta")))
+        dtype = "float64" if which == "base" else "float32"
+        assert meta.pop("dtype") == dtype and stored["w0"].dtype == dtype
+        meta["version"] = 1
+        for name in stored:
+            if name[0] in "wb":
+                stored[name] = stored[name].astype(np.float64)
+        np.savez(path, meta=np.array(json.dumps(meta)), **stored)
+        rerecord(out, path.name)
+        capsys.readouterr()
+        assert run("eval", which, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: unsupported checkpoint version 1; re-run siamtab train {which}"
+        ]
+        assert not (out / f"eval_{which}.txt").exists()
 
     @pytest.mark.parametrize("entry", ["seed", "margin", "pair_threshold"])
     @pytest.mark.parametrize("value", ["1.0", float("nan"), True])
@@ -819,7 +850,7 @@ class TestStageTable:
         _, reads, writes = cli.STAGES[name]
         out = only_reads(full_run, tmp_path, name)
         assert run(*name.split(), *STAGE_FLAGS, "--out", out) == 0
-        made = {*reads, *writes, cli.MANIFEST}
+        made = {*reads, *writes, cli.MANIFEST, cli.MANIFEST_LOCK}
         assert sorted(p.name for p in out.iterdir()) == sorted(made)
         for write in (*writes, cli.MANIFEST):
             assert (out / write).read_bytes() == (full_run / write).read_bytes(), write
@@ -946,6 +977,33 @@ class TestRunManifest:
         assert capsys.readouterr().err.splitlines() == [
             stale(out, "siamese_model.npz", "train siamese")
         ]
+
+    def test_trainers_run_at_once_keep_both_entries(self, tmp_path):
+        # both trainers started together on one run directory: each records
+        # itself in the manifest as it is when it finishes, not as it was
+        # when it started
+        out = tmp_path / "run"
+        assert run("prepare", "--synthetic", "1600,10,0.2", "--out", out) == 0
+        counts = ("--pairs-diff", 4000, "--pairs-same0", 2000, "--pairs-same1", 2000)
+        assert run("pairs", "--out", out, *counts) == 0
+        paths = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        trainers = [
+            subprocess.Popen(
+                [sys.executable, "-m", "siamtab.cli", "train", which, "--out", str(out),
+                 "--epochs", str(epochs)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+            for which, epochs in (("base", 3), ("siamese", 2))
+        ]
+        for trainer in trainers:
+            _, err = trainer.communicate(timeout=600)
+            assert trainer.returncode == 0, err
+        stages = ["pairs", "prepare", "train base", "train siamese"]
+        assert sorted(json.loads((out / cli.MANIFEST).read_text())) == stages
+        assert not list(out.glob("*.tmp"))
+        assert run("eval", "base", "--out", out) == 0
+        assert run("eval", "siamese", "--out", out) == 0
 
     def test_manifest_bytes_are_the_same_across_same_seed_runs_and_core_counts(
         self, tmp_path, set_cores

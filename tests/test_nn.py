@@ -50,6 +50,7 @@ def scalar_params(w, b):
 
 
 LINEAR1 = NetworkSpec((LayerSpec(1, 1, "linear"),))
+DTYPES = [np.float64, np.float32]
 
 
 class TestSpecs:
@@ -236,12 +237,14 @@ def record(pieces):
 
 
 class TestRowDistances:
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 2500])
-    def test_match_the_per_pair_norm_bitwise(self, set_cores, n):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 2500])
+    def test_match_the_per_pair_norm_bitwise(self, set_cores, n, dtype):
         # two tables of different heights, indices repeated and in no order;
         # then a against itself, every third pair a self-pair at the floor
         rng = np.random.default_rng(n)
-        a, b = rng.normal(size=(100, 256)), rng.normal(size=(40, 256)) + 0.5
+        a = rng.normal(size=(100, 256)).astype(dtype)
+        b = (rng.normal(size=(40, 256)) + 0.5).astype(dtype)
         ia, ib = rng.integers(0, 100, n), rng.integers(0, 40, n)
         ja = rng.integers(0, 100, n)
         ja[::3] = ia[::3]
@@ -249,11 +252,13 @@ class TestRowDistances:
             assert len(np.unique(ia)) < n and (np.diff(ia) < 0).any()
         cases = [(a, ia, b, ib), (a, ia, a, ja)]
         wants = [row_distances_per_pair(*case) for case in cases]
-        assert (wants[1][::3] == np.sqrt(1e-12)).all()
+        assert (wants[1][::3] == np.sqrt(np.dtype(dtype).type(1e-12))).all()
         for cores in (1, 2, 3, 4):
             set_cores(cores)
             for case, want in zip(cases, wants):
-                assert np.array_equal(row_distances(*case), want)
+                got = row_distances(*case)
+                assert got.dtype == dtype
+                assert np.array_equal(got, want)
 
 
 class TestOverRows:
@@ -433,12 +438,14 @@ class TestOverRows:
 
 
 class TestInfer:
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("spec_of", [base_network_spec, siamese_network_spec])
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 848, 3392])
-    def test_matches_forward_bitwise_on_any_core_count(self, set_cores, spec_of, n):
-        # the base spec covers the sigmoid head after the ReLU run
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 848, 3392])
+    def test_matches_forward_bitwise_on_any_core_count(self, set_cores, spec_of, n, dtype):
+        # the base spec covers the sigmoid head after the ReLU run; a float64
+        # x is cast to the parameters' dtype by both
         spec = spec_of(15)
-        params = init_params(spec, seed=10)
+        params = init_params(spec, seed=10, dtype=dtype)
         x = np.random.default_rng(n).normal(size=(n, 15))
         x_before = x.copy()
         for cores in (1, 2, 3):
@@ -446,6 +453,7 @@ class TestInfer:
             want, _ = forward(params, spec, x)
             got = infer(params, spec, x)
             assert got.shape == (n, spec.out_size)
+            assert got.dtype == want.dtype == dtype
             assert np.array_equal(got, want)
         assert np.array_equal(x, x_before)
 
@@ -457,9 +465,10 @@ class TestInfer:
             ((3, 1, "linear"),),
         ],
     )
-    def test_any_layer_order_matches_forward(self, layers):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_any_layer_order_matches_forward(self, layers, dtype):
         spec = NetworkSpec(tuple(LayerSpec(*layer) for layer in layers))
-        params = init_params(spec, seed=11)
+        params = init_params(spec, seed=11, dtype=dtype)
         x = np.random.default_rng(12).normal(size=(600, 3))
         assert np.array_equal(infer(params, spec, x), forward(params, spec, x)[0])
 
@@ -716,16 +725,26 @@ def random_grads(params, rng):
     return ParamSet(
         [rng.normal(size=w.shape) for w in params.weights],
         [rng.normal(size=b.shape) for b in params.biases],
+        params.flat.dtype,
     )
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("lr_type", [float, np.float64])
 class TestFlatOptimizersMatchPerArrayReference:
     """The in-place flat updates must be bitwise the per-array expressions
     below, the form the optimizers had before the flat store: that is what
-    keeps fixed-seed base-model training byte-identical."""
+    keeps fixed-seed base-model training byte-identical. In float32 too,
+    where a numpy float64 lr must update as the Python float does: under
+    NEP 50 it would take the update through float64."""
 
-    def run(self, step, reference, lr=0.003, steps=6):
-        params = init_params(THREE_LAYERS, seed=50)
+    @pytest.fixture(autouse=True)
+    def setting(self, dtype, lr_type):
+        self.dtype, self.lr = dtype, lr_type(0.003)
+
+    def run(self, step, reference, steps=6):
+        lr = self.lr
+        params = init_params(THREE_LAYERS, seed=50, dtype=self.dtype)
         ref_p = [a.copy() for a in params.arrays()]
         ref_m = [np.zeros_like(a) for a in ref_p]
         ref_v = [np.zeros_like(a) for a in ref_p]
@@ -735,8 +754,11 @@ class TestFlatOptimizersMatchPerArrayReference:
             grads = random_grads(params, rng)
             step(params, grads, state, lr)
             for i, g in enumerate(grads.arrays()):
-                ref_p[i], ref_m[i], ref_v[i] = reference(ref_p[i], g, ref_m[i], ref_v[i], t, lr)
+                ref_p[i], ref_m[i], ref_v[i] = reference(
+                    ref_p[i], g, ref_m[i], ref_v[i], t, float(lr)
+                )
             for got, want in zip(params.arrays(), ref_p):
+                assert got.dtype == want.dtype == self.dtype
                 assert np.array_equal(got, want)
             for got, want in zip(state.v.arrays(), ref_v):
                 assert np.array_equal(got, want)
@@ -807,17 +829,19 @@ class TestRmsprop:
 
 
 class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_round_trip_bitwise(self, tmp_path, dtype):
         spec = NetworkSpec(
             (LayerSpec(3, 4, "relu", 0.2, 0.01), LayerSpec(4, 2, "sigmoid"))
         )
-        params = init_params(spec, seed=18)
+        params = init_params(spec, seed=18, dtype=dtype)
         extra = {"kind": "test", "margin": 1.0}
         arrays = {"refs0": np.random.default_rng(19).normal(size=(5, 3))}
         path = tmp_path / "model.npz"
         save_checkpoint(path, spec, params, extra, arrays)
         spec2, params2, extra2, arrays2 = load_checkpoint(path)
         assert spec2 == spec
+        assert params2.flat.dtype == dtype
         for a, b in zip(params.arrays(), params2.arrays()):
             assert np.array_equal(a, b)
         assert extra2 == extra
@@ -825,7 +849,7 @@ class TestCheckpoint:
 
     def test_array_shapes_checked_against_spec(self, tmp_path):
         spec = NetworkSpec((LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "linear")))
-        params = init_params(spec, seed=20)
+        params = init_params(spec, seed=20, dtype=np.float32)
         path = tmp_path / "model.npz"
         save_checkpoint(path, spec, params)
         with np.load(path) as data:
@@ -839,14 +863,38 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="no array w1"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", ["99", "true", "1.0", '"1"', "null"])
+    @pytest.mark.parametrize("version", ["1", "99", "true", "2.0", '"2"', "null"])
     def test_version_checked(self, tmp_path, version):
-        # only the JSON integer 1: a true or 1.0 equals it
+        # only the JSON integer 2: a 2.0 equals it; version 1 held float64
+        # weights and has no load path
         path = tmp_path / "bad.npz"
         np.savez(path, meta=np.array(f'{{"version": {version}, "layers": [], "extra": {{}}}}'))
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(nn.CheckpointVersionError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: unsupported checkpoint version {version}"
+
+    def test_parameters_of_another_dtype_are_not_saved(self, tmp_path):
+        spec = NetworkSpec((LayerSpec(3, 2, "relu"),))
+        path = tmp_path / "model.npz"
+        with pytest.raises(ValueError) as err:
+            save_checkpoint(path, spec, init_params(spec, seed=21, dtype=np.float16))
+        assert str(err.value) == "checkpoint parameters must be float32 or float64, got float16"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dtype", ['"float16"', "null", '["float32"]'])
+    def test_dtype_other_than_float32_or_float64_refused(self, tmp_path, dtype):
+        path = self.saved_with(tmp_path, "meta", lambda meta: np.array(
+            str(meta).replace('"dtype": "float32"', f'"dtype": {dtype}')
+        ))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: checkpoint dtype {dtype} is not float32 or float64"
+
+    def test_float64_weights_refused(self, tmp_path):
+        path = self.saved_with(tmp_path, "w1", lambda w: w.astype(np.float64))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: array w1 has dtype float64, expected float32"
 
     @pytest.mark.parametrize(
         "damage,fault",
@@ -859,12 +907,13 @@ class TestCheckpoint:
             ("no layers", "KeyError: 'layers'"),
             ("a layer without its activation", "KeyError: 'activation'"),
             ("no extra", "KeyError: 'extra'"),
+            ("no dtype", "KeyError: 'dtype'"),
         ],
     )
     def test_unreadable_file_names_itself(self, tmp_path, damage, fault):
         spec = NetworkSpec((LayerSpec(3, 2, "relu"),))
         path = tmp_path / "model.npz"
-        save_checkpoint(path, spec, init_params(spec, seed=21), {"kind": "test"})
+        save_checkpoint(path, spec, init_params(spec, seed=21, dtype=np.float32), {"kind": "test"})
         with np.load(path) as data:
             stored = dict(data)
         meta = json.loads(str(stored["meta"]))
@@ -883,6 +932,8 @@ class TestCheckpoint:
             else:
                 if damage == "no layers":
                     del meta["layers"]
+                elif damage == "no dtype":
+                    del meta["dtype"]
                 elif damage == "no extra":
                     del meta["extra"]
                 else:
@@ -899,7 +950,8 @@ class TestCheckpoint:
         spec = NetworkSpec((LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "linear")))
         path = tmp_path / "model.npz"
         arrays = {"refs0": np.ones((2, 3)), "refs1": np.zeros((2, 3))}
-        save_checkpoint(path, spec, init_params(spec, seed=22), {"kind": "test"}, arrays)
+        params = init_params(spec, seed=22, dtype=np.float32)
+        save_checkpoint(path, spec, params, {"kind": "test"}, arrays)
         with np.load(path) as data:
             stored = dict(data)
         stored[name] = value(stored[name])
@@ -921,14 +973,14 @@ class TestCheckpoint:
             warnings.simplefilter("error")  # no ComplexWarning: nothing is cast
             with pytest.raises(ValueError) as err:
                 load_checkpoint(path)
-        assert str(err.value) == f"{path}: array b1 has dtype complex128, expected float64"
+        assert str(err.value) == f"{path}: array b1 has dtype complex64, expected float32"
 
     def test_numeric_string_weights_refused(self, tmp_path):
         path = self.saved_with(tmp_path, "w0", lambda w: w.astype(str))
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
         assert str(err.value).startswith(f"{path}: array w0 has dtype <U")
-        assert str(err.value).endswith(", expected float64")
+        assert str(err.value).endswith(", expected float32")
 
     @pytest.mark.parametrize("dtype", ["float32", "int64"])
     def test_reference_array_of_another_dtype_refused(self, tmp_path, dtype):
@@ -939,7 +991,7 @@ class TestCheckpoint:
 
     def test_extra_that_is_not_an_object_names_the_file(self, tmp_path):
         path = tmp_path / "model.npz"
-        meta = {"version": 1, "layers": [], "extra": [1]}
+        meta = {"version": nn.CHECKPOINT_VERSION, "layers": [], "extra": [1]}
         np.savez(path, meta=np.array(json.dumps(meta)))
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)

@@ -627,3 +627,97 @@ class TestEvaluateClassifier:
         assert entered == []
         pair_forward(synth_trained.model, test.features[:2], test.features[2:4])
         assert entered == ["infer"]  # the spy is in place
+
+
+F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
+
+
+class TestTrainerDtypes:
+    """The pair model trains and evaluates in float32, the baseline in
+    float64. Under NEP 50 (numpy 2) a numpy float64 scalar upcasts a float32
+    array; under numpy 1.24 it does not. So each test takes one training
+    step and one eval on the numpy it runs on, and reads the dtype of every
+    array they make."""
+
+    @staticmethod
+    def record_step(monkeypatch, name, seen):
+        """Patch the trainers' optimizer step `name` to record the dtypes of
+        its parameters, gradients, moments and scratch buffers."""
+        step = getattr(nn, name)
+
+        def recording(params, grads, state, lr):
+            result = step(params, grads, state, lr)  # the first adam_step makes state.m
+            moments = [s.flat for s in (state.m, state.v) if s is not None]
+            for array in (params.flat, grads.flat, *moments, *state.scratch):
+                seen.append(array.dtype)
+            return result
+
+        monkeypatch.setattr(train_mod, name, recording)
+
+    @staticmethod
+    def record_traces(monkeypatch, module, traces):
+        forward = module.forward
+
+        def recording(*args, **kwargs):
+            out, trace = forward(*args, **kwargs)
+            traces.append((kwargs.get("mode"), out, trace))
+            return out, trace
+
+        monkeypatch.setattr(module, "forward", recording)
+
+    @staticmethod
+    def check_train_traces(traces, layers, dtype):
+        trained = [(out, trace) for mode, out, trace in traces if mode == "train"]
+        assert len(trained) == 1
+        out, trace = trained[0]
+        assert out.dtype == dtype
+        for arrays in (trace.inputs, trace.masks, trace.outputs):
+            assert len(arrays) == layers
+            assert all(a is None or a.dtype == dtype for a in arrays)
+        assert trace.masks[0] is not None
+        assert type(trace.penalty) is float
+
+    def test_one_siamese_step_and_eval(self, monkeypatch):
+        ft = normed_synth(120, 6, 0.3, seed=61)
+        ps = generate_pairs(ft, 40, 20, 20, seed=62)  # 60 training pairs: one batch
+        steps, traces, grads = [], [], []
+        self.record_step(monkeypatch, "rmsprop_step", steps)
+        self.record_traces(monkeypatch, siamese_mod, traces)
+        pair_backward = siamese_mod.pair_backward
+
+        def recording_backward(model, pair_trace, dloss_dd):
+            grads.append(pair_trace.grad.dtype)
+            return pair_backward(model, pair_trace, dloss_dd)
+
+        monkeypatch.setattr(train_mod, "pair_backward", recording_backward)
+        model, history = train_siamese(siamese_config(seed=63, epochs=1), ps)
+        assert model.params.flat.dtype == F32
+        assert steps == [F32] * 5  # params, grads, v and two scratch buffers
+        assert grads == [F32]
+        self.check_train_traces(traces, 3, F32)
+        assert all(type(v[0]) is float for v in vars(history).values())
+
+        embedded = train_mod.embed_rows(model, ft.features, ps.left, ps.right, np.arange(ft.n))
+        assert embedded.vectors.dtype == F32
+        assert train_mod._pair_distances(model, ps, embedded).dtype == F32
+        bank = siamese_mod.build_reference_bank(ft, 5, seed=64)
+        _, d0, d1 = classify_table(model, bank, ft, (embedded.vectors, embedded.positions[-1]))
+        assert d0.dtype == d1.dtype == F32
+        report = evaluate_pairs(model, ps, embedded)
+        assert type(report.accuracy) is float
+
+    def test_one_base_step_and_eval(self, monkeypatch):
+        ft = normed_synth(20, 6, 0.3, seed=65)  # 15 training rows: one batch
+        steps, traces = [], []
+        self.record_step(monkeypatch, "adam_step", steps)
+        self.record_traces(monkeypatch, train_mod, traces)
+        params, history = train_base(base_config(seed=66, epochs=1), ft)
+        assert params.flat.dtype == F64
+        assert steps == [F64] * 6  # params, grads, m, v and two scratch buffers
+        self.check_train_traces(traces, 3, F64)
+        assert all(type(v[0]) is float for v in vars(history).values())
+
+        spec = base_network_spec(ft.d)
+        assert nn.infer(params, spec, ft.features).dtype == F64
+        report = evaluate_classifier((spec, params), ft)
+        assert type(report.accuracy) is float
