@@ -38,7 +38,7 @@ import numpy as np
 from . import data as dt
 from . import pairs as pr
 from .nn import CheckpointVersionError, load_checkpoint, require_positive, save_checkpoint
-from .siamese import ReferenceBank, SiameseModel, build_reference_bank
+from .siamese import DEFAULT_PAIR_THRESHOLD, ReferenceBank, SiameseModel, build_reference_bank
 from .train import (
     base_config,
     base_network_spec,
@@ -88,7 +88,8 @@ _FLAGS = {
     "batch-size": (None, int, None),
     "lr": (None, float, None),
     "margin": (1.0, float, None),
-    "threshold": (0.5, float, "pair-similarity distance threshold"),
+    # None -> train: DEFAULT_PAIR_THRESHOLD; eval: the checkpoint's threshold
+    "threshold": (None, float, "pair-similarity distance threshold"),
     "k-refs": (10, int, "reference samples per class"),
     "pairs-diff": (100000, int, None),
     "pairs-same0": (50000, int, None),
@@ -106,13 +107,12 @@ class RunConfig:
     batch_size: int | None
     lr: float | None
     margin: float
-    threshold: float
+    threshold: float | None
     k_refs: int
     pairs_diff: int
     pairs_same0: int
     pairs_same1: int
     synthetic: tuple[int, int, float] | None
-    explicit: frozenset[str] = frozenset()  # keys set by config file or flags
 
     def echo(self):
         print("effective config:")
@@ -145,16 +145,12 @@ def read_config_file(path: Path) -> dict[str, object]:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {key: default for key, (default, _, _) in _FLAGS.items()}
-    explicit = set()
     if args.config is not None:
-        from_file = read_config_file(Path(args.config))
-        values.update(from_file)
-        explicit.update(from_file)
+        values.update(read_config_file(Path(args.config)))
     for key in _FLAGS:
         cli_value = getattr(args, key.replace("-", "_"))
         if cli_value is not None:
             values[key] = cli_value
-            explicit.add(key)
     values["data"] = Path(values["data"]) if values["data"] else None
     if not values["out"]:
         # Path("") is the working directory, which no stage should fill
@@ -163,13 +159,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if isinstance(values["synthetic"], str):
         values["synthetic"] = _parse_synthetic(values["synthetic"])
     for key in ("margin", "threshold"):
-        require_positive(key, values[key])
+        if values[key] is not None:
+            require_positive(key, values[key])
     floors = {"seed": 0, "k-refs": 1, "pairs-diff": 0, "pairs-same0": 0, "pairs-same1": 0}
     for key, low in floors.items():
         if values[key] < low:
             raise ValueError(f"{key} must be >= {low}, got {values[key]}")
     fields = {key.replace("-", "_"): value for key, value in values.items()}
-    return RunConfig(**fields, explicit=frozenset(explicit))
+    return RunConfig(**fields)
 
 
 def _load_prepared(cfg: RunConfig) -> dt.FeatureTable:
@@ -307,8 +304,9 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
         # changes no model; a k the training split cannot fill fails before
         # any epoch runs.
         bank = build_reference_bank(train_ft, cfg.k_refs, stage_seed(cfg.seed, _STAGE_BANK))
+        threshold = DEFAULT_PAIR_THRESHOLD if cfg.threshold is None else cfg.threshold
         model, history = train_siamese(
-            tc, pairs_train, margin=cfg.margin, pair_threshold=cfg.threshold, progress=print
+            tc, pairs_train, margin=cfg.margin, pair_threshold=threshold, progress=print
         )
         save_checkpoint(
             cfg.out / "siamese_model.npz",
@@ -326,12 +324,14 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
     return 0
 
 
-def _write_report(cfg: RunConfig, which: str, lines: list[str], kv: dict[str, str]):
-    text = "\n".join(lines) + "\n"
+def _write_report(cfg: RunConfig, which: str, record: list[tuple]):
+    """Write eval_<which>.kv and eval_<which>.txt from one record of (kv key,
+    kv value, text line) entries, in its order, and print the text. A None
+    key leaves an entry out of the kv file, a None line out of the text."""
+    text = "".join(f"{line}\n" for _, _, line in record if line is not None)
     (cfg.out / f"eval_{which}.txt").write_text(text)
     with open(cfg.out / f"eval_{which}.kv", "w", newline="\n") as fh:
-        for key, value in kv.items():
-            fh.write(f"{key}={value}\n")
+        fh.write("".join(f"{key}={value}\n" for key, value, _ in record if key is not None))
     print(text, end="")
 
 
@@ -397,47 +397,37 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
     _, test_idx = _load_split_indices(cfg, ft.n)
     test_ft = dt.take_rows(ft, test_idx)
 
+    spec, params, extra, bank = _load_model(cfg, which, ft)
+    seed = ("seed", str(extra["seed"]), f"seed: {extra['seed']}")
     if which == "base":
-        spec, params, extra, _ = _load_model(cfg, "base", ft)
         report = evaluate_classifier((spec, params), test_ft)
-        lines = [
-            "evaluation: base network (held-out samples)",
-            f"seed: {extra['seed']}",
-            f"samples: {test_ft.n}",
-        ] + report.lines()
-        kv = {"report": "base", "seed": str(extra["seed"]), "samples": str(test_ft.n)}
-        kv.update(report.kv())
-        _write_report(cfg, "base", lines, kv)
+        record = [
+            ("report", "base", "evaluation: base network (held-out samples)"),
+            seed,
+            ("samples", str(test_ft.n), f"samples: {test_ft.n}"),
+            *report.record(),
+        ]
     else:
-        spec, params, extra, bank = _load_model(cfg, "siamese", ft)
-        threshold = cfg.threshold if "threshold" in cfg.explicit else extra["pair_threshold"]
+        threshold = extra["pair_threshold"] if cfg.threshold is None else cfg.threshold
         model = SiameseModel(spec, params, margin=extra["margin"], pair_threshold=threshold)
         pairs_test = _load_pairs(cfg, ft, "test")
         held_out = embed_rows(model, ft.features, pairs_test.left, pairs_test.right, test_idx)
         pair_report = evaluate_pairs(model, pairs_test, held_out)
         sample_report = evaluate_classifier(model, test_ft, bank, held_out)
-        lines = (
-            [
-                "evaluation: siamese network",
-                f"seed: {extra['seed']}",
-                f"pair threshold: {model.pair_threshold}",
-                "",
-                f"pair-level (held-out pairs, n={len(pairs_test)}, similar = positive):",
-            ]
-            + pair_report.lines()
-            + ["", f"sample-level (held-out samples via reference bank, n={test_ft.n}):"]
-            + sample_report.lines()
-        )
-        kv = {
-            "report": "siamese",
-            "seed": str(extra["seed"]),
-            "pair_threshold": repr(model.pair_threshold),
-            "pairs": str(len(pairs_test)),
-            "samples": str(test_ft.n),
-        }
-        kv.update({f"pair_{k}": v for k, v in pair_report.kv().items()})
-        kv.update({f"sample_{k}": v for k, v in sample_report.kv().items()})
-        _write_report(cfg, "siamese", lines, kv)
+        record = [
+            ("report", "siamese", "evaluation: siamese network"),
+            seed,
+            ("pair_threshold", repr(threshold), f"pair threshold: {threshold}"),
+            ("pairs", str(len(pairs_test)), None),
+            ("samples", str(test_ft.n), None),
+            (None, None, ""),
+            (None, None, f"pair-level (held-out pairs, n={len(pairs_test)}, similar = positive):"),
+            *pair_report.record("pair_"),
+            (None, None, ""),
+            (None, None, f"sample-level (held-out samples via reference bank, n={test_ft.n}):"),
+            *sample_report.record("sample_"),
+        ]
+    _write_report(cfg, which, record)
     return 0
 
 

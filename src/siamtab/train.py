@@ -173,32 +173,26 @@ class EvalReport:
             recall=(safe(tn, tn + fp), safe(tp, tp + fn)),
         )
 
-    def kv(self) -> dict[str, str]:
-        tn, fp = int(self.confusion[0, 0]), int(self.confusion[0, 1])
-        fn, tp = int(self.confusion[1, 0]), int(self.confusion[1, 1])
-        return {
-            "tn": str(tn),
-            "fp": str(fp),
-            "fn": str(fn),
-            "tp": str(tp),
-            "accuracy": repr(self.accuracy),
-            "precision_class0": repr(self.precision[0]),
-            "precision_class1": repr(self.precision[1]),
-            "recall_class0": repr(self.recall[0]),
-            "recall_class1": repr(self.recall[1]),
-        }
-
-    def lines(self) -> list[str]:
-        tn, fp = int(self.confusion[0, 0]), int(self.confusion[0, 1])
-        fn, tp = int(self.confusion[1, 0]), int(self.confusion[1, 1])
+    def record(self, prefix: str = "") -> list[tuple[str | None, str | None, str | None]]:
+        """This report's section of an eval record: (kv key, kv value, text
+        line) entries, each key prefixed. The counts go to the kv file alone,
+        but tp carries the confusion-matrix line; each rate is its repr in
+        the kv file and rounded to 4 places in the text."""
+        (tn, fp), (fn, tp) = self.confusion.tolist()
+        matrix = f"confusion matrix [[TN, FP], [FN, TP]]: [[{tn}, {fp}], [{fn}, {tp}]]"
+        rates = (
+            ("accuracy", "accuracy:", self.accuracy),
+            ("precision_class0", "precision class 0:", self.precision[0]),
+            ("precision_class1", "precision class 1:", self.precision[1]),
+            ("recall_class0", "recall class 0:", self.recall[0]),
+            ("recall_class1", "recall class 1:", self.recall[1]),
+        )
         return [
-            f"confusion matrix [[TN, FP], [FN, TP]]: [[{tn}, {fp}], [{fn}, {tp}]]",
-            f"accuracy:          {self.accuracy:.4f}",
-            f"precision class 0: {self.precision[0]:.4f}",
-            f"precision class 1: {self.precision[1]:.4f}",
-            f"recall class 0:    {self.recall[0]:.4f}",
-            f"recall class 1:    {self.recall[1]:.4f}",
-        ]
+            (f"{prefix}tn", str(tn), None),
+            (f"{prefix}fp", str(fp), None),
+            (f"{prefix}fn", str(fn), None),
+            (f"{prefix}tp", str(tp), matrix),
+        ] + [(prefix + key, repr(rate), f"{label:<19}{rate:.4f}") for key, label, rate in rates]
 
 
 def _seeds(seed: int, n: int) -> list[int]:

@@ -619,6 +619,28 @@ class TestEvalCmd:
         assert not (out / "eval_siamese.txt").exists()
         assert model.exists() == (stage == "eval")
 
+    @pytest.mark.parametrize("form", ["no setting", "flag", "config file"])
+    def test_eval_threshold_is_the_checkpoints_unless_set(
+        self, trained_run, tmp_path, monkeypatch, capsys, form
+    ):
+        out = copy_run(trained_run, tmp_path)
+        assert run("train", "siamese", "--out", out, "--seed", 23, "--epochs", 1, "--threshold", 0.3) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text("threshold=0.7\n")
+        setting = {"no setting": [], "flag": ["--threshold", 0.7], "config file": ["--config", config]}
+        want = 0.3 if form == "no setting" else 0.7
+        seen, evaluate = [], cli.evaluate_pairs
+        monkeypatch.setattr(
+            cli, "evaluate_pairs", lambda model, *args: seen.append(model) or evaluate(model, *args)
+        )
+        capsys.readouterr()
+        assert run("eval", "siamese", "--out", out, *setting[form]) == 0
+        echoed = "default" if form == "no setting" else "0.7"
+        assert f"  threshold={echoed}\n" in capsys.readouterr().out
+        assert [model.pair_threshold for model in seen] == [want]
+        assert f"pair_threshold={want!r}\n" in (out / "eval_siamese.kv").read_text()
+        assert f"pair threshold: {want}\n" in (out / "eval_siamese.txt").read_text()
+
     def test_siamese_on_an_empty_pair_file_names_it(self, trained_run, tmp_path, capsys):
         out = copy_run(trained_run, tmp_path)
         assert run(
@@ -807,6 +829,82 @@ class TestEvalCmd:
         )
         for key in ("precision_class0", "precision_class1", "recall_class0", "recall_class1"):
             assert key in kv
+
+    def test_report_bytes(self, full_run, tmp_path, monkeypatch, capsys):
+        # hand-built reports pin every byte of both files and of the report
+        # on stdout: header, blank lines, key order, :.4f lines, repr values
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        # tn=5 fp=2 fn=1 tp=3; and tn=2 fn=1, so precision class 1 is 0/0
+        first = train.EvalReport.from_predictions([0] * 7 + [1] * 4, [0] * 5 + [1] * 2 + [0] + [1] * 3)
+        second = train.EvalReport.from_predictions([0, 0, 1], [0, 0, 0])
+        monkeypatch.setattr(cli, "evaluate_pairs", lambda *args: first)
+        monkeypatch.setattr(cli, "evaluate_classifier", lambda *args: second)
+        first_lines = [
+            "confusion matrix [[TN, FP], [FN, TP]]: [[5, 2], [1, 3]]",
+            "accuracy:          0.7273",
+            "precision class 0: 0.8333",
+            "precision class 1: 0.6000",
+            "recall class 0:    0.7143",
+            "recall class 1:    0.7500",
+        ]
+        first_kv = [
+            "tn=5", "fp=2", "fn=1", "tp=3",
+            "accuracy=0.7272727272727273",
+            "precision_class0=0.8333333333333334",
+            "precision_class1=0.6",
+            "recall_class0=0.7142857142857143",
+            "recall_class1=0.75",
+        ]
+        second_lines = [
+            "confusion matrix [[TN, FP], [FN, TP]]: [[2, 0], [1, 0]]",
+            "accuracy:          0.6667",
+            "precision class 0: 0.6667",
+            "precision class 1: 0.0000",
+            "recall class 0:    1.0000",
+            "recall class 1:    0.0000",
+        ]
+        second_kv = [
+            "tn=2", "fp=0", "fn=1", "tp=0",
+            "accuracy=0.6666666666666666",
+            "precision_class0=0.6666666666666666",
+            "precision_class1=0.0",
+            "recall_class0=1.0",
+            "recall_class1=0.0",
+        ]
+        want = {
+            "base": (
+                ["evaluation: base network (held-out samples)", "seed: 31", "samples: 60"]
+                + second_lines,
+                ["report=base", "seed=31", "samples=60"] + second_kv,
+            ),
+            "siamese": (
+                [
+                    "evaluation: siamese network",
+                    "seed: 31",
+                    "pair threshold: 0.5",
+                    "",
+                    "pair-level (held-out pairs, n=160, similar = positive):",
+                    *first_lines,
+                    "",
+                    "sample-level (held-out samples via reference bank, n=60):",
+                    *second_lines,
+                ],
+                ["report=siamese", "seed=31", "pair_threshold=0.5", "pairs=160", "samples=60"]
+                + [f"pair_{line}" for line in first_kv]
+                + [f"sample_{line}" for line in second_kv],
+            ),
+        }
+        for which, (text, kv) in want.items():
+            capsys.readouterr()
+            assert run("eval", which, "--out", out) == 0
+            stdout = capsys.readouterr().out.splitlines(keepends=True)
+            text = "".join(f"{line}\n" for line in text)
+            assert (out / f"eval_{which}.txt").read_text() == text
+            assert (out / f"eval_{which}.kv").read_text() == "".join(f"{line}\n" for line in kv)
+            # stdout is the effective config, one line a setting, then the report
+            assert stdout[0] == "effective config:\n"
+            assert "".join(stdout[1 + len(cli._FLAGS):]) == text
 
 
 # Flags every stage accepts; each stage reads the ones it needs.

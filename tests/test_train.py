@@ -573,7 +573,7 @@ class TestSharedEmbedding:
                 evaluate_classifier(model, test_ft, bank),
             ),
         ):
-            assert with_shared.kv() == alone.kv()
+            assert with_shared.record() == alone.record()
 
     def test_embedding_of_other_rows_rejected(self):
         spec = siamese_network_spec(4)
@@ -620,7 +620,7 @@ class TestEvaluateClassifier:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "siamtab" and getattr(module, "forward", None) is forward:
                 monkeypatch.setattr(module, "forward", spy)
-        assert evaluate_classifier((spec, params), test).kv() == want.kv()
+        assert evaluate_classifier((spec, params), test).record() == want.record()
         evaluate_classifier(synth_trained.model, test, synth_trained.bank)
         evaluate_pairs(synth_trained.model, synth_trained.pairs)
         synth_trained.model.embed(test.features[:3])
