@@ -38,7 +38,14 @@ import numpy as np
 from . import data as dt
 from . import pairs as pr
 from .nn import CheckpointVersionError, load_checkpoint, require_positive, save_checkpoint
-from .siamese import DEFAULT_PAIR_THRESHOLD, ReferenceBank, SiameseModel, build_reference_bank
+from .siamese import (
+    DEFAULT_K_REFS,
+    DEFAULT_MARGIN,
+    DEFAULT_PAIR_THRESHOLD,
+    ReferenceBank,
+    SiameseModel,
+    build_reference_bank,
+)
 from .train import (
     base_config,
     base_network_spec,
@@ -87,10 +94,11 @@ _FLAGS = {
     "epochs": (None, int, None),  # None -> per-model default
     "batch-size": (None, int, None),
     "lr": (None, float, None),
-    "margin": (1.0, float, None),
+    "margin": (None, float, None),  # None -> DEFAULT_MARGIN; read by train siamese only
     # None -> train: DEFAULT_PAIR_THRESHOLD; eval: the checkpoint's threshold
     "threshold": (None, float, "pair-similarity distance threshold"),
-    "k-refs": (10, int, "reference samples per class"),
+    # None -> DEFAULT_K_REFS; read by train siamese only
+    "k-refs": (None, int, "reference samples per class"),
     "pairs-diff": (100000, int, None),
     "pairs-same0": (50000, int, None),
     "pairs-same1": (50000, int, None),
@@ -106,9 +114,9 @@ class RunConfig:
     epochs: int | None
     batch_size: int | None
     lr: float | None
-    margin: float
+    margin: float | None
     threshold: float | None
-    k_refs: int
+    k_refs: int | None
     pairs_diff: int
     pairs_same0: int
     pairs_same1: int
@@ -163,7 +171,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             require_positive(key, values[key])
     floors = {"seed": 0, "k-refs": 1, "pairs-diff": 0, "pairs-same0": 0, "pairs-same1": 0}
     for key, low in floors.items():
-        if values[key] < low:
+        if values[key] is not None and values[key] < low:
             raise ValueError(f"{key} must be >= {low}, got {values[key]}")
     fields = {key.replace("-", "_"): value for key, value in values.items()}
     return RunConfig(**fields)
@@ -303,10 +311,12 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
         # The bank draws from its own stage stream, so building it first
         # changes no model; a k the training split cannot fill fails before
         # any epoch runs.
-        bank = build_reference_bank(train_ft, cfg.k_refs, stage_seed(cfg.seed, _STAGE_BANK))
+        k = DEFAULT_K_REFS if cfg.k_refs is None else cfg.k_refs
+        bank = build_reference_bank(train_ft, k, stage_seed(cfg.seed, _STAGE_BANK))
+        margin = DEFAULT_MARGIN if cfg.margin is None else cfg.margin
         threshold = DEFAULT_PAIR_THRESHOLD if cfg.threshold is None else cfg.threshold
         model, history = train_siamese(
-            tc, pairs_train, margin=cfg.margin, pair_threshold=threshold, progress=print
+            tc, pairs_train, margin=margin, pair_threshold=threshold, progress=print
         )
         save_checkpoint(
             cfg.out / "siamese_model.npz",

@@ -18,24 +18,20 @@ Shape conventions: inputs are row batches (n, in_size); a weight matrix is
 (out_size, in_size); z = x @ W.T + b.
 
 `forward` keeps a trace and the activity penalty (training, base validation,
-the gradient oracles) and runs on the calling thread; `infer` returns the
-output alone (eval, every embed). `row_distances` is eval's one distance
-kernel, for the pair distances and the reference distances alike. Only
-these two split rows over the usable cores (`over_rows`), each row computed
-by the same numpy and BLAS calls as on one core.
+the gradient oracles); `infer` returns the output alone (eval, every
+embed). `row_distances` is eval's one distance kernel, for the pair
+distances and the reference distances alike. These two loop over bounded
+row pieces (`_pieces`), so their temporaries stay small whatever the batch.
+Everything runs on the calling thread; BLAS may thread each GEMM.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 import zipfile
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -163,70 +159,14 @@ INFER_PIECE_ROWS = 256
 DIST_BLOCK_ROWS = 256
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-CORES = _usable_cores()
-T = TypeVar("T")
-_helpers: ThreadPoolExecutor | None = None
-
-
-def _forget_helpers():
-    # a forked child has none of its parent's threads
-    global _helpers
-    _helpers = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
-def over_rows(n: int, fn: Callable[[int, int, T], None], rows: int, scratch: Callable[[], T]):
-    """Call fn(start, stop, buf) once on each piece of range(n): ceil(n / rows)
-    contiguous near-equal pieces (np.array_split bounds), so a piece holds
-    at most `rows` rows and, when there are several, more than rows / 2.
-
-    The calling thread and up to CORES - 1 helper threads, from a pool built
-    on first use, each take the next unclaimed piece until none is left:
-    one join per call. A call off the main thread takes every piece itself,
-    so a nested call never waits on a helper. Each thread hands fn one
-    buffer for all its pieces, made by scratch() on the calling thread: what
-    a helper allocates stays in its own malloc arena and raises the peak
-    RSS. A helper that has not begun when the calling thread runs out of
-    pieces is called off, so a busy core holds the call up by at most one
-    piece. If a piece raises, its thread takes no further pieces, and the
-    error is raised here once every piece that has begun has ended.
-
-    fn should run numpy kernels only. It must not call forward, infer or the
-    eval functions: the benchmark's tracer records their spans on one stack,
-    which only the main thread may touch.
-    """
-    global _helpers
+def _pieces(n: int, rows: int):
+    """(start, stop) of each of ceil(n / rows) contiguous near-equal pieces of
+    range(n), np.array_split's bounds: a piece holds at most `rows` rows and,
+    when there are several, at least rows // 2. No rows make one empty piece."""
     pieces = max(1, -(-n // rows))
     size, extra = divmod(n, pieces)
     bounds = [i * size + min(i, extra) for i in range(pieces + 1)]
-    unclaimed = iter(range(pieces))
-
-    def work(buf):
-        for i in unclaimed:  # next() on a range iterator is atomic under the GIL
-            fn(bounds[i], bounds[i + 1], buf)
-
-    threads = min(CORES, pieces) if threading.current_thread() is threading.main_thread() else 1
-    bufs = [scratch() for _ in range(threads)]
-    if threads > 1 and _helpers is None:
-        _helpers = ThreadPoolExecutor(CORES - 1, thread_name_prefix="siamtab-rows")
-    rest = [_helpers.submit(work, buf) for buf in bufs[1:]]
-    try:
-        work(bufs[0])
-    finally:
-        begun = [future for future in rest if not future.cancel()]
-        wait(begun)
-    for future in begun:
-        future.result()
+    return zip(bounds, bounds[1:])
 
 
 @dataclass
@@ -261,8 +201,7 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
 def infer_rows(params: ParamSet, x: np.ndarray, outs: list[np.ndarray]) -> None:
     """Forward's first len(outs) layers, which must all be ReLU layers, on
     the rows of x: layer k into outs[k] (preallocated, len(x) rows each).
-    No checks, no trace and no threads: the kernel of each over_rows piece
-    of inference, on any thread."""
+    No checks and no trace: the kernel of each piece of infer."""
     h = x
     for k, z in enumerate(outs):
         np.matmul(h, params.weights[k].T, out=z)
@@ -329,13 +268,13 @@ def infer(params: ParamSet, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     """forward(params, spec, x)[0], bit for bit and with its errors, but with
     no trace and no activity penalty: eval's and every embed's path.
 
-    The leading run of ReLU layers goes over_rows, each piece of at most
-    INFER_PIECE_ROWS rows through the whole run (infer_rows). Only the run's
-    last layer is a whole-batch array, made before over_rows makes each
-    thread's piece-sized hidden layers (the other order raised a 40k-pair
-    eval's peak RSS 5 MB). The layers after the run (the base net's 256->1
-    sigmoid head, a GEMV that rounds differently in row blocks) are computed
-    whole on the calling thread, as in forward.
+    The leading run of ReLU layers goes piece by piece (_pieces), each of
+    at most INFER_PIECE_ROWS rows through the whole run (infer_rows). Only
+    the run's last layer is a whole-batch array, made before the one set of
+    piece-sized hidden layers (the other order raised a 40k-pair eval's peak
+    RSS 5 MB). The layers after the run (the base net's 256->1 sigmoid head,
+    a GEMV that rounds differently in row blocks) are computed whole, as in
+    forward.
     """
     h = x = _input_batch(spec, params, x)
     split = 0
@@ -344,18 +283,10 @@ def infer(params: ParamSet, spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     if split:
         run, n = spec.layers[:split], len(x)
         out = np.empty((n, run[-1].out_size), x.dtype)
-        rows = min(n, INFER_PIECE_ROWS)
-
-        def piece(start: int, stop: int, temps: list[np.ndarray]):
+        temps = [np.empty((min(n, INFER_PIECE_ROWS), l.out_size), x.dtype) for l in run[:-1]]
+        for start, stop in _pieces(n, INFER_PIECE_ROWS):
             views = [t[: stop - start] for t in temps] + [out[start:stop]]
             infer_rows(params, x[start:stop], views)
-
-        over_rows(
-            n,
-            piece,
-            INFER_PIECE_ROWS,
-            lambda: [np.empty((rows, l.out_size), x.dtype) for l in run[:-1]],
-        )
         h = out
     for k, layer in enumerate(spec.layers[split:], split):
         z = h @ params.weights[k].T
@@ -453,27 +384,23 @@ def row_distances(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) 
     (rows, emb) tables a and b, in their common dtype; np.take clips every
     index, it checks none.
 
-    Blocks of at most DIST_BLOCK_ROWS pairs go over_rows: both members are
-    gathered into the thread's buffer pair, differenced and squared in place
-    and summed into the result, which is floored and rooted last.
+    Block by block, each of at most DIST_BLOCK_ROWS pairs (_pieces), both
+    members are gathered into one buffer pair, differenced and squared in
+    place and summed into the result, which is floored and rooted last.
     """
     dtype = np.result_type(a, b)
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     n = len(ia)
-    out, rows = np.empty(n, dtype), min(n, DIST_BLOCK_ROWS)
-
-    def block(start: int, stop: int, pair: np.ndarray):
+    out = np.empty(n, dtype)
+    pair = np.empty((2, min(n, DIST_BLOCK_ROWS), a.shape[1]), dtype)
+    for start, stop in _pieces(n, DIST_BLOCK_ROWS):
         x, y = pair[0, : stop - start], pair[1, : stop - start]
         # mode="raise" would also gather through a temporary copy
         np.take(a, ia[start:stop], axis=0, out=x, mode="clip")
         np.take(b, ib[start:stop], axis=0, out=y, mode="clip")
         x -= y
         x *= x
-        # np.sum's bits; np.sum's Python wrapper would add a GIL hand-off
-        # per block between the threads
-        np.add.reduce(x, axis=-1, out=out[start:stop])
-
-    over_rows(n, block, DIST_BLOCK_ROWS, lambda: np.empty((2, rows, a.shape[1]), dtype))
+        np.add.reduce(x, axis=-1, out=out[start:stop])  # np.sum's bits
     return floored_sqrt(out, out=out)
 
 

@@ -7,13 +7,13 @@ one batch, so a pair step stacks both members into a (2B, d) batch and makes
 one forward and one backward pass (the second members' distance gradient is
 the first's negated). Its weight GEMM sums both branches into the shared store.
 
-Embedding is trace-free inference (nn.infer), and the reference distances
-go through nn.row_distances, eval's one distance kernel; neither changes a
-bit of the results with the core count. `eval siamese` embeds its held-out
-pair and test rows once and hands classify_table that embedding with the
-test rows' positions in it. The reference banks keep their own embed calls:
-an embed of k rows can round differently from a piece of the table, and
-their distances decide the labels.
+Embedding is trace-free inference (nn.infer), bit for bit forward's output,
+and the reference distances go through nn.row_distances, eval's one
+distance kernel. `eval siamese` embeds its held-out pair and test rows once
+and hands classify_table that embedding with the test rows' positions in
+it. The reference banks keep their own embed calls: an embed of k rows can
+round differently from a piece of the table, and their distances decide the
+labels.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .nn import (
 
 DEFAULT_MARGIN = 1.0
 DEFAULT_PAIR_THRESHOLD = 0.5  # margin / 2
+DEFAULT_K_REFS = 10  # reference samples per class
 
 
 @dataclass
@@ -56,7 +57,7 @@ class SiameseModel:
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode embedding of an (n, d) row batch (nn.infer): bitwise
-        forward's output, whatever the batch size and core count."""
+        forward's output, whatever the batch size."""
         return infer(self.params, self.spec, x)
 
 

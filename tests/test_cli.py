@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from oracles import assert_text_copy_is_the_grid, load_pairs_csv_rows, pair_counts
-from siamtab import cli, nn, pairs, siamese, train
+from siamtab import cli, pairs, train
 from siamtab.cli import main, read_config_file, stage_seed
+from siamtab.nn import load_checkpoint
 from siamtab.siamese import SiameseModel
 
 
@@ -187,6 +188,34 @@ class TestTrainCmd:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not [line for line in captured.out.splitlines() if line.startswith("epoch ")]
         assert not (out / "siamese_model.npz").exists()
+
+    def test_eval_echoes_margin_and_k_refs_as_default_and_reads_the_checkpoint(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        run("prepare", "--synthetic", "300,6,0.3", "--out", out, "--seed", 3)
+        run("pairs", "--out", out, "--seed", 3, "--pairs-diff", 400, "--pairs-same0", 200, "--pairs-same1", 200)
+        capsys.readouterr()
+        assert run(
+            "train", "siamese", "--out", out, "--seed", 3, "--epochs", 1, "--k-refs", 3, "--margin", 2.0
+        ) == 0
+        echo = capsys.readouterr().out.splitlines()
+        assert "  margin=2.0" in echo and "  k-refs=3" in echo
+        assert run("eval", "siamese", "--out", out, "--seed", 3) == 0
+        echo = capsys.readouterr().out.splitlines()
+        assert "  margin=default" in echo and "  k-refs=default" in echo
+        _, _, extra, arrays = load_checkpoint(out / "siamese_model.npz")
+        assert extra["margin"] == 2.0
+        assert len(arrays["refs0"]) == len(arrays["refs1"]) == 3
+
+    def test_default_margin_and_k_refs_write_the_bytes_of_1_and_10(self, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out, flags in zip(outs, ((), ("--k-refs", 10, "--margin", 1.0))):
+            run("prepare", "--synthetic", "300,6,0.3", "--out", out, "--seed", 3)
+            run("pairs", "--out", out, "--seed", 3, "--pairs-diff", 400, "--pairs-same0", 200, "--pairs-same1", 200)
+            assert run("train", "siamese", "--out", out, "--seed", 3, "--epochs", 1, *flags) == 0
+        for name in ("siamese_model.npz", "siamese_history.csv", cli.MANIFEST):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     @pytest.mark.parametrize(
         "edit",
@@ -1103,15 +1132,12 @@ class TestRunManifest:
         assert run("eval", "base", "--out", out) == 0
         assert run("eval", "siamese", "--out", out) == 0
 
-    def test_manifest_bytes_are_the_same_across_same_seed_runs_and_core_counts(
-        self, tmp_path, set_cores
-    ):
+    def test_manifest_bytes_are_the_same_across_same_seed_runs(self, tmp_path):
         texts = []
-        for name, cores in (("a", 2), ("b", 2), ("c", 1)):
-            set_cores(cores)
+        for name in ("a", "b"):
             pipeline(tmp_path / name, seed=21)
             texts.append((tmp_path / name / cli.MANIFEST).read_text())
-        assert texts[0] == texts[1] == texts[2]
+        assert texts[0] == texts[1]
         assert "/" not in texts[0] and str(tmp_path) not in texts[0]
         manifest = json.loads(texts[0])
         stages = ("prepare", "pairs", "train siamese", "eval siamese")
@@ -1151,58 +1177,23 @@ class TestEndToEndDeterminism:
         assert (a / "siamese_history.csv").read_bytes() != (b / "siamese_history.csv").read_bytes()
 
 
-# Functions the benchmark tracer wraps (or, for nn.infer, may wrap) that eval
-# and training reach; its spans nest on one stack, so none may run off the
-# main thread.
-MAIN_THREAD_ONLY = (
-    (nn, "forward"), (nn, "infer"), (nn, "euclidean_distance"), (siamese, "pair_forward"),
-    (siamese, "classify_table"), (train, "evaluate_pairs"), (train, "evaluate_classifier"),
-)
-
-
-class TestHelperThreads:
-    def test_traced_functions_run_on_the_main_thread_only(self, tmp_path, monkeypatch, set_cores):
-        set_cores(4)
-        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "siamtab"]
-        calls, off_main, splits = [], [], []
-
-        def patch_everywhere(original, wrapper):
-            for module in modules:
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, wrapper)
-
-        def watched(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                if threading.current_thread() is not threading.main_thread():
-                    off_main.append(name)
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        over_rows = nn.over_rows
-
-        def counting_over_rows(n, fn, rows, scratch):
-            splits.append(min(nn.CORES, -(-n // rows)))  # threads asked to take pieces
-            return over_rows(n, fn, rows, scratch)
-
-        patch_everywhere(over_rows, counting_over_rows)
-        for module, name in MAIN_THREAD_ONLY:
-            original = getattr(module, name)
-            patch_everywhere(original, watched(name, original))
+class TestOneThread:
+    def test_training_and_eval_start_no_thread(self, tmp_path):
+        # 320 held-out rows: more than one 256-row piece of inference, and
+        # thousands of (row, reference) distances
+        before = threading.active_count()
         out = tmp_path / "run"
-        assert run("prepare", "--synthetic", "1200,15,0.15", "--out", out, "--seed", 5) == 0
+        assert run("prepare", "--synthetic", "1600,6,0.3", "--out", out, "--seed", 9) == 0
         assert run(
-            "pairs", "--out", out, "--seed", 5,
-            "--pairs-diff", 4000, "--pairs-same0", 2000, "--pairs-same1", 2000,
+            "pairs", "--out", out, "--seed", 9,
+            "--pairs-diff", 400, "--pairs-same0", 200, "--pairs-same1", 200,
         ) == 0
-        assert run("train", "siamese", "--out", out, "--seed", 5, "--epochs", 1) == 0
-        assert run("eval", "siamese", "--out", out, "--seed", 5) == 0
-        assert {"forward", "infer", "pair_forward", "evaluate_pairs", "classify_table"} <= set(calls)
-        assert off_main == []
-        # validation and eval took the split path: some call split four ways
-        assert max(splits) == 4
+        for which in ("base", "siamese"):
+            assert run("train", which, "--out", out, "--seed", 9, "--epochs", 1) == 0
+        for which in ("base", "siamese"):
+            assert run("eval", which, "--out", out, "--seed", 9) == 0
+        assert threading.active_count() == before
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("siamtab-rows")]
 
 
 class TestExportCmd:

@@ -1,10 +1,6 @@
 import json
 import math
-import os
-import signal
-import sys
-import threading
-import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,7 +33,6 @@ from siamtab.nn import (
     init_optimizer,
     init_params,
     load_checkpoint,
-    over_rows,
     rmsprop_step,
     row_distances,
     save_checkpoint,
@@ -204,18 +199,17 @@ class TestForward:
         assert (penalty > 0.0) == (spec_of is base_network_spec)
         assert np.array_equal(x, x_before) and np.array_equal(params.flat, flat_before)
 
-    def test_infer_mode_runs_on_the_calling_thread(self, monkeypatch, set_cores):
-        # only nn.infer splits rows; forward's trace and penalty are one
-        # thread's whole-batch layers
-        set_cores(2)
+    def test_infer_mode_computes_whole_batch_layers(self, monkeypatch):
+        # only nn.infer goes piece by piece; forward's trace and penalty are
+        # whole-batch layers
         spec = siamese_network_spec(15)
         params = init_params(spec, seed=16)
         x = np.random.default_rng(17).normal(size=(848, 15))
 
-        def no_split(n, fn, rows, scratch):
-            raise AssertionError("forward called over_rows")
+        def no_pieces(params, xb, outs):
+            raise AssertionError("forward called infer_rows")
 
-        monkeypatch.setattr(nn, "over_rows", no_split)
+        monkeypatch.setattr(nn, "infer_rows", no_pieces)
         out, trace = forward(params, spec, x)
         assert out.shape == (848, spec.out_size)
         assert len(trace) == len(spec.layers)
@@ -231,15 +225,10 @@ class TestForward:
         assert np.all(np.abs(mc - ref[0]) / ref[0] < 0.01)
 
 
-def record(pieces):
-    """An over_rows fn that appends (start, stop, thread) for each piece."""
-    return lambda start, stop, buf: pieces.append((start, stop, threading.get_ident()))
-
-
 class TestRowDistances:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 2500])
-    def test_match_the_per_pair_norm_bitwise(self, set_cores, n, dtype):
+    def test_match_the_per_pair_norm_bitwise(self, n, dtype):
         # two tables of different heights, indices repeated and in no order;
         # then a against itself, every third pair a self-pair at the floor
         rng = np.random.default_rng(n)
@@ -253,209 +242,89 @@ class TestRowDistances:
         cases = [(a, ia, b, ib), (a, ia, a, ja)]
         wants = [row_distances_per_pair(*case) for case in cases]
         assert (wants[1][::3] == np.sqrt(np.dtype(dtype).type(1e-12))).all()
-        for cores in (1, 2, 3, 4):
-            set_cores(cores)
-            for case, want in zip(cases, wants):
-                got = row_distances(*case)
-                assert got.dtype == dtype
-                assert np.array_equal(got, want)
+        for case, want in zip(cases, wants):
+            got = row_distances(*case)
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513, 2500, 10000])
+    def test_blocks_share_one_buffer_pair(self, n, dtype):
+        # beyond the n distances, the only sizeable allocation is one
+        # (2, DIST_BLOCK_ROWS, emb) buffer, whatever the number of blocks;
+        # a buffer per block, or a whole-batch difference, is far larger
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(400, 64)).astype(dtype)
+        b = rng.normal(size=(300, 64)).astype(dtype)
+        ia, ib = rng.integers(0, 400, n), rng.integers(0, 300, n)
+        item = np.dtype(dtype).itemsize
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            got = row_distances(a, ia, b, ib)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, row_distances_per_pair(a, ia, b, ib))
+        want = n * item + 2 * min(n, nn.DIST_BLOCK_ROWS) * 64 * item
+        assert want <= peak - before <= want + 16384
 
 
-class TestOverRows:
-    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [0, 1, 127, 128, 255, 256, 257, 4240])
-    def test_pieces_cover_the_rows_once(self, set_cores, n, cores):
-        set_cores(cores)
-        pieces = []
-        over_rows(n, record(pieces), 128, list)
-        # np.array_split's bounds, each piece run once on some thread
-        want = np.array_split(np.arange(n), max(1, -(-n // 128)))
-        assert sorted((start, stop) for start, stop, _ in pieces) == [
-            (int(p[0]), int(p[-1]) + 1) if len(p) else (0, 0) for p in want
-        ]
-        assert all(stop - start <= 128 for start, stop, _ in pieces)
+class TestPieces:
+    @pytest.mark.parametrize("rows", [1, 7, 128, 256])
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 255, 256, 257, 4240])
+    def test_are_array_splits_contiguous_bounds(self, n, rows):
+        pieces = list(nn._pieces(n, rows))
+        want = np.array_split(np.arange(n), max(1, -(-n // rows)))
+        assert pieces == [(int(p[0]), int(p[-1]) + 1) if len(p) else (0, 0) for p in want]
+        # in order, each row once, none over `rows`, at least half when split
+        assert [start for start, _ in pieces] == [0] + [stop for _, stop in pieces[:-1]]
+        assert pieces[-1][1] == n
+        assert all(stop - start <= rows for start, stop in pieces)
         if len(pieces) > 1:
-            assert all(stop - start > 64 for start, stop, _ in pieces)
-        if cores == 1:
-            assert {ident for _, _, ident in pieces} == {threading.get_ident()}
-
-    def test_a_helper_that_has_not_begun_is_called_off(self, set_cores, monkeypatch):
-        set_cores(2)
-        monkeypatch.setattr(nn, "_helpers", None)
-        over_rows(256, lambda start, stop, buf: None, 128, list)  # a pool of one helper
-        gate = threading.Event()
-        blocker = nn._helpers.submit(gate.wait, 10.0)  # the helper is busy
-        pieces = []
-        try:
-            over_rows(256, record(pieces), 128, list)
-            # both pieces ran here, and the call did not wait for the helper
-            assert pieces == [(0, 128, threading.get_ident()), (128, 256, threading.get_ident())]
-            assert not blocker.done()
-        finally:
-            gate.set()
-            nn._helpers.shutdown()
-        assert blocker.result(timeout=10.0)
-
-    @pytest.mark.parametrize("failing", [0, 2])
-    def test_an_error_is_raised_once_every_begun_piece_has_ended(self, set_cores, failing):
-        set_cores(3)
-        begun, ended = [], []
-
-        def piece(start, stop, buf):
-            begun.append(start)
-            if start == 100 * failing:
-                raise RuntimeError(f"piece {start}")
-            time.sleep(0.2)
-            ended.append(start)
-
-        with pytest.raises(RuntimeError, match="piece"):
-            over_rows(300, piece, 100, list)
-        assert 100 * failing in begun
-        assert sorted(ended) == sorted(set(begun) - {100 * failing})
-
-    def test_every_piece_runs_once_under_frequent_thread_switches(self, set_cores, monkeypatch):
-        # more threads than this machine has cores, switching every microsecond
-        set_cores(8)
-        monkeypatch.setattr(nn, "_helpers", None)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                runs = [0] * 1000
-
-                def piece(start, stop, buf):
-                    for i in range(start, stop):
-                        runs[i] += 1  # only the piece's own thread touches i
-
-                over_rows(1000, piece, 7, list)
-                assert runs == [1] * 1000
-        finally:
-            sys.setswitchinterval(interval)
-            nn._helpers.shutdown()
-
-    def test_a_call_off_the_main_thread_runs_serially(self, set_cores):
-        set_cores(4)
-        pieces, made, used = [], [], set()
-
-        def scratch():
-            made.append((threading.get_ident(), []))
-            return made[-1][1]
-
-        def piece(start, stop, buf):
-            used.add(id(buf))
-            record(pieces)(start, stop, buf)
-
-        def call():
-            over_rows(4240, piece, 128, scratch)
-
-        worker = threading.Thread(target=call)
-        worker.start()
-        worker.join(timeout=10.0)
-        assert not worker.is_alive()
-        bounds = np.cumsum([0] + [len(p) for p in np.array_split(np.arange(4240), 34)])
-        assert pieces == [(lo, hi, worker.ident) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        # one buffer, made on the calling thread, serves every piece
-        assert [ident for ident, _ in made] == [worker.ident]
-        assert used == {id(made[0][1])}
-
-    @pytest.mark.parametrize("cores", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [0, 128, 257, 4240])
-    def test_each_thread_gets_its_own_buffer_made_here(self, set_cores, monkeypatch, n, cores):
-        set_cores(cores)
-        monkeypatch.setattr(nn, "_helpers", None)  # a pool of cores - 1 helpers
-        made, used = [], []
-
-        def scratch():
-            made.append((threading.get_ident(), []))
-            return made[-1][1]
-
-        def piece(start, stop, buf):
-            used.append((threading.get_ident(), id(buf)))
-            time.sleep(0.001)  # so that the helpers take pieces too
-
-        try:
-            over_rows(n, piece, 128, scratch)
-        finally:
-            if nn._helpers is not None:
-                nn._helpers.shutdown()
-        # made on the calling thread, one for each thread that takes pieces
-        threads = min(cores, max(1, -(-n // 128)))
-        assert [ident for ident, _ in made] == [threading.get_ident()] * threads
-        bufs_of = {}
-        for ident, buf in used:
-            bufs_of.setdefault(ident, set()).add(buf)
-        # one buffer for all of a thread's pieces, and none shared
-        assert all(len(bufs) == 1 for bufs in bufs_of.values())
-        owned = [next(iter(bufs)) for bufs in bufs_of.values()]
-        assert len(set(owned)) == len(owned)
-        assert set(owned) <= {id(buf) for _, buf in made}
-        assert bufs_of[threading.get_ident()] == {id(made[0][1])}
-
-    # forking a process that has threads is what this test checks; Python
-    # 3.12+ warns of it
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-    def test_a_forked_child_runs_its_pieces_on_its_own_helpers(self, set_cores):
-        set_cores(2)
-        over_rows(256, lambda start, stop, buf: None, 128, list)  # the parent's helpers exist
-        pid = os.fork()
-        if pid == 0:  # the parent's helper threads are gone here
-            code = 1
-            try:
-                over_rows(256, lambda start, stop, buf: None, 128, list)
-                code = 0
-            finally:
-                os._exit(code)  # never back into the test runner
-        deadline = time.monotonic() + 10.0
-        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child waited on a helper that does not exist")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(status[1]) == 0
-
-    @pytest.mark.parametrize("spec_of", [base_network_spec, siamese_network_spec])
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 300, 511, 848, 4240])
-    def test_split_forward_matches_one_core_bitwise(self, set_cores, spec_of, n):
-        # the base spec covers the sigmoid head and the activity penalty
-        spec = spec_of(15)
-        params = init_params(spec, seed=9)
-        x = np.random.default_rng(n).normal(size=(n, 15))
-        set_cores(1)
-        want, want_trace = forward(params, spec, x)
-        for cores in (2, 3, 4):
-            set_cores(cores)
-            out, trace = forward(params, spec, x)
-            assert np.array_equal(out, want)
-            for got, ref in zip(
-                (trace.inputs, trace.outputs), (want_trace.inputs, want_trace.outputs)
-            ):
-                assert len(got) == len(ref) == len(spec.layers)
-                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
-            assert trace.masks == [None] * len(spec.layers)
-            assert trace.penalty == want_trace.penalty
+            assert all(stop - start >= rows // 2 for start, stop in pieces)
 
 
 class TestInfer:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("spec_of", [base_network_spec, siamese_network_spec])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 848, 3392])
-    def test_matches_forward_bitwise_on_any_core_count(self, set_cores, spec_of, n, dtype):
+    def test_matches_forward_bitwise(self, spec_of, n, dtype):
         # the base spec covers the sigmoid head after the ReLU run; a float64
         # x is cast to the parameters' dtype by both
         spec = spec_of(15)
         params = init_params(spec, seed=10, dtype=dtype)
         x = np.random.default_rng(n).normal(size=(n, 15))
         x_before = x.copy()
-        for cores in (1, 2, 3):
-            set_cores(cores)
-            want, _ = forward(params, spec, x)
-            got = infer(params, spec, x)
-            assert got.shape == (n, spec.out_size)
-            assert got.dtype == want.dtype == dtype
-            assert np.array_equal(got, want)
+        want, _ = forward(params, spec, x)
+        got = infer(params, spec, x)
+        assert got.shape == (n, spec.out_size)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
         assert np.array_equal(x, x_before)
+
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 255, 256, 257, 4240])
+    def test_pieces_cover_the_rows_once(self, monkeypatch, n):
+        # column 0 numbers the rows, so each piece infer_rows is handed
+        # names the rows it holds
+        spec = siamese_network_spec(15)
+        params = init_params(spec, seed=18)
+        x = np.random.default_rng(19).normal(size=(n, 15))
+        x[:, 0] = np.arange(n)
+        pieces = []
+
+        def recording_infer_rows(params, xb, outs):
+            pieces.append(xb[:, 0].tolist())
+            return infer_rows(params, xb, outs)
+
+        monkeypatch.setattr(nn, "infer_rows", recording_infer_rows)
+        infer(params, spec, x)
+        # np.array_split's bounds, in order, each piece run once
+        want = np.array_split(np.arange(n), max(1, -(-n // nn.INFER_PIECE_ROWS)))
+        assert pieces == [p.tolist() for p in want]
+        assert all(len(p) <= nn.INFER_PIECE_ROWS for p in pieces)
+        if len(pieces) > 1:
+            assert all(len(p) >= nn.INFER_PIECE_ROWS // 2 for p in pieces)
 
     @pytest.mark.parametrize(
         "layers",
@@ -486,10 +355,9 @@ class TestInfer:
             infer(params, spec, x)
         assert str(got.value) == str(want.value)
 
-    def test_hidden_layers_stay_piece_sized(self, monkeypatch, set_cores):
+    def test_hidden_layers_stay_piece_sized(self, monkeypatch):
         # infer keeps only the run's last layer whole, each piece's hidden
         # layer in a temporary of at most INFER_PIECE_ROWS rows
-        set_cores(2)
         spec = siamese_network_spec(15)
         params = init_params(spec, seed=14)
         x = np.random.default_rng(15).normal(size=(848, 15))
@@ -503,6 +371,34 @@ class TestInfer:
         infer(params, spec, x)
         assert len(bases) == 4
         assert all(shapes == [(256, 256)] * 2 + [(848, 256)] for shapes in bases)
+
+    @pytest.mark.parametrize("spec_of", [base_network_spec, siamese_network_spec])
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 848, 4240])
+    def test_every_piece_reuses_one_set_of_temporaries(self, monkeypatch, spec_of, n):
+        # one piece-sized array per hidden layer of the ReLU run, made once
+        # and shared by every piece; each piece writes its rows of one
+        # whole-batch output
+        spec = spec_of(15)
+        params = init_params(spec, seed=20)
+        x = np.random.default_rng(21).normal(size=(n, 15))
+        bases = []
+
+        def recording_infer_rows(params, xb, outs):
+            bases.append([o.base for o in outs])
+            return infer_rows(params, xb, outs)
+
+        monkeypatch.setattr(nn, "infer_rows", recording_infer_rows)
+        got = infer(params, spec, x)
+        assert len(bases) == max(1, -(-n // nn.INFER_PIECE_ROWS))
+        hidden = len(bases[0]) - 1
+        assert hidden == sum(l.activation == "relu" for l in spec.layers) - 1
+        for k in range(hidden + 1):
+            assert all(piece[k] is bases[0][k] for piece in bases)
+        assert len({id(base) for base in bases[0]}) == hidden + 1
+        assert [t.shape for t in bases[0][:-1]] == [(min(n, nn.INFER_PIECE_ROWS), 256)] * hidden
+        assert bases[0][-1].shape == (n, 256)
+        if spec_of is siamese_network_spec:
+            assert got is bases[0][-1]
 
 
 class TestBackward:

@@ -384,7 +384,7 @@ def float_model(seed, in_size=15):
 
 class TestBlockedInference:
     @pytest.mark.parametrize("n", [1, 5, 256, 257, 300, 848, 4240])
-    def test_embed_matches_one_forward_bitwise(self, monkeypatch, set_cores, n):
+    def test_embed_matches_one_forward_bitwise(self, monkeypatch, n):
         model = float_model(40)
         x = np.random.default_rng(n).normal(size=(n, 15))
         want, _ = forward(model.params, model.spec, x)
@@ -395,17 +395,14 @@ class TestBlockedInference:
             return infer_rows(params, xb, outs)
 
         monkeypatch.setattr(nn, "infer_rows", recording_infer_rows)
-        for cores in (1, 2, 4):
-            set_cores(cores)
-            pieces.clear()
-            got = model.embed(x)
-            assert np.array_equal(got, want)
-            # the cores take the np.array_split pieces in any order: one
-            # piece up to INFER_PIECE_ROWS rows, past that 128 to 256 rows each
-            n_pieces = -(-n // nn.INFER_PIECE_ROWS)
-            assert sorted(pieces) == sorted(len(b) for b in np.array_split(np.arange(n), n_pieces))
-            if n_pieces > 1:
-                assert min(pieces) >= nn.INFER_PIECE_ROWS // 2
+        got = model.embed(x)
+        assert np.array_equal(got, want)
+        # the np.array_split pieces in order: one piece up to
+        # INFER_PIECE_ROWS rows, past that 128 to 256 rows each
+        n_pieces = -(-n // nn.INFER_PIECE_ROWS)
+        assert pieces == [len(b) for b in np.array_split(np.arange(n), n_pieces)]
+        if n_pieces > 1:
+            assert min(pieces) >= nn.INFER_PIECE_ROWS // 2
 
     def test_embed_rejects_a_non_finite_input_as_forward_does(self):
         model = float_model(41)
@@ -424,21 +421,19 @@ class TestBlockedInference:
 
     @pytest.mark.parametrize("k", [1, 3, 10, 17])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 848])
-    def test_reference_distances_match_the_broadcast_bitwise(self, set_cores, n, k):
+    def test_reference_distances_match_the_broadcast_bitwise(self, n, k):
         # n * 2k (row, reference) pairs: one nn.row_distances block up to
-        # 256 pairs, past that several, each thread through its own buffers
+        # 256 pairs, past that several through the one buffer pair
         model = float_model(43)
         rng = np.random.default_rng(44)
         bank = ReferenceBank(rng.normal(size=(k, 15)), rng.normal(size=(k, 15)) + 0.5)
         x = rng.normal(size=(n, 15))
         want0, want1 = mean_ref_distances_broadcast(model, bank, x)
-        for cores in (1, 2, 3, 4):
-            set_cores(cores)
-            d0, d1 = siamese_mod._mean_ref_distances(model, bank, model.embed(x), np.arange(n))
-            assert np.array_equal(d0, want0) and np.array_equal(d1, want1)
-            labels, t0, t1 = classify_table(model, bank, FeatureTable(x, np.zeros(n, dtype=int)))
-            assert np.array_equal(t0, want0) and np.array_equal(t1, want1)
-            assert np.array_equal(labels, (want1 <= want0).astype(np.int64))
+        d0, d1 = siamese_mod._mean_ref_distances(model, bank, model.embed(x), np.arange(n))
+        assert np.array_equal(d0, want0) and np.array_equal(d1, want1)
+        labels, t0, t1 = classify_table(model, bank, FeatureTable(x, np.zeros(n, dtype=int)))
+        assert np.array_equal(t0, want0) and np.array_equal(t1, want1)
+        assert np.array_equal(labels, (want1 <= want0).astype(np.int64))
 
 
 class TestTrainedClassification:

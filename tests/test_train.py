@@ -463,10 +463,10 @@ class TestPairDistances:
 
 
     @pytest.mark.parametrize("chunk", [7, None])
-    def test_blocked_distances_match_the_row_chunk_evaluator(self, monkeypatch, set_cores, chunk):
+    def test_blocked_distances_match_the_row_chunk_evaluator(self, monkeypatch, chunk):
         # float weights; 600 distinct rows embed in blocks, and 2500 pairs
-        # are no multiple of either distance block size, and split into
-        # pieces for four cores
+        # are no multiple of either distance block size, and make at least
+        # four blocks
         rng = np.random.default_rng(37)
         spec = siamese_network_spec(15)
         model = SiameseModel(spec, init_params(spec, 38))
@@ -480,12 +480,10 @@ class TestPairDistances:
         assert len(ps) % nn.DIST_BLOCK_ROWS != 0
         assert len(ps) // nn.DIST_BLOCK_ROWS >= 4
         want = pair_distances_row_chunks(model, ps)
-        for cores in (1, 4):
-            set_cores(cores)
-            assert np.array_equal(train_mod._pair_distances(model, ps), want)
+        assert np.array_equal(train_mod._pair_distances(model, ps), want)
 
     @pytest.mark.parametrize("n", [255, 256, 257, 513])
-    def test_distances_at_block_boundaries_match_the_row_chunk_evaluator(self, set_cores, n):
+    def test_distances_at_block_boundaries_match_the_row_chunk_evaluator(self, n):
         # one block up to nn.DIST_BLOCK_ROWS pairs, then two and three; the pairs
         # name more distinct rows than one embed block
         rng = np.random.default_rng(n)
@@ -495,44 +493,7 @@ class TestPairDistances:
         ps = PairSet(ft, rng.integers(0, 400, n), rng.integers(0, 400, n),
                      np.zeros(n, dtype=bool))
         want = pair_distances_row_chunks(model, ps)
-        for cores in (1, 2, 3):
-            set_cores(cores)
-            assert np.array_equal(train_mod._pair_distances(model, ps), want)
-
-    @pytest.mark.parametrize("cores", [1, 3])
-    def test_nn_cores_alone_sets_how_many_buffers_the_kernels_make(self, monkeypatch, cores):
-        # only nn.CORES is patched: the pair and reference distances each
-        # make one nn.row_distances call (4 and 71 blocks), which makes one
-        # buffer for each thread nn.over_rows runs; each bank's embed of 10
-        # rows is one piece, so one thread and one buffer
-        rng = np.random.default_rng(39)
-        spec = siamese_network_spec(15)
-        model = SiameseModel(spec, init_params(spec, 40))
-        ft = FeatureTable(rng.normal(size=(900, 15)), rng.integers(0, 2, 900))
-        ps = PairSet(ft, rng.integers(0, 900, 1000), rng.integers(0, 900, 1000),
-                     np.zeros(1000, dtype=bool))
-        bank = ReferenceBank(ft.features[:10], ft.features[10:20])
-        e_x = model.embed(ft.features)
-        embedded = train_mod.embed_rows(model, ft.features, ps.left, ps.right)
-        made = []  # (rows split, buffers made) per over_rows call
-        over_rows = nn.over_rows
-
-        def counting(n, fn, rows, scratch):
-            made.append([n, 0])
-
-            def counted():
-                made[-1][1] += 1
-                return scratch()
-
-            return over_rows(n, fn, rows, counted)
-
-        monkeypatch.setattr(nn, "over_rows", counting)
-        monkeypatch.setattr(nn, "CORES", cores)
-        train_mod._pair_distances(model, ps, embedded)
-        assert made == [[1000, cores]]
-        made.clear()
-        siamese_mod._mean_ref_distances(model, bank, e_x, np.arange(900))
-        assert made == [[10, 1], [10, 1], [900 * 20, cores]]
+        assert np.array_equal(train_mod._pair_distances(model, ps), want)
 
 
 class TestSharedEmbedding:
