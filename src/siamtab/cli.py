@@ -78,10 +78,13 @@ def stage_seed(root: int, stage: int) -> int:
 
 
 def _parse_synthetic(text: str) -> tuple[int, int, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("--synthetic expects n,d,imbalance")
-    return int(parts[0]), int(parts[1]), float(parts[2])
+    try:
+        n, d, imbalance = text.split(",")
+        return int(n), int(d), float(imbalance)
+    except ValueError:  # not three parts, or a part that does not cast
+        raise ValueError(
+            f"--synthetic expects n,d,imbalance (integer,integer,number), got {text!r}"
+        ) from None
 
 
 # flag -> (default, cast, --help text). A config file's values go through

@@ -2,7 +2,8 @@
 
 A ParamSet carries its dtype, and every kernel computes in it: forward,
 infer, backward, the pair distances and both optimizer steps cast their
-inputs to params.flat.dtype (the distance kernels to their tables' dtype).
+inputs to params.flat.dtype (the pair-distance kernels to their tables'
+dtype; cross_distances computes in float64).
 The pair trainer builds float32 parameters, as the paper's Keras models
 compute in float32; the baseline trainer and the gradient oracles build
 float64 ones. A checkpoint keeps its parameters' dtype. The losses compute in
@@ -19,10 +20,12 @@ Shape conventions: inputs are row batches (n, in_size); a weight matrix is
 
 `forward` keeps a trace and the activity penalty (training, base validation,
 the gradient oracles); `infer` returns the output alone (eval, every
-embed). `row_distances` is eval's one distance kernel, for the pair
-distances and the reference distances alike. These two loop over bounded
-row pieces (`_pieces`), so their temporaries stay small whatever the batch.
-Everything runs on the calling thread; BLAS may thread each GEMM.
+embed). Eval has two distance kernels: `row_distances` for a pair list
+(the pair distances) and `cross_distances` for an all-pairs product (each
+test row against the reference banks), one float64 GEMM per row block.
+These three loop over bounded row pieces (`_pieces`), so their temporaries
+stay small whatever the batch. Everything runs on the calling thread; BLAS
+may thread each GEMM.
 """
 
 from __future__ import annotations
@@ -155,7 +158,9 @@ def init_params(spec: NetworkSpec, seed: int, dtype=np.float64) -> ParamSet:
 # on another path, which rounds differently.
 INFER_PIECE_ROWS = 256
 # Pairs per row_distances block: two (256, 256) buffers, 256 KB each in
-# float32.
+# float32. Also the rows per cross_distances block: one (256, 256) gather
+# buffer in the table's dtype (256 KB in float32) and its float64 copy
+# (512 KB).
 DIST_BLOCK_ROWS = 256
 
 
@@ -401,6 +406,39 @@ def row_distances(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) 
         x -= y
         x *= x
         np.add.reduce(x, axis=-1, out=out[start:stop])  # np.sum's bits
+    return floored_sqrt(out, out=out)
+
+
+def cross_distances(a: np.ndarray, ia: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Floored euclidean distance from each a[ia[i]] to every row of b, for
+    (rows, emb) tables a and b: a (len(ia), len(b)) float64 matrix. np.take
+    clips every index, it checks none.
+
+    An all-pairs product, so it takes the GEMM form ||x||^2 + ||y||^2 -
+    2 x.y in float64: b is cast once, and block by block, each of at most
+    DIST_BLOCK_ROWS rows of a (_pieces), the rows are gathered into one
+    buffer in a's dtype, copied into one float64 buffer and multiplied
+    against b in one GEMM. A sum that cancels below zero is floored like
+    any other by floored_sqrt.
+    """
+    y = np.asarray(b, dtype=np.float64)
+    y_sq = np.einsum("ij,ij->i", y, y)
+    n = len(ia)
+    out = np.empty((n, len(y)))
+    rows = min(n, DIST_BLOCK_ROWS)
+    gathered = np.empty((rows, a.shape[1]), a.dtype)
+    x, x_sq = np.empty((rows, a.shape[1])), np.empty(rows)
+    for start, stop in _pieces(n, DIST_BLOCK_ROWS):
+        m = stop - start
+        xb, xb_sq, block = x[:m], x_sq[:m], out[start:stop]
+        # mode="raise" would also gather through a temporary copy
+        np.take(a, ia[start:stop], axis=0, out=gathered[:m], mode="clip")
+        xb[...] = gathered[:m]
+        np.einsum("ij,ij->i", xb, xb, out=xb_sq)
+        np.matmul(xb, y.T, out=block)
+        block *= -2.0
+        block += xb_sq[:, None]
+        block += y_sq
     return floored_sqrt(out, out=out)
 
 

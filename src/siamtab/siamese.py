@@ -7,13 +7,14 @@ one batch, so a pair step stacks both members into a (2B, d) batch and makes
 one forward and one backward pass (the second members' distance gradient is
 the first's negated). Its weight GEMM sums both branches into the shared store.
 
-Embedding is trace-free inference (nn.infer), bit for bit forward's output,
-and the reference distances go through nn.row_distances, eval's one
-distance kernel. `eval siamese` embeds its held-out pair and test rows once
-and hands classify_table that embedding with the test rows' positions in
-it. The reference banks keep their own embed calls: an embed of k rows can
-round differently from a piece of the table, and their distances decide the
-labels.
+Embedding is trace-free inference (nn.infer), bit for bit forward's output.
+The reference distances are an all-pairs product of the test rows and the
+two banks, so they go through nn.cross_distances, one float64 GEMM per row
+block, not through the pair list of nn.row_distances. `eval siamese` embeds
+its held-out pair and test rows once and hands classify_table that
+embedding with the test rows' positions in it. The reference banks keep
+their own embed calls: an embed of k rows can round differently from a
+piece of the table, and their distances decide the labels.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from .nn import (
     NetworkSpec,
     ParamSet,
     backward,
+    cross_distances,
     euclidean_distance,
     forward,
     infer,
     require_positive,
-    row_distances,
 )
 
 DEFAULT_MARGIN = 1.0
@@ -138,12 +139,12 @@ def build_reference_bank(train: FeatureTable, k: int, seed: int) -> ReferenceBan
 
 def _mean_ref_distances(model: SiameseModel, bank: ReferenceBank, emb, rows: np.ndarray):
     """Mean embedding distance from each emb[rows[i]] to each class's
-    references: each bank is embedded on its own, and one row_distances call
-    takes every (row, reference) pair over the two stacked banks."""
+    references, in float64: each bank is embedded on its own, and one
+    cross_distances call gives the (n, 2k) matrix against the two stacked
+    banks, whose rows are averaged k at a time."""
     refs = np.vstack([model.embed(r) for r in (bank.refs0, bank.refs1)])  # (2k, emb)
-    n, k2 = len(rows), len(refs)
-    d = row_distances(emb, np.repeat(rows, k2), refs, np.tile(np.arange(k2), n))
-    return tuple(d.reshape(n, 2, -1).mean(axis=2).T)
+    d = cross_distances(emb, rows, refs)
+    return tuple(d.reshape(len(rows), 2, -1).mean(axis=2).T)
 
 
 def classify_table(

@@ -17,8 +17,12 @@ Losses, histories and reports are float64 for both.
 
 Reported losses are per-sample averages of data loss + activity penalty;
 gradients keep the raw 2*l2*a penalty injection, so the regularizer acts per
-activation exactly as the layer listings imply. Pair evaluation embeds each
-distinct row once (embed_rows) and takes its distances by nn.row_distances.
+activation exactly as the layer listings imply. A run that diverges stops
+with a "training diverged" ValueError: at a non-finite batch loss, at
+non-finite parameters after an epoch's last update, or at a non-finite
+validation loss. Pair evaluation embeds each distinct row once (embed_rows)
+and takes its pair distances by nn.row_distances; the sample-level reports
+take their reference distances by nn.cross_distances (classify_table).
 """
 
 from __future__ import annotations
@@ -213,6 +217,9 @@ def _check_loss(batch_loss: float, epoch: int, start: int, batch_size: int) -> f
 Progress = Callable[[str], None]
 
 
+# a diverging run overflows; _check_loss and the epoch checks report it, so
+# numpy's RuntimeWarnings would only repeat it
+@np.errstate(all="ignore")
 def _fit(
     cfg: TrainConfig,
     params: ParamSet,
@@ -229,7 +236,9 @@ def _fit(
     stream, then calls batch_step(indices, rng) on each batch for its summed
     loss, correct count and gradients, and applies them with the optimizer
     step(params, grads, state, lr). The same stream feeds the dropout
-    masks, so a run is fixed by (data, config, seed).
+    masks, so a run is fixed by (data, config, seed). A non-finite batch
+    loss, non-finite parameters after an epoch's last update, or a
+    non-finite validation loss stops the run with a ValueError.
     """
     state = init_optimizer(params)
     rng = np.random.default_rng(loop_seed)
@@ -245,11 +254,21 @@ def _fit(
             loss_sum += _check_loss(batch_loss, epoch, start, cfg.batch_size)
             correct += batch_correct
             step(params, grads, state, cfg.learning_rate)
+        # the last update of an epoch has no next batch loss to show it
+        if not np.isfinite(params.flat).all():
+            raise ValueError(
+                f"training diverged: non-finite parameters after epoch {epoch + 1}"
+            )
         train_loss = loss_sum / n
         train_acc = correct / n
 
         if validate is not None:
             val_loss, val_acc = validate()
+            if not math.isfinite(val_loss):
+                raise ValueError(
+                    f"training diverged: non-finite validation loss {val_loss} "
+                    f"after epoch {epoch + 1}"
+                )
         else:
             val_loss, val_acc = float("nan"), float("nan")
         history.append(train_loss, train_acc, val_loss, val_acc)

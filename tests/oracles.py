@@ -270,6 +270,13 @@ def row_distances_per_pair(a, ia, b, ib) -> np.ndarray:
     return np.array([_floored_norm(a[i] - b[j]) for i, j in zip(ia, ib)], dtype=dtype)
 
 
+def cross_distances_direct(a, ia, b) -> np.ndarray:
+    """Floored distance from each a[ia[i]] to every row of b, by (n, m, emb)
+    float64 differences."""
+    x, y = a[ia].astype(np.float64), b.astype(np.float64)
+    return _floored_norm(x[:, None, :] - y[None, :, :])
+
+
 def _embed_whole(model, x) -> np.ndarray:
     """One inference forward over the whole batch, as embed used to run."""
     from siamtab.nn import forward
@@ -296,11 +303,13 @@ def pair_distances_row_chunks(model, ps, chunk: int = 8192) -> np.ndarray:
 
 
 def mean_ref_distances_broadcast(model, bank, x) -> tuple[np.ndarray, np.ndarray]:
-    """Mean reference distances through (n, k, emb) broadcasts, each of x and
-    the two banks embedded by one forward."""
-    e_x = _embed_whole(model, x)
+    """Mean reference distances through (n, k, emb) float64 broadcasts, each
+    of x and the two banks embedded by one forward."""
+    e_x = _embed_whole(model, x).astype(np.float64)
     return tuple(
-        _floored_norm(e_x[:, None, :] - _embed_whole(model, refs)[None, :, :]).mean(axis=1)
+        _floored_norm(
+            e_x[:, None, :] - _embed_whole(model, refs).astype(np.float64)[None, :, :]
+        ).mean(axis=1)
         for refs in (bank.refs0, bank.refs1)
     )
 

@@ -208,6 +208,38 @@ class TestTrainCmd:
         assert extra["margin"] == 2.0
         assert len(arrays["refs0"]) == len(arrays["refs1"]) == 3
 
+    @pytest.mark.parametrize(
+        "which,flags,fault",
+        [
+            # the last step of the only epoch makes the float32 weights
+            # non-finite; no later batch loss would show it
+            ("siamese", ("--lr", "1e40"), "non-finite parameters after epoch 1"),
+            # one full-batch step leaves finite weights whose validation
+            # forward overflows
+            ("base", ("--batch-size", "1000", "--lr", "1e300"),
+             "non-finite validation loss nan after epoch 1"),
+        ],
+    )
+    def test_a_diverged_run_exits_1_and_writes_no_checkpoint(self, tmp_path, which, flags, fault):
+        # a subprocess, so numpy's RuntimeWarnings would show on stderr
+        out = tmp_path / "run"
+        assert run("prepare", "--synthetic", "300,6,0.3", "--out", out, "--seed", 3) == 0
+        assert run(
+            "pairs", "--out", out, "--seed", 3, "--pairs-diff", 40, "--pairs-same0", 20, "--pairs-same1", 20
+        ) == 0
+        paths = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-m", "siamtab.cli", "train", which, "--out", str(out), "--seed", "3",
+             "--epochs", "1", *flags],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [f"error: training diverged: {fault}"]
+        assert not (out / f"{which}_model.npz").exists()
+        assert not (out / f"{which}_history.csv").exists()
+        assert f"train {which}" not in json.loads((out / cli.MANIFEST).read_text())
+
     def test_default_margin_and_k_refs_write_the_bytes_of_1_and_10(self, tmp_path):
         outs = [tmp_path / "a", tmp_path / "b"]
         for out, flags in zip(outs, ((), ("--k-refs", 10, "--margin", 1.0))):
@@ -1224,6 +1256,11 @@ class TestExportCmd:
         assert run("export", "base", "--out", tmp_path / "none") == 1
 
 
+SYNTHETIC_FAULT = "--synthetic expects n,d,imbalance (integer,integer,number)"
+# a wrong count, a non-integer n and a non-number imbalance
+BAD_SYNTHETIC = ["100,4", "10.5,5,0.2", "100,5,abc"]
+
+
 class TestConfigFile:
     def test_precedence_defaults_config_flags(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -1253,7 +1290,10 @@ class TestConfigFile:
         "line,fault",
         [
             ("seed=abc", "seed: invalid literal for int() with base 10: 'abc'"),
-            ("synthetic = 100,4", "synthetic: --synthetic expects n,d,imbalance"),
+            *(
+                (f"synthetic = {text}", f"synthetic: {SYNTHETIC_FAULT}, got {text!r}")
+                for text in BAD_SYNTHETIC
+            ),
         ],
     )
     def test_value_that_fails_its_cast_names_file_and_line(self, tmp_path, capsys, line, fault):
@@ -1262,6 +1302,13 @@ class TestConfigFile:
         assert run("prepare", "--synthetic", "100,4,0.4", "--out", tmp_path / "run", "--config", cfg) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {cfg}: line 2: {fault}"]
+
+    @pytest.mark.parametrize("text", BAD_SYNTHETIC)
+    def test_bad_synthetic_flag_names_the_flag_and_its_text(self, tmp_path, capsys, text):
+        assert run("prepare", "--synthetic", text, "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {SYNTHETIC_FAULT}, got {text!r}"]
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("form", ["flag", "config file"])
     def test_empty_out_is_refused_and_nothing_written(self, tmp_path, monkeypatch, capsys, form):

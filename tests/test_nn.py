@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    cross_distances_direct,
     forward_new_arrays,
     kink_free_input,
     max_rel_error,
@@ -26,6 +27,7 @@ from siamtab.nn import (
     backward,
     bce_loss,
     contrastive_loss,
+    cross_distances,
     euclidean_distance,
     forward,
     infer,
@@ -268,6 +270,60 @@ class TestRowDistances:
         assert np.array_equal(got, row_distances_per_pair(a, ia, b, ib))
         want = n * item + 2 * min(n, nn.DIST_BLOCK_ROWS) * 64 * item
         assert want <= peak - before <= want + 16384
+
+
+class TestCrossDistances:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 848])
+    def test_match_the_float64_difference_oracle(self, n, dtype):
+        # rows repeated and in no order, against a table of 20 references;
+        # float32 tables widen to float64 exactly, so the oracle is the same
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(900, 256)).astype(dtype)
+        b = (rng.normal(size=(20, 256)) + 0.5).astype(dtype)
+        ia = rng.integers(0, 900, n)
+        got = cross_distances(a, ia, b)
+        assert got.dtype == np.float64 and got.shape == (n, 20)
+        np.testing.assert_allclose(got, cross_distances_direct(a, ia, b), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_an_identical_row_is_at_the_floor(self, dtype):
+        # ||x||^2 + ||x||^2 - 2 x.x cancels to a few ulps of ||x||^2, either
+        # side of zero, and is floored like any other value
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(300, 256)).astype(dtype)
+        b = a[::15]
+        got = cross_distances(a, np.arange(300), b)
+        assert (got[::15].diagonal() == np.sqrt(nn.DIST_FLOOR)).all()
+        off = ~np.eye(20, dtype=bool)
+        assert (got[::15][off] > 1.0).all()
+
+    @pytest.mark.parametrize("b_dtype", DTYPES)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", [0, 1, 256, 257, 513, 2500, 10000])
+    def test_temporaries_are_one_block_of_each_dtype(self, n, dtype, b_dtype):
+        # beyond the (n, 20) result and b cast to float64, the only sizeable
+        # allocations are one gathered block in a's dtype and its float64
+        # copy, whatever the number of blocks; a buffer per block, or a
+        # whole-batch copy, is far larger. numpy 2 may also buffer each
+        # broadcast norm add, up to np.getbufsize() elements
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(400, 64)).astype(dtype)
+        b = rng.normal(size=(20, 64)).astype(b_dtype)
+        ia = rng.integers(0, 400, n)
+        rows = min(n, nn.DIST_BLOCK_ROWS)
+        want = n * 20 * 8 + rows * 64 * (np.dtype(dtype).itemsize + 8)
+        if b_dtype != np.float64:
+            want += b.size * 8
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            got = cross_distances(a, ia, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(got, cross_distances_direct(a, ia, b), rtol=1e-12, atol=0)
+        assert want <= peak - before <= want + 16384 + np.getbufsize() * 8
 
 
 class TestPieces:

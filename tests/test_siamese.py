@@ -419,21 +419,27 @@ class TestBlockedInference:
             model.embed(np.ones(shape))
         assert str(err.value) == f"input shape {shape} is not (n, 15)"
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("k", [1, 3, 10, 17])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 848])
-    def test_reference_distances_match_the_broadcast_bitwise(self, n, k):
-        # n * 2k (row, reference) pairs: one nn.row_distances block up to
-        # 256 pairs, past that several through the one buffer pair
-        model = float_model(43)
+    def test_reference_distances_match_the_float64_broadcast(self, n, k, dtype):
+        # one nn.cross_distances block up to 256 rows, past that several
+        # through the one buffer pair; the GEMM form rounds otherwise than a
+        # difference, so the distances agree to float64 rounding and the
+        # labels wherever the two means are not within it of a tie
+        spec = siamese_network_spec(15)
+        model = SiameseModel(spec, init_params(spec, 43, dtype))
         rng = np.random.default_rng(44)
         bank = ReferenceBank(rng.normal(size=(k, 15)), rng.normal(size=(k, 15)) + 0.5)
         x = rng.normal(size=(n, 15))
         want0, want1 = mean_ref_distances_broadcast(model, bank, x)
         d0, d1 = siamese_mod._mean_ref_distances(model, bank, model.embed(x), np.arange(n))
-        assert np.array_equal(d0, want0) and np.array_equal(d1, want1)
         labels, t0, t1 = classify_table(model, bank, FeatureTable(x, np.zeros(n, dtype=int)))
-        assert np.array_equal(t0, want0) and np.array_equal(t1, want1)
-        assert np.array_equal(labels, (want1 <= want0).astype(np.int64))
+        for got, want in ((d0, want0), (d1, want1), (t0, want0), (t1, want1)):
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        clear = np.abs(want0 - want1) > 1e-9
+        assert np.array_equal(labels[clear], (want1 <= want0).astype(np.int64)[clear])
 
 
 class TestTrainedClassification:

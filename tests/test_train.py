@@ -663,7 +663,7 @@ class TestTrainerDtypes:
         assert train_mod._pair_distances(model, ps, embedded).dtype == F32
         bank = siamese_mod.build_reference_bank(ft, 5, seed=64)
         _, d0, d1 = classify_table(model, bank, ft, (embedded.vectors, embedded.positions[-1]))
-        assert d0.dtype == d1.dtype == F32
+        assert d0.dtype == d1.dtype == F64  # nn.cross_distances computes in float64
         report = evaluate_pairs(model, ps, embedded)
         assert type(report.accuracy) is float
 
