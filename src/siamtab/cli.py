@@ -41,7 +41,6 @@ from .nn import CheckpointVersionError, load_checkpoint, require_positive, save_
 from .siamese import (
     DEFAULT_K_REFS,
     DEFAULT_MARGIN,
-    DEFAULT_PAIR_THRESHOLD,
     ReferenceBank,
     SiameseModel,
     build_reference_bank,
@@ -93,12 +92,13 @@ def _parse_synthetic(text: str) -> tuple[int, int, float]:
 _FLAGS = {
     "data": (None, str, "input CSV path"),
     "out": ("runs/default", str, "run output directory"),
-    "seed": (0, int, "root seed for the whole run"),
+    # None -> 0; eval reports the checkpoint's seed and reads none
+    "seed": (None, int, "root seed for the whole run"),
     "epochs": (None, int, None),  # None -> per-model default
     "batch-size": (None, int, None),
     "lr": (None, float, None),
     "margin": (None, float, None),  # None -> DEFAULT_MARGIN; read by train siamese only
-    # None -> train: DEFAULT_PAIR_THRESHOLD; eval: the checkpoint's threshold
+    # None -> train: margin / 2; eval: the checkpoint's threshold
     "threshold": (None, float, "pair-similarity distance threshold"),
     # None -> DEFAULT_K_REFS; read by train siamese only
     "k-refs": (None, int, "reference samples per class"),
@@ -113,7 +113,7 @@ _FLAGS = {
 class RunConfig:
     data: Path | None
     out: Path
-    seed: int
+    seed: int | None
     epochs: int | None
     batch_size: int | None
     lr: float | None
@@ -225,10 +225,11 @@ def cmd_prepare(cfg: RunConfig) -> int:
     if cfg.synthetic is not None and cfg.data is not None:
         raise ValueError("prepare takes --data or --synthetic, not both")
     cfg.out.mkdir(parents=True, exist_ok=True)
+    seed = 0 if cfg.seed is None else cfg.seed
 
     if cfg.synthetic is not None:
         n, d, imbalance = cfg.synthetic
-        ft = dt.synth_generate(n, d, imbalance, stage_seed(cfg.seed, _STAGE_SYNTH))
+        ft = dt.synth_generate(n, d, imbalance, stage_seed(seed, _STAGE_SYNTH))
         schema = dt.synthetic_schema(d)
         missing = {c.name: 0 for c in schema}
         source = f"synthetic n={n},d={d},imbalance={imbalance}"
@@ -242,7 +243,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     stats = dt.fit_norm(ft)
     normed = dt.apply_norm(ft, stats)
     train_idx, test_idx = dt.stratified_split_indices(
-        normed.labels, TEST_FRACTION, stage_seed(cfg.seed, _STAGE_SPLIT)
+        normed.labels, TEST_FRACTION, stage_seed(seed, _STAGE_SPLIT)
     )
 
     label_name = [c.name for c in schema if c.is_label][0]
@@ -258,7 +259,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     lines = [
         "data report",
         f"source: {source}",
-        f"seed: {cfg.seed}",
+        f"seed: {seed}",
         f"rows: {normed.n}",
         f"columns: {len(schema)}",
         f"class 0: {int((normed.labels == 0).sum())}",
@@ -275,12 +276,11 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
 def cmd_pairs(cfg: RunConfig) -> int:
     ft = _load_prepared(cfg)
+    seed = 0 if cfg.seed is None else cfg.seed
     ps = pr.generate_pairs(
-        ft, cfg.pairs_diff, cfg.pairs_same0, cfg.pairs_same1, stage_seed(cfg.seed, _STAGE_PAIRS)
+        ft, cfg.pairs_diff, cfg.pairs_same0, cfg.pairs_same1, stage_seed(seed, _STAGE_PAIRS)
     )
-    train_ps, test_ps = pr.split_pairs(
-        ps, PAIR_TRAIN_FRACTION, stage_seed(cfg.seed, _STAGE_PAIR_SPLIT)
-    )
+    train_ps, test_ps = pr.split_pairs(ps, PAIR_TRAIN_FRACTION, stage_seed(seed, _STAGE_PAIR_SPLIT))
     pr.save_pairs_csv(train_ps, cfg.out / "pairs_train.csv")
     pr.save_pairs_csv(test_ps, cfg.out / "pairs_test.csv")
     print(
@@ -297,29 +297,29 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
     train_ft = dt.take_rows(ft, train_idx)
     chosen = {"epochs": cfg.epochs, "batch_size": cfg.batch_size, "learning_rate": cfg.lr}
     overrides = {key: value for key, value in chosen.items() if value is not None}
+    seed = 0 if cfg.seed is None else cfg.seed
 
     if which == "base":
-        tc = base_config(seed=stage_seed(cfg.seed, _STAGE_TRAIN_BASE), **overrides)
+        tc = base_config(seed=stage_seed(seed, _STAGE_TRAIN_BASE), **overrides)
         params, history = train_base(tc, train_ft, progress=print)
         save_checkpoint(
             cfg.out / "base_model.npz",
             base_network_spec(train_ft.d),
             params,
-            extra={"kind": "base", "seed": cfg.seed},
+            extra={"kind": "base", "seed": seed},
         )
         export_history(history, cfg.out / "base_history.csv")
     else:
         pairs_train = _load_pairs(cfg, ft, "train")
-        tc = siamese_config(seed=stage_seed(cfg.seed, _STAGE_TRAIN_SIAMESE), **overrides)
+        tc = siamese_config(seed=stage_seed(seed, _STAGE_TRAIN_SIAMESE), **overrides)
         # The bank draws from its own stage stream, so building it first
         # changes no model; a k the training split cannot fill fails before
         # any epoch runs.
         k = DEFAULT_K_REFS if cfg.k_refs is None else cfg.k_refs
-        bank = build_reference_bank(train_ft, k, stage_seed(cfg.seed, _STAGE_BANK))
+        bank = build_reference_bank(train_ft, k, stage_seed(seed, _STAGE_BANK))
         margin = DEFAULT_MARGIN if cfg.margin is None else cfg.margin
-        threshold = DEFAULT_PAIR_THRESHOLD if cfg.threshold is None else cfg.threshold
         model, history = train_siamese(
-            tc, pairs_train, margin=margin, pair_threshold=threshold, progress=print
+            tc, pairs_train, margin=margin, pair_threshold=cfg.threshold, progress=print
         )
         save_checkpoint(
             cfg.out / "siamese_model.npz",
@@ -327,7 +327,7 @@ def cmd_train(cfg: RunConfig, which: str) -> int:
             model.params,
             extra={
                 "kind": "siamese",
-                "seed": cfg.seed,
+                "seed": seed,
                 "margin": model.margin,
                 "pair_threshold": model.pair_threshold,
             },

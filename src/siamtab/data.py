@@ -23,8 +23,7 @@ _KINDS = (NOMINAL, CONTINUOUS, DISCRETE)
 
 # Tokens that mark a missing cell in the CSV dialect we read and write.
 _MISSING_TOKENS = ("", "NA")
-_CHUNK_ROWS = 256  # table rows save_table_csv gathers per write; bounds the record bytes held
-_REPR_WIDTH = 24  # the longest repr of a float64, e.g. -2.2250738585072014e-308
+_CHUNK_ROWS = 256  # table rows save_table_csv joins per write; bounds the text held
 
 
 @dataclass(frozen=True)
@@ -370,48 +369,31 @@ def _table_text(ft: FeatureTable, label_name: str):
     """The CSV bytes of a table: its header, then one block per _CHUNK_ROWS rows.
 
     Each column's distinct floats are formatted once with repr, floats being
-    told apart by bit pattern so that -0.0 keeps its sign, and each distinct
-    label once with str; every text is padded with 0 bytes to a fixed width.
-    A block holds one fixed-width record per row, gathered from those texts:
-    each float's text and a comma, then the label's text and a newline. One
-    bytes.translate drops the pads.
+    told apart by bit pattern so that -0.0 keeps its sign; a block joins
+    those texts and each row's label, by str, into its lines.
     """
     names = [c.name for c in ft.schema] if ft.schema else [f"f{i:02d}" for i in range(ft.d)]
     yield (",".join(names + [label_name]) + "\n").encode()
-    if not ft.n:
-        return
-    bits = ft.features.view(np.uint64)
-    # column by column, so np.unique's temporaries are one column's size
-    float_of = np.empty(bits.shape, dtype=np.intp)
     columns = []
-    for j in range(ft.d):
-        floats, float_of[:, j] = np.unique(bits[:, j], return_inverse=True)
-        columns.append(floats.view(np.float64))
-    starts = np.cumsum([0] + [floats.size for floats in columns])
-    float_of += starts[:-1]
-    texts = np.empty(starts[-1], dtype=f"S{_REPR_WIDTH}")
-    for start, floats in zip(starts, columns):
-        texts[start : start + floats.size] = list(map(repr, floats.tolist()))
-    labels, label_of = np.unique(ft.labels, return_inverse=True)
-    ends = np.array([f"{v}\n" for v in labels.tolist()], dtype=bytes)
-    cell = np.dtype([("text", texts.dtype), ("comma", "u1")])
-    buf = np.empty(min(ft.n, _CHUNK_ROWS), dtype=[("cells", cell, ft.d), ("end", ends.dtype)])
-    buf["cells"]["comma"] = ord(",")
+    # column by column, so np.unique's temporaries are one column's size
+    for bits in ft.features.view(np.uint64).T:
+        floats, float_of = np.unique(bits, return_inverse=True)
+        texts = np.array(list(map(repr, floats.view(np.float64).tolist())), dtype=object)
+        columns.append(texts[float_of])
+    columns.append(list(map(str, ft.labels.tolist())))
     for start in range(0, ft.n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, ft.n)
-        rows = buf[: stop - start]
-        rows["cells"]["text"] = texts[float_of[start:stop]]
-        rows["end"] = ends[label_of[start:stop]]
-        yield rows.tobytes().translate(None, b"\0")
+        block = [column[start : start + _CHUNK_ROWS] for column in columns]
+        yield "".join([",".join(row) + "\n" for row in zip(*block)]).encode()
 
 
 def save_table_csv(ft: FeatureTable, path: str | Path, label_name: str = "label"):
     """Persist a FeatureTable in the same CSV dialect we read (label last).
 
-    Floats are written with repr so a round trip reproduces values exactly;
-    rows go out one write per block of _CHUNK_ROWS rows, built as
-    _table_text describes. The float64 grid, in file order, goes to the
-    table's sidecar (table_sidecar) too, which is what load_table_csv reads.
+    Floats are written with repr so a round trip reproduces values exactly,
+    and labels with str; rows go out one write per block of _CHUNK_ROWS
+    rows, joined as _table_text describes. The float64 grid, in file order,
+    goes to the table's sidecar (table_sidecar) too, which is what
+    load_table_csv reads.
     """
     with open(path, "wb") as fh:
         fh.writelines(_table_text(ft, label_name))

@@ -37,7 +37,6 @@ from .nn import (
 )
 
 DEFAULT_MARGIN = 1.0
-DEFAULT_PAIR_THRESHOLD = 0.5  # margin / 2
 DEFAULT_K_REFS = 10  # reference samples per class
 
 
@@ -46,10 +45,12 @@ class SiameseModel:
     spec: NetworkSpec
     params: ParamSet
     margin: float = DEFAULT_MARGIN
-    pair_threshold: float = DEFAULT_PAIR_THRESHOLD
+    pair_threshold: float | None = None  # None -> margin / 2
 
     def __post_init__(self):
         require_positive("margin", self.margin)
+        if self.pair_threshold is None:
+            self.pair_threshold = self.margin / 2
         require_positive("pair_threshold", self.pair_threshold)
 
     @property

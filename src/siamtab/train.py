@@ -55,7 +55,6 @@ from .nn import (
 from .pairs import PairSet, split_pairs
 from .siamese import (
     DEFAULT_MARGIN,
-    DEFAULT_PAIR_THRESHOLD,
     ReferenceBank,
     SiameseModel,
     classify_table,
@@ -331,7 +330,7 @@ def train_siamese(
     pairs: PairSet,
     *,
     margin: float = DEFAULT_MARGIN,
-    pair_threshold: float = DEFAULT_PAIR_THRESHOLD,
+    pair_threshold: float | None = None,
     progress: Progress | None = None,
 ) -> tuple[SiameseModel, History]:
     """Train the shared-weight pair model on a pair corpus with contrastive
@@ -353,7 +352,7 @@ def train_siamese(
         d, pair_trace = pair_forward(model, a, b, mode="train", rng=rng)
         losses, dldd = contrastive_loss(d, sim, model.margin)
         grads = pair_backward(model, pair_trace, dldd / sel.size)
-        return float(losses.sum()), int(((d < pair_threshold) == sim).sum()), grads
+        return float(losses.sum()), int(((d < model.pair_threshold) == sim).sum()), grads
 
     validate = partial(_eval_pairs_loss, model, val_ps) if len(val_ps) else None
     return model, _fit(

@@ -240,14 +240,28 @@ class TestTrainCmd:
         assert not (out / f"{which}_history.csv").exists()
         assert f"train {which}" not in json.loads((out / cli.MANIFEST).read_text())
 
-    def test_default_margin_and_k_refs_write_the_bytes_of_1_and_10(self, tmp_path):
+    def test_default_margin_k_refs_and_threshold_write_the_bytes_of_1_10_and_half(self, tmp_path):
         outs = [tmp_path / "a", tmp_path / "b"]
-        for out, flags in zip(outs, ((), ("--k-refs", 10, "--margin", 1.0))):
+        for out, flags in zip(outs, ((), ("--k-refs", 10, "--margin", 1.0, "--threshold", 0.5))):
             run("prepare", "--synthetic", "300,6,0.3", "--out", out, "--seed", 3)
             run("pairs", "--out", out, "--seed", 3, "--pairs-diff", 400, "--pairs-same0", 200, "--pairs-same1", 200)
             assert run("train", "siamese", "--out", out, "--seed", 3, "--epochs", 1, *flags) == 0
         for name in ("siamese_model.npz", "siamese_history.csv", cli.MANIFEST):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "flags,echoed,want",
+        [(("--margin", 2.0), "default", 1.0), (("--margin", 2.0, "--threshold", 0.3), "0.3", 0.3)],
+    )
+    def test_unset_threshold_is_half_the_margin(self, tmp_path, capsys, flags, echoed, want):
+        out = tmp_path / "run"
+        run("prepare", "--synthetic", "300,6,0.3", "--out", out, "--seed", 3)
+        run("pairs", "--out", out, "--seed", 3, "--pairs-diff", 400, "--pairs-same0", 200, "--pairs-same1", 200)
+        capsys.readouterr()
+        assert run("train", "siamese", "--out", out, "--seed", 3, "--epochs", 1, *flags) == 0
+        assert f"  threshold={echoed}\n" in capsys.readouterr().out
+        _, _, extra, _ = load_checkpoint(out / "siamese_model.npz")
+        assert extra["pair_threshold"] == want
 
     @pytest.mark.parametrize(
         "edit",
@@ -965,6 +979,8 @@ class TestEvalCmd:
             assert (out / f"eval_{which}.kv").read_text() == "".join(f"{line}\n" for line in kv)
             # stdout is the effective config, one line a setting, then the report
             assert stdout[0] == "effective config:\n"
+            # eval reads no seed: given none, it echoes so and reports the checkpoint's
+            assert "  seed=default\n" in stdout[1 : 1 + len(cli._FLAGS)]
             assert "".join(stdout[1 + len(cli._FLAGS):]) == text
 
 
@@ -1201,6 +1217,24 @@ class TestEndToEndDeterminism:
         pipeline(b, seed=21)
         for name in ("siamese_history.csv", "eval_siamese.txt", "eval_siamese.kv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_no_seed_writes_the_bytes_of_seed_0(self, tmp_path, capsys):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        flags = (
+            "--synthetic", "300,6,0.2", "--epochs", 1,
+            "--pairs-diff", 400, "--pairs-same0", 200, "--pairs-same1", 200,
+        )
+        stdouts = []
+        for out, seed in zip(outs, ((), ("--seed", 0))):
+            for name in cli.STAGES:
+                assert run(*name.split(), *flags, *seed, "--out", out) == 0, name
+            stdouts.append(capsys.readouterr().out.replace(str(out), "<out>"))
+        assert stdouts[0].count("  seed=default\n") == len(cli.STAGES)
+        assert stdouts[0].replace("  seed=default\n", "  seed=0\n") == stdouts[1]
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_different_seed_differs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

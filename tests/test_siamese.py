@@ -50,6 +50,12 @@ def test_margin_and_threshold_must_be_finite_and_positive(name, value):
         SiameseModel(spec, init_params(spec, 0), **{name: value})
 
 
+@pytest.mark.parametrize("margin,want", [({}, 0.5), ({"margin": 3.0}, 1.5)])
+def test_unset_threshold_is_half_the_margin(margin, want):
+    spec = NetworkSpec((LayerSpec(2, 2, "linear"),))
+    assert SiameseModel(spec, init_params(spec, 0), **margin).pair_threshold == want
+
+
 def classify_one(model, bank, x):
     """classify_table on a one-row table: (label, mean_d0, mean_d1) of the row."""
     labels, d0, d1 = classify_table(model, bank, FeatureTable(np.asarray(x)[None, :], [0]))

@@ -60,7 +60,7 @@ class TestConfigs:
         assert cfg.batch_size == 64
         assert recipe_defaults(train_siamese) == {
             "margin": 1.0,
-            "pair_threshold": 0.5,
+            "pair_threshold": None,  # margin / 2
             "progress": None,
         }
 
