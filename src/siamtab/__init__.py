@@ -43,7 +43,6 @@ from .siamese import (
 from .train import (
     EvalReport,
     History,
-    RowEmbedding,
     TrainConfig,
     base_config,
     base_network_spec,

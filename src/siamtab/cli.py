@@ -60,6 +60,7 @@ from .train import (
 
 TEST_FRACTION = 0.2  # sample-level held-out fraction written by `prepare`
 PAIR_TRAIN_FRACTION = 0.8  # pair-level train share written by `pairs`
+_PAIR_COUNTS = (100000, 50000, 50000)  # `pairs`' default (diff, same0, same1)
 
 # Stage tags mixed into the root seed so every pipeline step gets its own
 # reproducible stream.
@@ -102,9 +103,10 @@ _FLAGS = {
     "threshold": (None, float, "pair-similarity distance threshold"),
     # None -> DEFAULT_K_REFS; read by train siamese only
     "k-refs": (None, int, "reference samples per class"),
-    "pairs-diff": (100000, int, None),
-    "pairs-same0": (50000, int, None),
-    "pairs-same1": (50000, int, None),
+    # None -> _PAIR_COUNTS; read by pairs only
+    "pairs-diff": (None, int, None),
+    "pairs-same0": (None, int, None),
+    "pairs-same1": (None, int, None),
     "synthetic": (None, _parse_synthetic, "n,d,imbalance synthetic dataset spec"),
 }
 
@@ -120,9 +122,9 @@ class RunConfig:
     margin: float | None
     threshold: float | None
     k_refs: int | None
-    pairs_diff: int
-    pairs_same0: int
-    pairs_same1: int
+    pairs_diff: int | None
+    pairs_same0: int | None
+    pairs_same1: int | None
     synthetic: tuple[int, int, float] | None
 
     def echo(self):
@@ -135,9 +137,16 @@ class RunConfig:
 
 
 def read_config_file(path: Path) -> dict[str, object]:
-    """The key=value settings of a config file, each cast to its flag's type."""
+    """The key=value settings of a config file, each cast to its flag's type;
+    a fault, an undecodable byte included, names the file and line."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        # decoded whole, so exc.start counts from the file's first byte
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: {exc}") from None
     values = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -277,15 +286,14 @@ def cmd_prepare(cfg: RunConfig) -> int:
 def cmd_pairs(cfg: RunConfig) -> int:
     ft = _load_prepared(cfg)
     seed = 0 if cfg.seed is None else cfg.seed
-    ps = pr.generate_pairs(
-        ft, cfg.pairs_diff, cfg.pairs_same0, cfg.pairs_same1, stage_seed(seed, _STAGE_PAIRS)
-    )
+    chosen = (cfg.pairs_diff, cfg.pairs_same0, cfg.pairs_same1)
+    diff, same0, same1 = (d if c is None else c for c, d in zip(chosen, _PAIR_COUNTS))
+    ps = pr.generate_pairs(ft, diff, same0, same1, stage_seed(seed, _STAGE_PAIRS))
     train_ps, test_ps = pr.split_pairs(ps, PAIR_TRAIN_FRACTION, stage_seed(seed, _STAGE_PAIR_SPLIT))
     pr.save_pairs_csv(train_ps, cfg.out / "pairs_train.csv")
     pr.save_pairs_csv(test_ps, cfg.out / "pairs_test.csv")
     print(
-        f"pairs: {len(ps)} total "
-        f"(diff={cfg.pairs_diff}, same0={cfg.pairs_same0}, same1={cfg.pairs_same1}) "
+        f"pairs: {len(ps)} total (diff={diff}, same0={same0}, same1={same1}) "
         f"-> train={len(train_ps)}, test={len(test_ps)}"
     )
     return 0
@@ -424,9 +432,9 @@ def cmd_eval(cfg: RunConfig, which: str) -> int:
         threshold = extra["pair_threshold"] if cfg.threshold is None else cfg.threshold
         model = SiameseModel(spec, params, margin=extra["margin"], pair_threshold=threshold)
         pairs_test = _load_pairs(cfg, ft, "test")
-        held_out = embed_rows(model, ft.features, pairs_test.left, pairs_test.right, test_idx)
-        pair_report = evaluate_pairs(model, pairs_test, held_out)
-        sample_report = evaluate_classifier(model, test_ft, bank, held_out)
+        vectors, slot = embed_rows(model, ft.features, pairs_test.left, pairs_test.right, test_idx)
+        pair_report = evaluate_pairs(model, pairs_test, (vectors, slot))
+        sample_report = evaluate_classifier(model, test_ft, bank, (vectors, slot[test_idx]))
         record = [
             ("report", "siamese", "evaluation: siamese network"),
             seed,

@@ -8,6 +8,7 @@ integer seed and are deterministic for a fixed seed.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 import zipfile
@@ -194,27 +195,35 @@ def load_csv(path: str | Path, schema: list[ColumnSpec]) -> RawTable:
     cells included, that spans lines, so every line an error names is a line
     of the file. The body is parsed by one np.loadtxt call with _raw_cell as
     its converter; only when that parse refuses it is the file rescanned row
-    by row, and the error names the first faulty line. This is the reader
-    for raw input; the program's own tables go through load_table_csv.
+    by row, and the error names the first faulty line. A byte that does not
+    decode names its line too. This is the reader for raw input; the
+    program's own tables go through load_table_csv.
     """
     path = Path(path)
     label_j = _label_index(schema)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        for cell in header:
-            # else the header spans lines, and every line named below is off
-            if "\r" in cell or "\n" in cell:
-                raise ValueError(f"{path}: line 1: line break inside header cell {cell!r}")
-        names = [h.strip() for h in header]
-        expected = [c.name for c in schema]
-        if names != expected:
-            raise ValueError(
-                f"{path}: header mismatch: expected {expected}, got {names}"
-            )
-        body = list(fh)
+    with open(path, newline="") as raw:
+        try:
+            text = raw.read()
+        except UnicodeDecodeError as exc:
+            # decoded whole, so exc.start counts from the file's first byte
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+    fh = io.StringIO(text, newline="")  # iterates by the file's own lines
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    for cell in header:
+        # else the header spans lines, and every line named below is off
+        if "\r" in cell or "\n" in cell:
+            raise ValueError(f"{path}: line 1: line break inside header cell {cell!r}")
+    names = [h.strip() for h in header]
+    expected = [c.name for c in schema]
+    if names != expected:
+        raise ValueError(
+            f"{path}: header mismatch: expected {expected}, got {names}"
+        )
+    body = list(fh)
     if not body:
         raise ValueError(f"{path}: empty table (header only)")
     try:

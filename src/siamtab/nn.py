@@ -2,8 +2,8 @@
 
 A ParamSet carries its dtype, and every kernel computes in it: forward,
 infer, backward, the pair distances and both optimizer steps cast their
-inputs to params.flat.dtype (the pair-distance kernels to their tables'
-dtype; cross_distances computes in float64).
+inputs to params.flat.dtype (row_distances computes in its table's dtype,
+cross_distances in float64).
 The pair trainer builds float32 parameters, as the paper's Keras models
 compute in float32; the baseline trainer and the gradient oracles build
 float64 ones. A checkpoint keeps its parameters' dtype. The losses compute in
@@ -21,8 +21,9 @@ Shape conventions: inputs are row batches (n, in_size); a weight matrix is
 `forward` keeps a trace and the activity penalty (training, base validation,
 the gradient oracles); `infer` returns the output alone (eval, every
 embed). Eval has two distance kernels: `row_distances` for a pair list
-(the pair distances) and `cross_distances` for an all-pairs product (each
-test row against the reference banks), one float64 GEMM per row block.
+over one embedding table (the pair distances) and `cross_distances` for an
+all-pairs product (each test row against the reference banks), one float64
+GEMM per row block.
 These three loop over bounded row pieces (`_pieces`), so their temporaries
 stay small whatever the batch. Everything runs on the calling thread; BLAS
 may thread each GEMM.
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -384,25 +385,23 @@ def floored_sqrt(sq_norms: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return np.sqrt(floored, out=out)
 
 
-def row_distances(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Floored euclidean distance from a[ia[i]] to b[ib[i]] for each i, for
-    (rows, emb) tables a and b, in their common dtype; np.take clips every
-    index, it checks none.
+def row_distances(table: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Floored euclidean distance from table[ia[i]] to table[ib[i]] for each
+    i, for a (rows, emb) table, in its dtype; np.take clips every index, it
+    checks none.
 
     Block by block, each of at most DIST_BLOCK_ROWS pairs (_pieces), both
     members are gathered into one buffer pair, differenced and squared in
     place and summed into the result, which is floored and rooted last.
     """
-    dtype = np.result_type(a, b)
-    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     n = len(ia)
-    out = np.empty(n, dtype)
-    pair = np.empty((2, min(n, DIST_BLOCK_ROWS), a.shape[1]), dtype)
+    out = np.empty(n, table.dtype)
+    pair = np.empty((2, min(n, DIST_BLOCK_ROWS), table.shape[1]), table.dtype)
     for start, stop in _pieces(n, DIST_BLOCK_ROWS):
         x, y = pair[0, : stop - start], pair[1, : stop - start]
         # mode="raise" would also gather through a temporary copy
-        np.take(a, ia[start:stop], axis=0, out=x, mode="clip")
-        np.take(b, ib[start:stop], axis=0, out=y, mode="clip")
+        np.take(table, ia[start:stop], axis=0, out=x, mode="clip")
+        np.take(table, ib[start:stop], axis=0, out=y, mode="clip")
         x -= y
         x *= x
         np.add.reduce(x, axis=-1, out=out[start:stop])  # np.sum's bits
@@ -581,16 +580,7 @@ def save_checkpoint(
     meta = {
         "version": CHECKPOINT_VERSION,
         "dtype": params.flat.dtype.name,
-        "layers": [
-            {
-                "in_size": l.in_size,
-                "out_size": l.out_size,
-                "activation": l.activation,
-                "dropout_rate": l.dropout_rate,
-                "activity_l2": l.activity_l2,
-            }
-            for l in spec.layers
-        ],
+        "layers": [asdict(l) for l in spec.layers],
         "extra": extra or {},
     }
     payload: dict[str, np.ndarray] = {"meta": np.array(json.dumps(meta))}
@@ -645,12 +635,10 @@ def load_checkpoint(path: str | Path):
                     f"{path}: checkpoint dtype {json.dumps(dtype)} is not float32 or float64"
                 )
             try:
+                # every field named, so a missing one is a KeyError, not
+                # LayerSpec's default
                 layers = tuple(
-                    LayerSpec(
-                        l["in_size"], l["out_size"], l["activation"],
-                        l["dropout_rate"], l["activity_l2"],
-                    )
-                    for l in meta["layers"]
+                    LayerSpec(*(l[f.name] for f in fields(LayerSpec))) for l in meta["layers"]
                 )
                 spec = NetworkSpec(layers)
             except ValueError as exc:  # a layer spec the engine refuses

@@ -11,8 +11,9 @@ Embedding is trace-free inference (nn.infer), bit for bit forward's output.
 The reference distances are an all-pairs product of the test rows and the
 two banks, so they go through nn.cross_distances, one float64 GEMM per row
 block, not through the pair list of nn.row_distances. `eval siamese` embeds
-its held-out pair and test rows once and hands classify_table that
-embedding with the test rows' positions in it. The reference banks keep
+its held-out pair and test rows once (train.embed_rows) and hands
+classify_table that embedding as (vectors, slot), slot naming each test
+row's vector. The reference banks keep
 their own embed calls: an embed of k rows can round differently from a
 piece of the table, and their distances decide the labels.
 """
@@ -153,8 +154,9 @@ def classify_table(
 ):
     """Label each row by the class with the smaller mean reference distance.
 
-    `embedded`, when given, is an embedding table and the positions of ft's
-    rows in it, in ft's order; otherwise ft's rows are embedded row for row.
+    `embedded`, when given, is (vectors, slot): vectors[slot[i]] embeds ft's
+    row i, and every slot must name a row of vectors; otherwise ft's rows
+    are embedded row for row.
     Returns (labels, mean_d0, mean_d1) arrays. An exact tie goes to class 1,
     the costlier class to miss.
     """

@@ -22,7 +22,9 @@ with a "training diverged" ValueError: at a non-finite batch loss, at
 non-finite parameters after an epoch's last update, or at a non-finite
 validation loss. Pair evaluation embeds each distinct row once (embed_rows)
 and takes its pair distances by nn.row_distances; the sample-level reports
-take their reference distances by nn.cross_distances (classify_table).
+take their reference distances by nn.cross_distances (classify_table). A
+shared embedding has one form, (vectors, slot): vectors[slot[i]] embeds row
+i of the reader's table, and slot[i] is -1 for a row without a vector.
 """
 
 from __future__ import annotations
@@ -360,55 +362,41 @@ def train_siamese(
     )
 
 
-def _distinct_rows(n: int, *indices: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """np.unique(concat(indices), return_inverse=True) without the sort, for
-    index arrays over one n-row table: the sorted distinct rows they name,
-    and each array's positions among them."""
-    idx = np.concatenate(indices)
-    seen = np.zeros(n, dtype=bool)
-    seen[idx] = True
-    inverse = (np.cumsum(seen) - 1)[idx]
-    return np.flatnonzero(seen), np.split(inverse, np.cumsum([len(i) for i in indices[:-1]]))
-
-
-@dataclass(frozen=True)
-class RowEmbedding:
-    """Inference embeddings of the distinct table rows that some index arrays
-    name, each row embedded once: vectors[positions[j]] embeds the rows the
-    j-th array names, in its order."""
-
-    vectors: np.ndarray
-    positions: tuple[np.ndarray, ...]
-
-
-def embed_rows(model: SiameseModel, features: np.ndarray, *indices: np.ndarray) -> RowEmbedding:
+def embed_rows(
+    model: SiameseModel, features: np.ndarray, *indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Embed every distinct row of `features` that the index arrays name,
-    with one embed call.
+    each once and in row order, with one embed call. Returns (vectors,
+    slot): vectors[slot[i]] embeds row i, and slot[i] is -1 for a row that
+    no array names.
 
     `eval siamese` embeds the union of its test pairs' rows and test-split
     rows this way, once, for both of its reports.
     """
-    rows, positions = _distinct_rows(len(features), *indices)
-    return RowEmbedding(model.embed(features[rows]), tuple(positions))
+    named = np.zeros(len(features), dtype=bool)
+    for idx in indices:
+        named[idx] = True
+    slot = np.cumsum(named) - 1
+    slot[~named] = -1
+    return model.embed(features[named]), slot
 
 
 def _pair_distances(
-    model: SiameseModel, ps: PairSet, embedded: RowEmbedding | None = None
+    model: SiameseModel, ps: PairSet, embedded: tuple | None = None
 ) -> np.ndarray:
-    """Inference-mode distances for every pair.
+    """Inference-mode distances for every pair, through nn.row_distances.
 
-    The members' embeddings are read from `embedded` (its first two index
-    arrays were ps.left and ps.right), or from one embed_rows call over the
-    pairs, and go through nn.row_distances.
+    `embedded` is an embed_rows result over ps.source's rows that holds
+    every pair member; without it, one embed_rows call over the pairs
+    makes one.
     """
-    if embedded is None:
-        embedded = embed_rows(model, ps.source.features, ps.left, ps.right)
-    emb, (left, right) = embedded.vectors, embedded.positions[:2]
-    n = len(ps)
-    if len(left) != n or len(right) != n:
-        raise ValueError(f"embedding positions for {len(left)}/{len(right)} members, not {n}")
-    # every position comes from _distinct_rows, so each is in range
-    return row_distances(emb, left, emb, right)
+    vectors, slot = embedded or embed_rows(model, ps.source.features, ps.left, ps.right)
+    if len(slot) != ps.source.n:
+        raise ValueError(f"embedding slots for {len(slot)} rows, not {ps.source.n}")
+    left, right = slot[ps.left], slot[ps.right]
+    if not ((np.minimum(left, right) >= 0) & (np.maximum(left, right) < len(vectors))).all():
+        raise ValueError("the embedding holds no vector for some pair members")
+    return row_distances(vectors, left, right)
 
 
 def _eval_pairs_loss(model: SiameseModel, ps: PairSet) -> tuple[float, float]:
@@ -419,7 +407,7 @@ def _eval_pairs_loss(model: SiameseModel, ps: PairSet) -> tuple[float, float]:
 
 
 def evaluate_pairs(
-    model: SiameseModel, pairs: PairSet, embedded: RowEmbedding | None = None
+    model: SiameseModel, pairs: PairSet, embedded: tuple | None = None
 ) -> EvalReport:
     """Pair-level confusion matrix; a similar verdict is the positive class.
     `embedded` is as for _pair_distances."""
@@ -434,23 +422,22 @@ def evaluate_classifier(
     model,
     data: FeatureTable,
     bank: ReferenceBank | None = None,
-    embedded: RowEmbedding | None = None,
+    embedded: tuple | None = None,
 ) -> EvalReport:
     """Sample-level confusion matrix and metrics.
 
     `model` is either a SiameseModel, classified through its reference bank,
     or a (NetworkSpec, ParamSet) pair for a sigmoid-output classifier such
     as the baseline. For a SiameseModel, `embedded` may hold data's rows
-    already embedded: an embed_rows result whose last index array named
-    them in data's order; classify_table reads them by those positions.
+    already embedded, as classify_table takes it: (vectors, slot) with
+    vectors[slot[i]] embedding data's row i.
     """
     if data.n == 0:
         raise ValueError("empty data")
     if isinstance(model, SiameseModel):
         if bank is None:
             raise ValueError("siamese evaluation needs a reference bank")
-        emb = None if embedded is None else (embedded.vectors, embedded.positions[-1])
-        preds, _, _ = classify_table(model, bank, data, emb)
+        preds, _, _ = classify_table(model, bank, data, embedded)
     else:
         spec, params = model
         preds = (infer(params, spec, data.features)[:, 0] >= 0.5).astype(np.int64)

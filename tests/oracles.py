@@ -263,11 +263,10 @@ def _floored_norm(diff) -> np.ndarray:
     return np.sqrt(np.maximum(np.sum(diff * diff, axis=-1), diff.dtype.type(1e-12)))
 
 
-def row_distances_per_pair(a, ia, b, ib) -> np.ndarray:
-    """Floored distance from a[ia[i]] to b[ib[i]], one pair at a time, in the
-    tables' dtype."""
-    dtype = np.result_type(a, b)
-    return np.array([_floored_norm(a[i] - b[j]) for i, j in zip(ia, ib)], dtype=dtype)
+def row_distances_per_pair(table, ia, ib) -> np.ndarray:
+    """Floored distance from table[ia[i]] to table[ib[i]], one pair at a
+    time, in the table's dtype."""
+    return np.array([_floored_norm(table[i] - table[j]) for i, j in zip(ia, ib)], table.dtype)
 
 
 def cross_distances_direct(a, ia, b) -> np.ndarray:

@@ -94,6 +94,25 @@ class TestPrepare:
         # synthetic csv does not match the 16-column disease schema
         assert run("prepare", "--data", csv_path, "--out", tmp_path / "run") == 1
 
+    # line 5 is in the reader's first 8 KB, line 400 past it
+    @pytest.mark.parametrize("line", [5, 400])
+    def test_data_not_utf8_names_file_and_line(self, tmp_path, capsys, line):
+        from siamtab.data import framingham_schema
+
+        schema = framingham_schema()
+        rows = [",".join(c.name for c in schema)]
+        rows += [",".join(["1"] * (len(schema) - 1) + [str(i % 2)]) for i in range(500)]
+        rows[line - 1] = rows[line - 1][:2] + "\xe9" + rows[line - 1][3:]
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_bytes("\n".join(rows).encode("latin-1"))
+        at = sum(len(r) + 1 for r in rows[: line - 1]) + 2
+        assert run("prepare", "--data", csv_path, "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: {csv_path}: line {line}: 'utf-8' codec can't decode byte 0xe9 in "
+            f"position {at}: invalid continuation byte"
+        ]
+
     def test_effective_config_printed(self, tmp_path, capsys):
         run("prepare", "--synthetic", "100,3,0.5", "--out", tmp_path / "r", "--seed", 11)
         text = capsys.readouterr().out
@@ -116,6 +135,23 @@ class TestPairsCmd:
         test_lines = (out / "pairs_test.csv").read_text().splitlines()
         assert len(train_lines) - 1 == 16
         assert len(test_lines) - 1 == 4
+
+    def test_no_count_flags_write_the_default_counts_bytes(self, tmp_path, capsys):
+        # the counts default to None, which `pairs` resolves to 100000 /
+        # 50000 / 50000: the files, run.json and the printed line are those
+        # of the explicit counts
+        outs, printed = [], []
+        for counts in ((), ("--pairs-diff", 100000, "--pairs-same0", 50000, "--pairs-same1", 50000)):
+            out = tmp_path / f"run{len(outs)}"
+            assert run("prepare", "--synthetic", "120,4,0.3", "--out", out, "--seed", 8) == 0
+            capsys.readouterr()
+            assert run("pairs", "--out", out, "--seed", 8, *counts) == 0
+            printed.append([l for l in capsys.readouterr().out.splitlines() if l.startswith("pairs:")])
+            outs.append(out)
+        assert printed[0] == printed[1]
+        assert printed[0][0].startswith("pairs: 200000 total (diff=100000, same0=50000, same1=50000)")
+        for name in ("pairs_train.csv", "pairs_test.csv", "run.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_printed_counts_are_the_files_counts(self, tmp_path, capsys):
         # pairs prints the counts it was asked for; they must be what the
@@ -453,6 +489,16 @@ def copy_run(trained_run, tmp_path):
 
 
 class TestEvalCmd:
+    def test_pair_counts_echo_default_outside_pairs(self, trained_run, tmp_path, capsys):
+        # the pairs were drawn at 400/200/200; eval reads no pair count, and
+        # echoes none
+        out = copy_run(trained_run, tmp_path)
+        capsys.readouterr()
+        assert run("eval", "siamese", "--out", out) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        for key in ("pairs-diff", "pairs-same0", "pairs-same1"):
+            assert f"  {key}=default" in stdout[1 : 1 + len(cli._FLAGS)]
+
     @pytest.mark.parametrize(
         "damage,fault",
         [
@@ -1336,6 +1382,16 @@ class TestConfigFile:
         assert run("prepare", "--synthetic", "100,4,0.4", "--out", tmp_path / "run", "--config", cfg) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {cfg}: line 2: {fault}"]
+
+    def test_file_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 3\nout = r\xffun\n")
+        assert run("prepare", "--synthetic", "100,4,0.4", "--config", cfg) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: {cfg}: line 2: 'utf-8' codec can't decode byte 0xff in position 16: "
+            "invalid start byte"
+        ]
 
     @pytest.mark.parametrize("text", BAD_SYNTHETIC)
     def test_bad_synthetic_flag_names_the_flag_and_its_text(self, tmp_path, capsys, text):

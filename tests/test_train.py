@@ -430,21 +430,27 @@ class TestPairDistances:
         ]
         assert np.array_equal(got, expected)
 
-    def test_distinct_rows_match_np_unique(self):
+    def test_embed_rows_gives_the_distinct_rows_and_their_slots(self):
         # repeats within and across arrays, and source rows no array names;
         # one, two (the pair members) and three (eval's test rows too) arrays
         rng = np.random.default_rng(38)
+        spec = siamese_network_spec(4)
+        model = SiameseModel(spec, init_params(spec, 43, train_mod.PAIR_DTYPE))
+        features = rng.normal(size=(40, 4)).astype(train_mod.PAIR_DTYPE)
         indices = [rng.integers(5, 30, 60), rng.integers(10, 35, 60), rng.integers(0, 12, 9)]
         indices[0][:2], indices[1][:2] = [39, 5], [5, 39]
         for arrays in (1, 2, 3):
-            rows, positions = train_mod._distinct_rows(40, *indices[:arrays])
-            want_rows, want_inverse = np.unique(
-                np.concatenate(indices[:arrays]), return_inverse=True
-            )
-            assert np.array_equal(rows, want_rows)
-            assert np.array_equal(np.concatenate(positions), want_inverse)
-            assert [len(p) for p in positions] == [len(i) for i in indices[:arrays]]
+            vectors, slot = train_mod.embed_rows(model, features, *indices[:arrays])
+            rows = np.unique(np.concatenate(indices[:arrays]))
             assert rows.size < 40
+            want = model.embed(features[rows])
+            assert vectors.dtype == want.dtype and vectors.shape == want.shape
+            assert vectors.tobytes() == want.tobytes()
+            want_slot = np.full(40, -1)
+            want_slot[rows] = np.arange(rows.size)
+            assert np.array_equal(slot, want_slot)
+            for idx in indices[:arrays]:
+                assert vectors[slot[idx]].tobytes() == model.embed(features[idx]).tobytes()
 
     def test_each_distinct_row_is_embedded_once(self, monkeypatch):
         model, ft = self.integer_model_and_table(np.random.default_rng(36))
@@ -514,38 +520,60 @@ class TestSharedEmbedding:
         test_ft = take_rows(ft, test_idx)
         bank = ReferenceBank(rng.normal(size=(10, 15)), rng.normal(size=(10, 15)) + 0.5)
 
-        shared = train_mod.embed_rows(model, ft.features, left, right, test_idx)
-        assert len(shared.vectors) == n
+        vectors, slot = train_mod.embed_rows(model, ft.features, left, right, test_idx)
+        assert len(vectors) == n
         assert not np.isin(perm[:100], np.concatenate((left, right))).any()
         assert np.isin(perm[100:300], left).all() and not np.isin(perm[300:], test_idx).any()
 
-        got = train_mod._pair_distances(model, ps, shared)
+        got = train_mod._pair_distances(model, ps, (vectors, slot))
         assert np.array_equal(got, train_mod._pair_distances(model, ps))
-        labels, d0, d1 = classify_table(
-            model, bank, test_ft, (shared.vectors, shared.positions[-1])
-        )
+        labels, d0, d1 = classify_table(model, bank, test_ft, (vectors, slot[test_idx]))
         want_labels, want0, want1 = classify_table(model, bank, test_ft)
         assert np.array_equal(d0, want0) and np.array_equal(d1, want1)
         assert np.array_equal(labels, want_labels)
         for with_shared, alone in (
-            (evaluate_pairs(model, ps, shared), evaluate_pairs(model, ps)),
+            (evaluate_pairs(model, ps, (vectors, slot)), evaluate_pairs(model, ps)),
             (
-                evaluate_classifier(model, test_ft, bank, shared),
+                evaluate_classifier(model, test_ft, bank, (vectors, slot[test_idx])),
                 evaluate_classifier(model, test_ft, bank),
             ),
         ):
             assert with_shared.record() == alone.record()
 
-    def test_embedding_of_other_rows_rejected(self):
+    @staticmethod
+    def six_rows():
         spec = siamese_network_spec(4)
         model = SiameseModel(spec, init_params(spec, 41))
-        ft = FeatureTable(np.ones((6, 4)), np.array([0, 1] * 3))
+        ft = FeatureTable(np.arange(24.0).reshape(6, 4) / 10, np.array([0, 1] * 3))
         ps = PairSet(ft, np.array([0, 1]), np.array([2, 3]), np.ones(2, dtype=bool))
-        other = train_mod.embed_rows(model, ft.features, np.arange(3), np.arange(3))
-        with pytest.raises(ValueError, match="positions for 3/3 members, not 2"):
+        return model, ft, ps
+
+    def test_embedding_without_a_pair_member_rejected(self):
+        # rows 4 and 5 embedded for the pairs (0, 2) and (1, 3): no member
+        # has a vector, and none may be read from another row's
+        model, ft, ps = self.six_rows()
+        other = train_mod.embed_rows(model, ft.features, np.array([4]), np.array([5]))
+        with pytest.raises(ValueError, match="holds no vector for some pair members"):
             evaluate_pairs(model, ps, other)
+        # one member embedded, the other not
+        partial = train_mod.embed_rows(model, ft.features, np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="holds no vector for some pair members"):
+            evaluate_pairs(model, ps, partial)
+        # slots that name rows past the vectors
+        vectors, slot = train_mod.embed_rows(model, ft.features, ps.left, ps.right)
+        with pytest.raises(ValueError, match="holds no vector for some pair members"):
+            evaluate_pairs(model, ps, (vectors[:2], slot))
+
+    def test_embedding_of_another_table_rejected(self):
+        model, ft, ps = self.six_rows()
+        vectors, slot = train_mod.embed_rows(model, ft.features, np.arange(6))
+        with pytest.raises(ValueError, match="embedding slots for 3 rows, not 6"):
+            evaluate_pairs(model, ps, (vectors, slot[:3]))
         bank = ReferenceBank(np.ones((1, 4)), np.zeros((1, 4)))
         with pytest.raises(ValueError, match="embedding positions for 3 rows, not 6"):
+            evaluate_classifier(model, ft, bank, (vectors, slot[:3]))
+        other = train_mod.embed_rows(model, ft.features, np.array([4]), np.array([5]))
+        with pytest.raises(ValueError, match="embedding positions out of range for 2 rows"):
             evaluate_classifier(model, ft, bank, other)
 
 
@@ -659,10 +687,10 @@ class TestTrainerDtypes:
         assert all(type(v[0]) is float for v in vars(history).values())
 
         embedded = train_mod.embed_rows(model, ft.features, ps.left, ps.right, np.arange(ft.n))
-        assert embedded.vectors.dtype == F32
+        assert embedded[0].dtype == F32
         assert train_mod._pair_distances(model, ps, embedded).dtype == F32
         bank = siamese_mod.build_reference_bank(ft, 5, seed=64)
-        _, d0, d1 = classify_table(model, bank, ft, (embedded.vectors, embedded.positions[-1]))
+        _, d0, d1 = classify_table(model, bank, ft, embedded)
         assert d0.dtype == d1.dtype == F64  # nn.cross_distances computes in float64
         report = evaluate_pairs(model, ps, embedded)
         assert type(report.accuracy) is float
